@@ -19,8 +19,8 @@
 //
 // Supported layers: Dense, ReLU, Tanh, Sigmoid, Flatten, Conv2D, MaxPool2D
 // (everything the bundled MLP/CNN factories emit). Architectures using other
-// layers (LSTM, Embedding, Dropout, LayerNorm, AvgPool2D) report
-// `supported() == false` and callers fall back to the scalar path.
+// layers (LSTM, Embedding) report `supported() == false` and callers fall
+// back to the scalar path.
 #pragma once
 
 #include <memory>

@@ -28,8 +28,8 @@ class Layer {
   virtual ~Layer() = default;
 
   // Computes the layer output for `input`. When `train` is true the layer
-  // caches whatever it needs for backward() and may apply train-only
-  // behaviour (e.g. dropout).
+  // caches whatever it needs for backward() (e.g. ReLU keeps its input,
+  // MaxPool2D its argmax positions).
   virtual Tensor forward(const Tensor& input, bool train) = 0;
 
   // Given dL/d(output), accumulates parameter gradients and returns

@@ -155,10 +155,10 @@ void apply_label_flip_at(const ScenarioSpec& spec, std::size_t unit, Target& tar
   if (flip.stop_round != 0 && unit == flip.stop_round) target.revert_poisoning();
 }
 
-// Checkpoint/resume/replay plumbing shared by the two DAG loops. `restore`
-// (when set) seeds the run from a loaded checkpoint instead of unit 0;
-// `stop_unit` lets replay_scenario stop before the spec horizon (0 = run to
-// spec.rounds); `finalize` is off for replays, which only need the series.
+// Checkpoint/resume/replay plumbing of the DAG loop. `restore` (when set)
+// seeds the run from a loaded checkpoint instead of unit 0; `stop_unit` lets
+// replay_scenario stop before the spec horizon (0 = run to spec.rounds);
+// `finalize` is off for replays, which only need the series.
 struct RunControl {
   const snapshot::LoadedCheckpoint* restore = nullptr;
   std::size_t stop_unit = 0;
@@ -192,8 +192,8 @@ void maybe_write_checkpoint(const ScenarioSpec& spec, std::size_t completed,
   snapshot::prune_checkpoints(checkpoint.dir, checkpoint.keep_last);
 }
 
-// Attack steps shared by the round and async DAG loops: publish the junk
-// transactions due this unit, then run the label-flip probes when scheduled.
+// The DAG loop's attack step: publish the junk transactions due this unit,
+// then run the label-flip probes when scheduled.
 void run_attack_step(std::size_t unit, AttackController& attacks, core::SpecializingDag& net,
                      const data::FederatedDataset& dataset,
                      std::optional<nn::Sequential>& probe, const nn::ModelFactory& factory,
@@ -395,15 +395,17 @@ void finalize_result(const ScenarioSpec& spec, const data::FederatedDataset& dat
   }
 }
 
-ScenarioResult run_round_scenario(const ScenarioSpec& spec, sim::ExperimentPreset preset,
-                                  const RunOptions& options, const RunControl& control) {
-  ScenarioResult result;
-  const std::size_t num_clients = preset.dataset.clients.size();
+// Per-simulator pieces of the DAG run loop: building the simulator from the
+// spec, and running one unit (a round, or one unit of virtual time).
+template <typename Simulator>
+Simulator make_simulator(const ScenarioSpec& spec, sim::ExperimentPreset& preset);
 
+template <>
+sim::DagSimulator make_simulator(const ScenarioSpec& spec, sim::ExperimentPreset& preset) {
   sim::SimulatorConfig config;
   config.client = spec.client;
   config.rounds = spec.rounds;
-  config.clients_per_round = std::min(spec.clients_per_round, num_clients);
+  config.clients_per_round = std::min(spec.clients_per_round, preset.dataset.clients.size());
   config.parallel_prepare = spec.parallel_prepare;
   config.threads = spec.threads;
   config.visibility_delay_rounds = spec.visibility_delay_rounds;
@@ -412,88 +414,54 @@ ScenarioResult run_round_scenario(const ScenarioSpec& spec, sim::ExperimentPrese
   // The runner only consumes run_round()'s return value; keeping every
   // round's trained payloads alive would defeat the payload store.
   config.keep_history = false;
-
-  sim::DagSimulator simulator(std::move(preset.dataset), preset.factory, config);
-
-  const std::vector<int> churned = churn_targets(spec, num_clients);
-  AttackController attacks(spec.attacks, spec.seed, num_clients);
-  std::optional<nn::Sequential> probe;
-  ObsRoundSampler obs_sampler;
-
-  std::size_t start_unit = 0;
-  if (control.restore != nullptr) {
-    result = control.restore->partial;
-    replay_label_flips(spec, control.restore->completed_units, simulator, result);
-    snapshot::restore_state(*control.restore, simulator, attacks);
-    start_unit = control.restore->completed_units;
-  }
-  const std::size_t stop_unit = control.stop_unit == 0 ? spec.rounds : control.stop_unit;
-
-  for (std::size_t round = start_unit; round < stop_unit; ++round) {
-    apply_dynamics_at(spec, churned, round, simulator);
-    apply_label_flip_at(spec, round, simulator, result);
-
-    const sim::RoundRecord& record = simulator.run_round();
-    ScenarioPoint point;
-    point.round = round + 1;
-    point.mean_accuracy = record.mean_trained_accuracy();
-    point.mean_loss = record.mean_trained_loss();
-    point.publishes = record.publish_count();
-    point.active_clients = simulator.active_client_count();
-    point.partitioned = simulator.partitioned();
-    point.mean_walk_seconds = record.mean_walk_seconds();
-    if (!record.results.empty()) {
-      double evals = 0.0;
-      for (const auto& r : record.results) {
-        evals += static_cast<double>(r.walk_stats.evaluations);
-        if (spec.record_client_accuracies) {
-          point.client_accuracies.push_back(r.trained_eval.accuracy);
-        }
-      }
-      point.mean_walk_evaluations = evals / static_cast<double>(record.results.size());
-    }
-    run_attack_step(round, attacks, simulator.network(), simulator.dataset(), probe,
-                    preset.factory, point);
-    point.dag_size = simulator.dag().size();
-    fill_community_metrics(spec, simulator.dataset(), simulator.dag(), round + 1, point);
-    result.series.push_back(point);
-    result.store_series.push_back(sample_store_residency(round + 1, simulator.dag()));
-    obs_sampler.sample_round(round + 1, result);
-    maybe_write_checkpoint(spec, round + 1, result, simulator, attacks);
-  }
-
-  // Barrier: let queued async encodes settle so the final store stats (and
-  // delta_ratio) match a synchronous run of the same spec.
-  simulator.dag().store().drain();
-  obs_sampler.finish(result);
-  result.perf = simulator.perf();
-  result.prepare_threads = simulator.prepare_threads();
-  if (control.finalize) {
-    finalize_result(spec, simulator.dataset(), preset.factory, simulator.network(), attacks,
-                    options, result);
-    // The store's own measurement covers every encode site (inline commits,
-    // background workers, attacker-published payloads), so it supersedes the
-    // commit-section sampling accumulated by the simulator.
-    result.perf.encode_seconds = result.store_stats.encode_seconds;
-    warn_on_obs_perf_skew(result);
-  }
-  return result;
+  return sim::DagSimulator(std::move(preset.dataset), preset.factory, config);
 }
 
-ScenarioResult run_async_scenario(const ScenarioSpec& spec, sim::ExperimentPreset preset,
-                                  const RunOptions& options, const RunControl& control) {
-  ScenarioResult result;
-  const std::size_t num_clients = preset.dataset.clients.size();
-
+template <>
+sim::AsyncDagSimulator make_simulator(const ScenarioSpec& spec, sim::ExperimentPreset& preset) {
   sim::AsyncSimulatorConfig config;
   config.client = spec.client;
   config.broadcast_latency = spec.broadcast_latency;
   config.seed = spec.seed;
   config.threads = spec.parallel_prepare ? spec.threads : 1;
   config.store = spec.store;
+  const std::size_t num_clients = preset.dataset.clients.size();
+  return sim::AsyncDagSimulator(std::move(preset.dataset), preset.factory, config,
+                                straggler_profiles(spec, num_clients));
+}
 
-  sim::AsyncDagSimulator simulator(std::move(preset.dataset), preset.factory, config,
-                                   straggler_profiles(spec, num_clients));
+// The client results of one unit, and how many honest transactions it
+// published (the attacker's junk is counted separately).
+struct UnitRun {
+  std::vector<fl::DagRoundResult> results;
+  std::size_t publishes = 0;
+};
+
+UnitRun run_unit(sim::DagSimulator& simulator, std::size_t /*unit*/) {
+  const sim::RoundRecord& record = simulator.run_round();
+  return {record.results, record.publish_count()};
+}
+
+// Dynamics and attacks fire at virtual-time boundaries, mirroring the
+// round-based schedule ("round" == one unit of virtual time).
+UnitRun run_unit(sim::AsyncDagSimulator& simulator, std::size_t unit) {
+  const std::size_t dag_size_before = simulator.dag().size();
+  std::vector<sim::AsyncStepRecord> records =
+      simulator.run_until(static_cast<double>(unit + 1));
+  UnitRun run;
+  run.results.reserve(records.size());
+  for (auto& record : records) run.results.push_back(std::move(record.result));
+  run.publishes = simulator.dag().size() - dag_size_before;
+  return run;
+}
+
+// The DAG run loop shared by the round and async simulators.
+template <typename Simulator>
+ScenarioResult run_dag_scenario(const ScenarioSpec& spec, sim::ExperimentPreset preset,
+                                const RunOptions& options, const RunControl& control) {
+  ScenarioResult result;
+  const std::size_t num_clients = preset.dataset.clients.size();
+  Simulator simulator = make_simulator<Simulator>(spec, preset);
 
   const std::vector<int> churned = churn_targets(spec, num_clients);
   AttackController attacks(spec.attacks, spec.seed, num_clients);
@@ -509,44 +477,38 @@ ScenarioResult run_async_scenario(const ScenarioSpec& spec, sim::ExperimentPrese
   }
   const std::size_t stop_unit = control.stop_unit == 0 ? spec.rounds : control.stop_unit;
 
-  std::size_t previous_dag_size = simulator.dag().size();
   for (std::size_t unit = start_unit; unit < stop_unit; ++unit) {
-    // Dynamics and attacks fire at virtual-time boundaries, mirroring the
-    // round-based schedule ("round" == one unit of virtual time).
     apply_dynamics_at(spec, churned, unit, simulator);
     apply_label_flip_at(spec, unit, simulator, result);
 
-    const std::vector<sim::AsyncStepRecord> records =
-        simulator.run_until(static_cast<double>(unit + 1));
+    const UnitRun run = run_unit(simulator, unit);
     ScenarioPoint point;
     point.round = unit + 1;
-    if (!records.empty()) {
+    point.publishes = run.publishes;
+    if (!run.results.empty()) {
       double acc = 0.0, loss = 0.0, walk_seconds = 0.0, walk_evals = 0.0;
-      for (const auto& record : records) {
-        acc += record.result.trained_eval.accuracy;
-        loss += record.result.trained_eval.loss;
-        walk_seconds += record.result.walk_stats.seconds;
-        walk_evals += static_cast<double>(record.result.walk_stats.evaluations);
+      for (const auto& r : run.results) {
+        acc += r.trained_eval.accuracy;
+        loss += r.trained_eval.loss;
+        walk_seconds += r.walk_stats.seconds;
+        walk_evals += static_cast<double>(r.walk_stats.evaluations);
         if (spec.record_client_accuracies) {
-          point.client_accuracies.push_back(record.result.trained_eval.accuracy);
+          point.client_accuracies.push_back(r.trained_eval.accuracy);
         }
       }
-      point.mean_accuracy = acc / static_cast<double>(records.size());
-      point.mean_loss = loss / static_cast<double>(records.size());
-      point.mean_walk_seconds = walk_seconds / static_cast<double>(records.size());
-      point.mean_walk_evaluations = walk_evals / static_cast<double>(records.size());
+      const auto count = static_cast<double>(run.results.size());
+      point.mean_accuracy = acc / count;
+      point.mean_loss = loss / count;
+      point.mean_walk_seconds = walk_seconds / count;
+      point.mean_walk_evaluations = walk_evals / count;
     }
-    // Honest publications of this unit; the attacker's junk is counted
-    // separately in attacker_transactions.
-    point.publishes = simulator.dag().size() - previous_dag_size;
     run_attack_step(unit, attacks, simulator.network(), simulator.dataset(), probe,
                     preset.factory, point);
     point.dag_size = simulator.dag().size();
-    previous_dag_size = point.dag_size;
     point.active_clients = simulator.active_client_count();
     point.partitioned = simulator.partitioned();
     fill_community_metrics(spec, simulator.dataset(), simulator.dag(), unit + 1, point);
-    result.series.push_back(point);
+    result.series.push_back(std::move(point));
     result.store_series.push_back(sample_store_residency(unit + 1, simulator.dag()));
     obs_sampler.sample_round(unit + 1, result);
     maybe_write_checkpoint(spec, unit + 1, result, simulator, attacks);
@@ -692,8 +654,9 @@ ScenarioResult run_scenario_impl(const ScenarioSpec& spec, const RunOptions& opt
     result = run_baseline_scenario(spec, std::move(preset), options);
   } else {
     result = spec.simulator == SimKind::kRound
-                 ? run_round_scenario(spec, std::move(preset), options, control)
-                 : run_async_scenario(spec, std::move(preset), options, control);
+                 ? run_dag_scenario<sim::DagSimulator>(spec, std::move(preset), options, control)
+                 : run_dag_scenario<sim::AsyncDagSimulator>(spec, std::move(preset), options,
+                                                            control);
   }
   result.scenario = spec.name;
   result.seed = spec.seed;

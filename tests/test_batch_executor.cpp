@@ -19,8 +19,8 @@
 #include "nn/batch_executor.hpp"
 #include "nn/conv.hpp"
 #include "nn/dense.hpp"
-#include "nn/dropout.hpp"
 #include "nn/loss.hpp"
+#include "nn/lstm.hpp"
 #include "sim/async_simulator.hpp"
 #include "sim/models.hpp"
 #include "sim/simulator.hpp"
@@ -78,20 +78,22 @@ TEST(BatchExecTest, ArchitectureSupport) {
       sim::make_logreg_factory(shape_numel(ds.element_shape), ds.num_classes)));
   EXPECT_TRUE(nn::BatchExecutor::architecture_supported(
       sim::make_cnn_factory(1, 8, 3, 4, 16, ds.num_classes)));
-  // LSTM/Embedding and Dropout are not fuseable: the executor must refuse
-  // (callers then keep the scalar path).
+  // LSTM and Embedding are not fuseable: the executor must refuse (callers
+  // then keep the scalar path), also when a single such layer sits inside an
+  // otherwise fuseable stack. Only layer types are inspected; the stack
+  // never runs.
   EXPECT_FALSE(
       nn::BatchExecutor::architecture_supported(sim::make_lstm_factory(20, 4, 8, 4)));
-  const nn::ModelFactory dropout_factory = [&ds] {
+  const nn::ModelFactory mixed_factory = [&ds] {
     nn::Sequential model;
     model.add<nn::Flatten>();
     model.add<nn::Dense>(shape_numel(ds.element_shape), 8);
-    model.add<nn::Dropout>(0.5, Rng(1));
+    model.add<nn::LSTM>(8, 8);
     model.add<nn::Dense>(8, ds.num_classes);
     return model;
   };
-  EXPECT_FALSE(nn::BatchExecutor::architecture_supported(dropout_factory));
-  nn::BatchExecutor inert(dropout_factory);
+  EXPECT_FALSE(nn::BatchExecutor::architecture_supported(mixed_factory));
+  nn::BatchExecutor inert(mixed_factory);
   EXPECT_FALSE(inert.supported());
   EXPECT_THROW(inert.begin(1), std::logic_error);
 }

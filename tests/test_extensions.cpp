@@ -1,10 +1,7 @@
-// Tests for the extension modules: weight serialization, DAG export,
-// random-weights attacker, delayed transaction visibility, and
-// partial-layer training.
+// Tests for the extension modules: DAG export, random-weights attacker,
+// delayed transaction visibility, and partial-layer training.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <filesystem>
 #include <sstream>
 
 #include "dag/export.hpp"
@@ -12,71 +9,12 @@
 #include "fl/attacker.hpp"
 #include "fl/trainer.hpp"
 #include "nn/dense.hpp"
-#include "nn/serialize.hpp"
 #include "sim/experiment.hpp"
 #include "sim/models.hpp"
 #include "sim/simulator.hpp"
 
 namespace specdag {
 namespace {
-
-// ---------------------------------------------------------- serialization --
-
-TEST(Serialize, RoundTripThroughStream) {
-  nn::WeightVector weights = {1.5f, -2.25f, 0.0f, 3.14159f};
-  std::stringstream buffer;
-  nn::write_weights(buffer, weights);
-  EXPECT_EQ(nn::read_weights(buffer), weights);
-}
-
-TEST(Serialize, EmptyVectorRoundTrips) {
-  nn::WeightVector empty;
-  std::stringstream buffer;
-  nn::write_weights(buffer, empty);
-  EXPECT_TRUE(nn::read_weights(buffer).empty());
-}
-
-TEST(Serialize, DetectsBadMagic) {
-  std::stringstream buffer("XXXXgarbage");
-  EXPECT_THROW(nn::read_weights(buffer), std::runtime_error);
-}
-
-TEST(Serialize, DetectsTruncation) {
-  nn::WeightVector weights(16, 1.0f);
-  std::stringstream buffer;
-  nn::write_weights(buffer, weights);
-  const std::string full = buffer.str();
-  std::stringstream truncated(full.substr(0, full.size() - 6));
-  EXPECT_THROW(nn::read_weights(truncated), std::runtime_error);
-}
-
-TEST(Serialize, DetectsCorruption) {
-  nn::WeightVector weights(16, 1.0f);
-  std::stringstream buffer;
-  nn::write_weights(buffer, weights);
-  std::string corrupted = buffer.str();
-  corrupted[20] ^= 0x5A;  // flip bits inside the payload
-  std::stringstream in(corrupted);
-  EXPECT_THROW(nn::read_weights(in), std::runtime_error);
-}
-
-TEST(Serialize, FileRoundTrip) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "specdag_weights_test.bin").string();
-  nn::WeightVector weights(100);
-  for (std::size_t i = 0; i < weights.size(); ++i) weights[i] = static_cast<float>(i) * 0.5f;
-  nn::save_weights(path, weights);
-  EXPECT_EQ(nn::load_weights(path), weights);
-  std::remove(path.c_str());
-  EXPECT_THROW(nn::load_weights(path), std::runtime_error);
-}
-
-TEST(Serialize, Crc32KnownValue) {
-  // CRC-32 of "123456789" is the classic check value 0xCBF43926.
-  const char data[] = "123456789";
-  EXPECT_EQ(nn::crc32(data, 9), 0xCBF43926u);
-  EXPECT_EQ(nn::crc32(data, 0), 0u);
-}
 
 // ------------------------------------------------------------- DAG export --
 

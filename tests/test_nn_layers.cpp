@@ -4,7 +4,6 @@
 #include "nn/activations.hpp"
 #include "nn/conv.hpp"
 #include "nn/dense.hpp"
-#include "nn/dropout.hpp"
 #include "nn/embedding.hpp"
 #include "nn/init.hpp"
 #include "nn/lstm.hpp"
@@ -261,53 +260,6 @@ TEST(LSTM, LongerSequenceChangesOutput) {
     diff += std::abs(out_short[i] - out_long[i]);
   }
   EXPECT_GT(diff, 1e-6);
-}
-
-// -------------------------------------------------------------- Dropout ----
-
-TEST(Dropout, InferenceIsIdentity) {
-  Rng rng(15);
-  Dropout dropout(0.5, rng.fork(1));
-  Tensor input = random_tensor({10}, rng);
-  Tensor out = dropout.forward(input, false);
-  for (std::size_t i = 0; i < input.numel(); ++i) EXPECT_FLOAT_EQ(out[i], input[i]);
-}
-
-TEST(Dropout, TrainDropsAndRescales) {
-  Rng rng(16);
-  Dropout dropout(0.5, rng.fork(1));
-  Tensor input = Tensor::full({1000}, 1.0f);
-  Tensor out = dropout.forward(input, true);
-  std::size_t zeros = 0;
-  for (std::size_t i = 0; i < out.numel(); ++i) {
-    if (out[i] == 0.0f) {
-      ++zeros;
-    } else {
-      EXPECT_FLOAT_EQ(out[i], 2.0f);  // inverted dropout scale 1/(1-0.5)
-    }
-  }
-  EXPECT_NEAR(static_cast<double>(zeros) / 1000.0, 0.5, 0.08);
-}
-
-TEST(Dropout, BackwardUsesSameMask) {
-  Rng rng(17);
-  Dropout dropout(0.3, rng.fork(1));
-  Tensor input = Tensor::full({100}, 1.0f);
-  Tensor out = dropout.forward(input, true);
-  Tensor grad = dropout.backward(Tensor::full({100}, 1.0f));
-  for (std::size_t i = 0; i < 100; ++i) {
-    if (out[i] == 0.0f) {
-      EXPECT_FLOAT_EQ(grad[i], 0.0f);
-    } else {
-      EXPECT_GT(grad[i], 1.0f);
-    }
-  }
-}
-
-TEST(Dropout, RejectsBadRate) {
-  Rng rng(18);
-  EXPECT_THROW(Dropout(1.0, rng), std::invalid_argument);
-  EXPECT_THROW(Dropout(-0.1, rng), std::invalid_argument);
 }
 
 // ----------------------------------------------------------------- init ----

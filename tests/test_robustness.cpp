@@ -1,63 +1,17 @@
-// Robustness and cross-validation tests: serialization fuzzing, layer
-// implementations cross-checked against manual math, and numerical edge
-// cases of the loss.
+// Robustness and cross-validation tests: layer implementations
+// cross-checked against manual math, and numerical edge cases of the loss.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <sstream>
 
 #include "nn/activations.hpp"
 #include "nn/conv.hpp"
 #include "nn/loss.hpp"
 #include "nn/lstm.hpp"
-#include "nn/serialize.hpp"
 #include "util/rng.hpp"
 
 namespace specdag {
 namespace {
-
-// ------------------------------------------------- serialization fuzzing ---
-
-class SerializeFuzz : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(SerializeFuzz, RandomVectorsRoundTrip) {
-  Rng rng(GetParam());
-  const std::size_t n = rng.index(2000) + 1;
-  nn::WeightVector weights(n);
-  for (auto& w : weights) w = static_cast<float>(rng.normal(0.0, 10.0));
-  std::stringstream buffer;
-  nn::write_weights(buffer, weights);
-  EXPECT_EQ(nn::read_weights(buffer), weights);
-}
-
-TEST_P(SerializeFuzz, AnyTruncationIsDetected) {
-  Rng rng(GetParam() ^ 0xF00D);
-  nn::WeightVector weights(32);
-  for (auto& w : weights) w = static_cast<float>(rng.uniform(-1.0, 1.0));
-  std::stringstream buffer;
-  nn::write_weights(buffer, weights);
-  const std::string full = buffer.str();
-  // Cut at a random interior byte: must never yield a valid read.
-  const std::size_t cut = 1 + rng.index(full.size() - 1);
-  std::stringstream truncated(full.substr(0, cut));
-  EXPECT_THROW(nn::read_weights(truncated), std::runtime_error);
-}
-
-TEST_P(SerializeFuzz, SingleBitFlipIsDetected) {
-  Rng rng(GetParam() ^ 0xB17);
-  nn::WeightVector weights(64, 1.25f);
-  std::stringstream buffer;
-  nn::write_weights(buffer, weights);
-  std::string corrupted = buffer.str();
-  // Flip one bit anywhere after the magic (header corruption may throw a
-  // different error; payload/CRC corruption must throw too).
-  const std::size_t pos = 4 + rng.index(corrupted.size() - 4);
-  corrupted[pos] = static_cast<char>(corrupted[pos] ^ (1 << rng.index(8)));
-  std::stringstream in(corrupted);
-  EXPECT_THROW(nn::read_weights(in), std::runtime_error);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, SerializeFuzz, ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
 
 // ---------------------------------------------- LSTM vs manual unrolling ---
 

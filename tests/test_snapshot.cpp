@@ -310,6 +310,19 @@ scenario::ScenarioSpec tiny_checkpoint_spec(const std::string& dir) {
   return spec;
 }
 
+// The async counterpart: the straggler workload on the event-driven
+// simulator, shrunk the same way.
+scenario::ScenarioSpec tiny_async_checkpoint_spec(const std::string& dir) {
+  scenario::ScenarioSpec spec = scenario::get_scenario("stragglers");
+  spec.num_clients = 6;
+  spec.samples_per_client = 30;
+  spec.rounds = 6;
+  spec.client.train = {1, 4, 8, 0.05};
+  spec.checkpoint.every_n_rounds = 2;
+  spec.checkpoint.dir = dir;
+  return spec;
+}
+
 // write_series_jsonl with the wall-clock walk timing zeroed — the only
 // nondeterministic field in the stream.
 std::string stripped_jsonl(const scenario::ScenarioResult& result) {
@@ -411,16 +424,20 @@ TEST(SnapshotCheckpoint, ReplayValidatesTheWindow) {
 
 TEST(SnapshotCheckpoint, ReplayReproducesTheWindow) {
   TempDir dir("replay");
-  scenario::ScenarioSpec spec = tiny_checkpoint_spec(dir.file("ckpts"));
-  const scenario::ScenarioResult full = scenario::run_scenario(spec);
-  const std::string early = snapshot::checkpoint_path(spec.checkpoint.dir, 2);
+  for (const scenario::ScenarioSpec& spec : {tiny_checkpoint_spec(dir.file("round")),
+                                             tiny_async_checkpoint_spec(dir.file("async"))}) {
+    SCOPED_TRACE(spec.name);
+    const scenario::ScenarioResult full = scenario::run_scenario(spec);
+    const std::string early = snapshot::checkpoint_path(spec.checkpoint.dir, 2);
 
-  const scenario::ScenarioResult window = scenario::replay_scenario(early, 3, 5);
-  ASSERT_EQ(window.series.size(), 3u);
-  scenario::ScenarioResult reference = full;
-  reference.series.assign(full.series.begin() + 2, full.series.begin() + 5);
-  reference.store_series.assign(full.store_series.begin() + 2, full.store_series.begin() + 5);
-  EXPECT_EQ(stripped_jsonl(window), stripped_jsonl(reference));
+    const scenario::ScenarioResult window = scenario::replay_scenario(early, 3, 5);
+    ASSERT_EQ(window.series.size(), 3u);
+    scenario::ScenarioResult reference = full;
+    reference.series.assign(full.series.begin() + 2, full.series.begin() + 5);
+    reference.store_series.assign(full.store_series.begin() + 2,
+                                  full.store_series.begin() + 5);
+    EXPECT_EQ(stripped_jsonl(window), stripped_jsonl(reference));
+  }
 }
 
 TEST(SnapshotCheckpoint, SpecValidationGuardsTheBlock) {

@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <thread>
 
 #include "util/csv.hpp"
 #include "util/logging.hpp"
@@ -141,9 +143,9 @@ TEST(ThreadPool, SubmitReturnsFuture) {
   EXPECT_TRUE(ran.load());
 }
 
-TEST(ThreadPool, ZeroThreadsClampedToOne) {
+TEST(ThreadPool, ZeroThreadsMeansOnePerHardwareThread) {
   ThreadPool pool(0);
-  EXPECT_EQ(pool.size(), 1u);
+  EXPECT_EQ(pool.size(), std::max(1u, std::thread::hardware_concurrency()));
   std::atomic<int> counter{0};
   pool.parallel_for(5, [&](std::size_t) { counter.fetch_add(1); });
   EXPECT_EQ(counter.load(), 5);
