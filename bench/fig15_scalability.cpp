@@ -10,13 +10,13 @@
 // model-size-dependent; the claim is the flat trend.
 //
 // Thin driver over the registry's "fig15-scalability" scenario: the runner
-// records the per-round walk cost; this main only sweeps clients_per_round.
+// records every walk's duration in the tipsel.walk_us obs histogram; this
+// main only sweeps clients_per_round and reads that histogram back.
 #include <algorithm>
 
 #include "bench_common.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/runner.hpp"
-#include "util/stats.hpp"
 
 using namespace specdag;
 
@@ -27,8 +27,8 @@ int main(int argc, char** argv) {
   const std::vector<std::size_t> active_counts = {5, 10, 20, 40};
 
   auto csv = bench::open_csv(args, "fig15_scalability",
-                             {"active_clients", "round", "mean_walk_ms", "mean_evaluations",
-                              "dag_size"});
+                             {"active_clients", "walks", "mean_walk_ms", "p50_walk_ms_le",
+                              "p99_walk_ms_le", "mean_evaluations", "dag_size"});
 
   std::vector<double> mean_by_concurrency;
   for (std::size_t active : active_counts) {
@@ -38,18 +38,24 @@ int main(int argc, char** argv) {
     spec.clients_per_round = active;
 
     const scenario::ScenarioResult result = scenario::run_scenario(spec);
-    std::vector<double> walk_ms;
+    const obs::HistogramSnapshot walk_us = result.obs_totals.histogram("tipsel.walk_us");
+    // Quantiles are histogram bucket upper bounds (powers of two).
+    const double mean_ms = walk_us.mean() * 1e-3;
+    const double p50_ms = static_cast<double>(walk_us.quantile_upper_bound(0.5)) * 1e-3;
+    const double p99_ms = static_cast<double>(walk_us.quantile_upper_bound(0.99)) * 1e-3;
+    double evaluations = 0.0;
     for (const scenario::ScenarioPoint& point : result.series) {
-      const double ms = 1e3 * point.mean_walk_seconds;
-      walk_ms.push_back(ms);
-      csv.row({std::to_string(active), std::to_string(point.round), bench::fmt(ms),
-               bench::fmt(point.mean_walk_evaluations, 1), std::to_string(point.dag_size)});
+      evaluations += point.mean_walk_evaluations;
     }
-    const Summary s = summarize(walk_ms);
-    mean_by_concurrency.push_back(s.mean);
-    std::cout << active << " active clients: mean walk " << bench::fmt(s.mean, 2)
-              << " ms (median " << bench::fmt(s.median, 2) << ", q3 " << bench::fmt(s.q3, 2)
-              << ")\n";
+    evaluations /= static_cast<double>(std::max<std::size_t>(1, result.series.size()));
+    const std::size_t dag_size = result.series.empty() ? 0 : result.series.back().dag_size;
+    mean_by_concurrency.push_back(mean_ms);
+    csv.row({std::to_string(active), std::to_string(walk_us.count), bench::fmt(mean_ms),
+             bench::fmt(p50_ms), bench::fmt(p99_ms), bench::fmt(evaluations, 1),
+             std::to_string(dag_size)});
+    std::cout << active << " active clients: mean walk " << bench::fmt(mean_ms, 2)
+              << " ms over " << walk_us.count << " walks (p50 <= " << bench::fmt(p50_ms, 2)
+              << ", p99 <= " << bench::fmt(p99_ms, 2) << ")\n";
   }
 
   const double spread = *std::max_element(mean_by_concurrency.begin(),

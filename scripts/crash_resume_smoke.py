@@ -3,8 +3,7 @@
 
 SIGKILLs a checkpointed scale-2k run mid-flight at a random round, resumes it
 from the last surviving checkpoint, and asserts the resumed run reproduces the
-uninterrupted run exactly: the JSONL series byte-identical (modulo the
-wall-clock mean_walk_seconds field, which is zeroed on both sides), and the
+uninterrupted run exactly: the JSONL series byte-identical, and the
 final accuracy / DAG size / store delta counts equal — at every requested
 thread count. Also asserts the snapshot.writes / snapshot.bytes obs counters
 are present in summary.obs, and that checkpointing every round costs at most
@@ -18,10 +17,10 @@ Usage:
 """
 
 import argparse
+import filecmp
 import json
 import os
 import random
-import re
 import shutil
 import signal
 import statistics
@@ -29,16 +28,6 @@ import subprocess
 import sys
 import tempfile
 import time
-
-WALK_SECONDS = re.compile(r'"mean_walk_seconds":[^,}]*')
-
-
-def normalize(path):
-    """JSONL with the wall-clock walk timing zeroed — the only field that
-    legitimately differs between two executions of the same schedule."""
-    with open(path) as f:
-        return WALK_SECONDS.sub('"mean_walk_seconds":0', f.read())
-
 
 def run_cmd(cmd, **kwargs):
     result = subprocess.run(cmd, capture_output=True, text=True, **kwargs)
@@ -113,7 +102,7 @@ def check_threads(args, work, threads, reference_jsonl, reference_summary):
         args.binary, "run", "--resume", latest_checkpoint(ckpt_dir, args.rounds),
         "--threads", str(threads), "--jsonl", resumed_jsonl, "--quiet",
     ])
-    if normalize(resumed_jsonl) != normalize(reference_jsonl):
+    if not filecmp.cmp(resumed_jsonl, reference_jsonl, shallow=False):
         sys.exit(f"FAIL: resumed JSONL differs from the uninterrupted run "
                  f"({resumed_jsonl} vs {reference_jsonl})")
     summary = summary_of(resume.stdout)

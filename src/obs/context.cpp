@@ -4,10 +4,6 @@
 
 namespace specdag::obs {
 
-namespace detail {
-thread_local Context* tl_context = nullptr;
-}  // namespace detail
-
 namespace context_detail {
 
 std::uint64_t next_context_epoch() {

@@ -248,21 +248,26 @@ class Context {
 
 namespace detail {
 // The active context of this thread (null = process default). Mutated only
-// by ContextScope and read by every instrumented call site.
-extern thread_local Context* tl_context;
+// by ContextScope and read by every instrumented call site. A function-local
+// thread_local: an `extern thread_local` variable is reached through a TLS
+// wrapper that UBSan reports as a null-pointer access.
+inline Context*& tl_context() {
+  static thread_local Context* ctx = nullptr;
+  return ctx;
+}
 }  // namespace detail
 
-inline Context* Context::detail_current() { return detail::tl_context; }
+inline Context* Context::detail_current() { return detail::tl_context(); }
 
 // RAII installer: makes `ctx` the calling thread's active context for the
 // scope's lifetime (null restores the process default). ThreadPool wraps
 // every task in one of these with the context captured at post() time.
 class ContextScope {
  public:
-  explicit ContextScope(Context* ctx) : previous_(detail::tl_context) {
-    detail::tl_context = ctx;
+  explicit ContextScope(Context* ctx) : previous_(detail::tl_context()) {
+    detail::tl_context() = ctx;
   }
-  ~ContextScope() { detail::tl_context = previous_; }
+  ~ContextScope() { detail::tl_context() = previous_; }
 
   ContextScope(const ContextScope&) = delete;
   ContextScope& operator=(const ContextScope&) = delete;

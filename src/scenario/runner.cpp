@@ -256,32 +256,6 @@ class ObsRoundSampler {
   obs::MetricsSnapshot previous_;
 };
 
-// Attribution-drift check (run after perf and obs totals are final): the
-// context-local pool.prepare busy time and summary.perf's phase busy time
-// measure the same work from two sides — the pool's task clock and the
-// simulator's per-phase timers. If tasks leaked into another run's context
-// (or a defunct one), the two diverge. Warn, never abort: both sides are
-// wall-clock measurements with legitimate scheduling noise, so the
-// tolerance is deliberately loose.
-void warn_on_obs_perf_skew(const ScenarioResult& result) {
-  if (!result.obs_enabled || result.prepare_threads <= 1) return;
-  const double busy_s =
-      static_cast<double>(result.obs_totals.counter("pool.prepare.busy_nanos")) * 1e-9;
-  const double idle_s =
-      static_cast<double>(result.obs_totals.counter("pool.prepare.idle_nanos")) * 1e-9;
-  const double phase_busy_s =
-      result.perf.tipsel_seconds + result.perf.train_seconds + result.perf.eval_seconds;
-  if (busy_s <= 0.0 || phase_busy_s <= 0.0) return;  // pool unused or no samples
-  const double tolerance = std::max(0.5, 0.35 * phase_busy_s);
-  if (std::abs(busy_s - phase_busy_s) > tolerance) {
-    SPECDAG_LOG(Warn) << "obs: pool.prepare busy time (" << busy_s << "s busy, " << idle_s
-                      << "s idle) does not reconcile with summary.perf phase busy time ("
-                      << phase_busy_s << "s, utilization "
-                      << result.perf.utilization(result.prepare_threads)
-                      << ") — per-run obs attribution may be skewed";
-  }
-}
-
 double tail_mean_accuracy(const std::vector<ScenarioPoint>& series) {
   if (series.empty()) return 0.0;
   const std::size_t tail = std::max<std::size_t>(1, series.size() / 10);
@@ -486,11 +460,10 @@ ScenarioResult run_dag_scenario(const ScenarioSpec& spec, sim::ExperimentPreset 
     point.round = unit + 1;
     point.publishes = run.publishes;
     if (!run.results.empty()) {
-      double acc = 0.0, loss = 0.0, walk_seconds = 0.0, walk_evals = 0.0;
+      double acc = 0.0, loss = 0.0, walk_evals = 0.0;
       for (const auto& r : run.results) {
         acc += r.trained_eval.accuracy;
         loss += r.trained_eval.loss;
-        walk_seconds += r.walk_stats.seconds;
         walk_evals += static_cast<double>(r.walk_stats.evaluations);
         if (spec.record_client_accuracies) {
           point.client_accuracies.push_back(r.trained_eval.accuracy);
@@ -499,7 +472,6 @@ ScenarioResult run_dag_scenario(const ScenarioSpec& spec, sim::ExperimentPreset 
       const auto count = static_cast<double>(run.results.size());
       point.mean_accuracy = acc / count;
       point.mean_loss = loss / count;
-      point.mean_walk_seconds = walk_seconds / count;
       point.mean_walk_evaluations = walk_evals / count;
     }
     run_attack_step(unit, attacks, simulator.network(), simulator.dataset(), probe,
@@ -523,11 +495,6 @@ ScenarioResult run_dag_scenario(const ScenarioSpec& spec, sim::ExperimentPreset 
   if (control.finalize) {
     finalize_result(spec, simulator.dataset(), preset.factory, simulator.network(), attacks,
                     options, result);
-    // The store's own measurement covers every encode site (inline commits,
-    // background workers, attacker-published payloads), so it supersedes the
-    // commit-section sampling accumulated by the simulator.
-    result.perf.encode_seconds = result.store_stats.encode_seconds;
-    warn_on_obs_perf_skew(result);
   }
   return result;
 }
@@ -805,8 +772,7 @@ Json point_to_json(const ScenarioPoint& point) {
   row.set("dag_size", point.dag_size);
   row.set("active_clients", point.active_clients);
   if (point.partitioned) row.set("partitioned", true);
-  if (point.mean_walk_seconds > 0.0) {
-    row.set("mean_walk_seconds", point.mean_walk_seconds);
+  if (point.mean_walk_evaluations > 0.0) {
     row.set("mean_walk_evaluations", point.mean_walk_evaluations);
   }
   if (point.attacker_transactions > 0) {
@@ -903,14 +869,15 @@ Json result_to_json(const ScenarioResult& result, bool include_series) {
 
     // Per-phase timing breakdown of the simulation (see sim/perf.hpp):
     // tipsel/train/eval are aggregate busy seconds over the prepared
-    // clients, commit is serialized wall time.
+    // clients, commit is serialized wall time, encode is the store's own
+    // measurement of every encode site (inline and background).
     if (result.perf.prepares > 0) {
       Json perf = Json::make_object();
       perf.set("tipsel_seconds", result.perf.tipsel_seconds);
       perf.set("train_seconds", result.perf.train_seconds);
       perf.set("eval_seconds", result.perf.eval_seconds);
       perf.set("commit_seconds", result.perf.commit_seconds);
-      perf.set("encode_seconds", result.perf.encode_seconds);
+      perf.set("encode_seconds", result.store_stats.encode_seconds);
       perf.set("total_seconds", result.perf.total_seconds);
       perf.set("prepares", result.perf.prepares);
       perf.set("commits", result.perf.commits);

@@ -25,8 +25,8 @@ struct ScenarioPoint {
   std::size_t dag_size = 0;
   std::size_t active_clients = 0;
   bool partitioned = false;
-  // Walk instrumentation (DAG algorithm only; the Figure 15 cost data).
-  double mean_walk_seconds = 0.0;
+  // Candidate evaluations per walk (DAG algorithm only; the Figure 15 cost
+  // data). Walk latency is timing, so it lives in obs (tipsel.walk_us).
   double mean_walk_evaluations = 0.0;
   // Junk transactions the random-weights attacker published this unit.
   std::size_t attacker_transactions = 0;

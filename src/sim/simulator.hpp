@@ -57,7 +57,6 @@ struct RoundRecord {
 
   double mean_trained_accuracy() const;
   double mean_trained_loss() const;
-  double mean_walk_seconds() const;
   std::size_t publish_count() const;
 };
 

@@ -38,7 +38,6 @@ void save_point(Writer& w, const scenario::ScenarioPoint& point) {
   w.u64(point.dag_size);
   w.u64(point.active_clients);
   w.u8(point.partitioned ? 1 : 0);
-  w.f64(point.mean_walk_seconds);
   w.f64(point.mean_walk_evaluations);
   w.u64(point.attacker_transactions);
   w.u8(point.has_attack_metrics ? 1 : 0);
@@ -61,7 +60,6 @@ scenario::ScenarioPoint load_point(Reader& r) {
   point.dag_size = static_cast<std::size_t>(r.u64());
   point.active_clients = static_cast<std::size_t>(r.u64());
   point.partitioned = r.u8() != 0;
-  point.mean_walk_seconds = r.f64();
   point.mean_walk_evaluations = r.f64();
   point.attacker_transactions = static_cast<std::size_t>(r.u64());
   point.has_attack_metrics = r.u8() != 0;

@@ -15,6 +15,7 @@ struct WalkMetrics {
   obs::Counter& restarts = obs::Registry::counter("tipsel.walk_restarts");
   obs::Counter& evaluations = obs::Registry::counter("tipsel.evaluations");
   obs::Histogram& walk_steps = obs::Registry::histogram("tipsel.walk_steps");
+  obs::Histogram& walk_us = obs::Registry::histogram("tipsel.walk_us");
 };
 
 WalkMetrics& walk_metrics() {
@@ -128,9 +129,11 @@ std::vector<dag::TxId> TipSelector::select_tips(const dag::Dag& dag, std::size_t
       walk_metrics().restarts.add();
     }
     const std::uint64_t steps_before = stats_.steps;
+    const std::uint64_t walk_start = obs::now_ns();
     selected.push_back(walk(dag, start, rng));
     walk_metrics().walks.add();
     walk_metrics().walk_steps.record(stats_.steps - steps_before);
+    walk_metrics().walk_us.record((obs::now_ns() - walk_start) / 1000);
   }
   std::sort(selected.begin(), selected.end());
   selected.erase(std::unique(selected.begin(), selected.end()), selected.end());

@@ -46,19 +46,17 @@ class TempDir {
   fs::path path_;
 };
 
-// write_series_jsonl with the wall-clock walk timing zeroed — the only
-// nondeterministic field in the stream.
-std::string stripped_jsonl(const scenario::ScenarioResult& result) {
-  scenario::ScenarioResult stripped = result;
-  for (scenario::ScenarioPoint& point : stripped.series) point.mean_walk_seconds = 0.0;
+// The raw write_series_jsonl bytes: the stream carries no wall-clock field,
+// so equivalence is byte equality with no normalization.
+std::string series_jsonl(const scenario::ScenarioResult& result) {
   std::ostringstream out;
-  scenario::write_series_jsonl(stripped, out);
+  scenario::write_series_jsonl(result, out);
   return out.str();
 }
 
 void expect_equivalent(const scenario::ScenarioResult& resumed,
                        const scenario::ScenarioResult& full, const std::string& label) {
-  EXPECT_EQ(stripped_jsonl(resumed), stripped_jsonl(full)) << label;
+  EXPECT_EQ(series_jsonl(resumed), series_jsonl(full)) << label;
   EXPECT_EQ(resumed.final_accuracy, full.final_accuracy) << label;
   EXPECT_EQ(resumed.dag_size, full.dag_size) << label;
   EXPECT_EQ(resumed.tips, full.tips) << label;
@@ -184,7 +182,7 @@ TEST(ResumeEquivalence, SweepResumeReusesFinishedRuns) {
 // ----------------------------------------------------------------- golden ---
 
 // The committed fixture: a checkpoint after round 2 of the golden scenario
-// plus the stripped JSONL of replaying rounds 3..5 from it.
+// plus the JSONL of replaying rounds 3..5 from it.
 constexpr std::size_t kGoldenFirst = 3;
 constexpr std::size_t kGoldenLast = 5;
 
@@ -226,7 +224,7 @@ TEST(GoldenReplay, WindowMatchesCommittedFixture) {
     const scenario::ScenarioResult window =
         scenario::replay_scenario(ckpt, kGoldenFirst, kGoldenLast);
     std::ofstream out(expected_path, std::ios::binary);
-    out << stripped_jsonl(window);
+    out << series_jsonl(window);
   }
 
   ASSERT_TRUE(fs::exists(ckpt)) << "missing fixture " << ckpt
@@ -242,7 +240,7 @@ TEST(GoldenReplay, WindowMatchesCommittedFixture) {
     overrides.threads = threads;
     const scenario::ScenarioResult window =
         scenario::replay_scenario(ckpt, kGoldenFirst, kGoldenLast, overrides);
-    EXPECT_EQ(stripped_jsonl(window), read_file(expected_path)) << "threads " << threads;
+    EXPECT_EQ(series_jsonl(window), read_file(expected_path)) << "threads " << threads;
   }
 }
 

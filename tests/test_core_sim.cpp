@@ -257,14 +257,11 @@ TEST(RoundRecord, Aggregations) {
   a.trained_eval.accuracy = 0.4;
   a.trained_eval.loss = 1.0;
   a.published = 5;
-  a.walk_stats.seconds = 0.5;
   b.trained_eval.accuracy = 0.8;
   b.trained_eval.loss = 3.0;
-  b.walk_stats.seconds = 1.5;
   record.results = {a, b};
   EXPECT_DOUBLE_EQ(record.mean_trained_accuracy(), 0.6);
   EXPECT_DOUBLE_EQ(record.mean_trained_loss(), 2.0);
-  EXPECT_DOUBLE_EQ(record.mean_walk_seconds(), 1.0);
   EXPECT_EQ(record.publish_count(), 1u);
 }
 

@@ -184,24 +184,21 @@ TEST(Determinism, AsyncEncodePipelineIsBitIdenticalToSynchronous) {
     return scenario::run_scenario(spec);
   };
 
-  // write_series_jsonl minus the wall-clock fields (walk timing differs
-  // between any two runs of the same binary, encoding aside).
-  auto jsonl_fingerprint = [](const scenario::ScenarioResult& result) {
-    scenario::ScenarioResult stripped = result;
-    for (scenario::ScenarioPoint& point : stripped.series) point.mean_walk_seconds = 0.0;
+  // The raw write_series_jsonl bytes (the stream has no wall-clock field).
+  auto series_jsonl = [](const scenario::ScenarioResult& result) {
     std::ostringstream out;
-    scenario::write_series_jsonl(stripped, out);
+    scenario::write_series_jsonl(result, out);
     return out.str();
   };
 
   const scenario::ScenarioResult sync = run(false, 1, 1);
-  const std::string sync_jsonl = jsonl_fingerprint(sync);
+  const std::string sync_jsonl = series_jsonl(sync);
   ASSERT_FALSE(sync_jsonl.empty());
 
   const std::pair<std::size_t, std::size_t> configs[] = {{1, 1}, {4, 1}, {1, 4}, {4, 4}};
   for (const auto& [encode_threads, threads] : configs) {
     const scenario::ScenarioResult async = run(true, encode_threads, threads);
-    EXPECT_EQ(jsonl_fingerprint(async), sync_jsonl)
+    EXPECT_EQ(series_jsonl(async), sync_jsonl)
         << "encode_threads " << encode_threads << ", threads " << threads;
     EXPECT_EQ(async.final_accuracy, sync.final_accuracy);
     EXPECT_EQ(async.dag_size, sync.dag_size);

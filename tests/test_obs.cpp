@@ -481,16 +481,14 @@ TEST_F(ObsTest, RunsAreBitIdenticalAcrossObsModes) {
     spec.obs.trace = trace_path;
     return scenario::run_scenario(spec);
   };
-  auto jsonl_fingerprint = [](const scenario::ScenarioResult& result) {
-    scenario::ScenarioResult stripped = result;
-    for (scenario::ScenarioPoint& point : stripped.series) point.mean_walk_seconds = 0.0;
+  auto series_jsonl = [](const scenario::ScenarioResult& result) {
     std::ostringstream out;
-    scenario::write_series_jsonl(stripped, out);
+    scenario::write_series_jsonl(result, out);
     return out.str();
   };
 
   const scenario::ScenarioResult baseline = run(true, "", 1);
-  const std::string baseline_jsonl = jsonl_fingerprint(baseline);
+  const std::string baseline_jsonl = series_jsonl(baseline);
   ASSERT_FALSE(baseline_jsonl.empty());
   if (obs::kObsCompiledIn) {
     EXPECT_TRUE(baseline.obs_enabled);
@@ -502,13 +500,13 @@ TEST_F(ObsTest, RunsAreBitIdenticalAcrossObsModes) {
 
   const scenario::ScenarioResult off = run(false, "", 1);
   EXPECT_FALSE(off.obs_enabled);
-  EXPECT_EQ(jsonl_fingerprint(off), baseline_jsonl);
+  EXPECT_EQ(series_jsonl(off), baseline_jsonl);
   EXPECT_EQ(off.final_accuracy, baseline.final_accuracy);
   EXPECT_EQ(off.dag_size, baseline.dag_size);
 
   const std::string trace_path = ::testing::TempDir() + "test_obs_run.trace.json";
   const scenario::ScenarioResult traced = run(true, trace_path, 1);
-  EXPECT_EQ(jsonl_fingerprint(traced), baseline_jsonl);
+  EXPECT_EQ(series_jsonl(traced), baseline_jsonl);
   EXPECT_EQ(traced.final_accuracy, baseline.final_accuracy);
   if (obs::kObsCompiledIn) {
     check_trace_file(trace_path, 10);
@@ -517,7 +515,7 @@ TEST_F(ObsTest, RunsAreBitIdenticalAcrossObsModes) {
 
   for (std::size_t threads : {std::size_t{4}, std::size_t{0}}) {
     const scenario::ScenarioResult parallel = run(true, "", threads);
-    EXPECT_EQ(jsonl_fingerprint(parallel), baseline_jsonl) << "threads " << threads;
+    EXPECT_EQ(series_jsonl(parallel), baseline_jsonl) << "threads " << threads;
     EXPECT_EQ(parallel.final_accuracy, baseline.final_accuracy);
   }
 }

@@ -281,44 +281,51 @@ TEST(Runner, DeltaStorageIsTransparentAndReportsStats) {
 
 TEST(Runner, PerfBucketsSplitEncodeOutOfCommitAndSumToTotal) {
   // The attribution fix: encode time used to hide inside the commit bucket.
-  // In a serial synchronous run every bucket is a disjoint slice of the
-  // simulator's wall clock, so the five buckets can never sum past
-  // total_seconds — and a delta-encoded run must book nonzero encode time
-  // that is no longer part of commit.
-  scenario::ScenarioSpec spec = tiny_spec("fmnist-clustered");
-  spec.rounds = 6;
-  spec.threads = 1;
-  spec.parallel_prepare = false;
-  spec.store.delta = true;
-  const scenario::ScenarioResult result = scenario::run_scenario(spec);
+  // In a serial synchronous run the four buckets and the store's inline
+  // encode time are disjoint slices of the simulator's wall clock, so they
+  // can never sum past total_seconds. With async encoding the encode runs
+  // on background workers, and the foreground buckets alone stay within it
+  // (utilization <= 1 at one thread).
+  for (bool async_encode : {false, true}) {
+    scenario::ScenarioSpec spec = tiny_spec("fmnist-clustered");
+    spec.rounds = 6;
+    spec.threads = 1;
+    spec.parallel_prepare = false;
+    spec.store.delta = true;
+    spec.store.async_encode = async_encode;
+    const scenario::ScenarioResult result = scenario::run_scenario(spec);
 
-  const sim::PhaseTimings& perf = result.perf;
-  EXPECT_GT(perf.prepares, 0u);
-  EXPECT_GT(perf.total_seconds, 0.0);
-  EXPECT_GT(perf.encode_seconds, 0.0);
-  EXPECT_GE(perf.commit_seconds, 0.0);
-  EXPECT_GT(perf.tipsel_seconds, 0.0);
-  EXPECT_GT(perf.train_seconds, 0.0);
-  // Timer start/stop overhead can push the sum a hair past the outer wall
-  // measurement; 10% + 50ms absorbs that without masking real accounting
-  // bugs (double-counting encode inside commit doubles the sum).
-  EXPECT_LE(perf.phase_sum_seconds(), perf.total_seconds * 1.1 + 0.05);
+    const sim::PhaseTimings& perf = result.perf;
+    const double encode_seconds = result.store_stats.encode_seconds;
+    EXPECT_GT(perf.prepares, 0u);
+    EXPECT_GT(perf.total_seconds, 0.0);
+    EXPECT_GT(encode_seconds, 0.0) << "async " << async_encode;
+    EXPECT_GE(perf.commit_seconds, 0.0);
+    EXPECT_GT(perf.tipsel_seconds, 0.0);
+    EXPECT_GT(perf.train_seconds, 0.0);
+    // Timer start/stop overhead can push the sum a hair past the outer wall
+    // measurement; 10% + 50ms absorbs that without masking real accounting
+    // bugs (double-counting encode inside commit doubles the sum).
+    const double foreground = perf.phase_sum_seconds() + (async_encode ? 0.0 : encode_seconds);
+    EXPECT_LE(foreground, perf.total_seconds * 1.1 + 0.05) << "async " << async_encode;
 
-  // The buckets land in summary.perf (the JSONL schema consumed by CI).
-  const scenario::Json json = scenario::result_to_json(result, false);
-  const scenario::Json* perf_json = json.find("summary")->find("perf");
-  ASSERT_NE(perf_json, nullptr);
-  EXPECT_NE(perf_json->find("encode_seconds"), nullptr);
-  EXPECT_NE(perf_json->find("commit_seconds"), nullptr);
-  EXPECT_NE(perf_json->find("total_seconds"), nullptr);
+    // The buckets land in summary.perf (the JSONL schema consumed by CI).
+    const scenario::Json json = scenario::result_to_json(result, false);
+    const scenario::Json* perf_json = json.find("summary")->find("perf");
+    ASSERT_NE(perf_json, nullptr);
+    ASSERT_NE(perf_json->find("encode_seconds"), nullptr);
+    EXPECT_EQ(perf_json->find("encode_seconds")->as_number(), encode_seconds);
+    EXPECT_NE(perf_json->find("commit_seconds"), nullptr);
+    EXPECT_NE(perf_json->find("total_seconds"), nullptr);
 
-  // And the store block reports the (drained) pipeline counters plus the
-  // residency-over-time series.
-  const scenario::Json* store_json = json.find("summary")->find("store");
-  ASSERT_NE(store_json, nullptr);
-  EXPECT_EQ(store_json->find("pending_encodes")->as_uint(), 0u);
-  ASSERT_NE(store_json->find("residency"), nullptr);
-  EXPECT_EQ(store_json->find("residency")->as_array().size(), result.series.size());
+    // And the store block reports the (drained) pipeline counters plus the
+    // residency-over-time series.
+    const scenario::Json* store_json = json.find("summary")->find("store");
+    ASSERT_NE(store_json, nullptr);
+    EXPECT_EQ(store_json->find("pending_encodes")->as_uint(), 0u);
+    ASSERT_NE(store_json->find("residency"), nullptr);
+    EXPECT_EQ(store_json->find("residency")->as_array().size(), result.series.size());
+  }
 }
 
 TEST(Runner, CommunityMetricsEveryFillsSeriesPoints) {

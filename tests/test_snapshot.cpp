@@ -323,13 +323,11 @@ scenario::ScenarioSpec tiny_async_checkpoint_spec(const std::string& dir) {
   return spec;
 }
 
-// write_series_jsonl with the wall-clock walk timing zeroed — the only
-// nondeterministic field in the stream.
-std::string stripped_jsonl(const scenario::ScenarioResult& result) {
-  scenario::ScenarioResult stripped = result;
-  for (scenario::ScenarioPoint& point : stripped.series) point.mean_walk_seconds = 0.0;
+// The raw write_series_jsonl bytes: the stream carries no wall-clock field,
+// so equivalence is byte equality with no normalization.
+std::string series_jsonl(const scenario::ScenarioResult& result) {
   std::ostringstream out;
-  scenario::write_series_jsonl(stripped, out);
+  scenario::write_series_jsonl(result, out);
   return out.str();
 }
 
@@ -357,7 +355,7 @@ TEST(SnapshotCheckpoint, WriteLoadResumeMatchesUninterrupted) {
     overrides.has_threads = true;
     overrides.threads = threads;
     const scenario::ScenarioResult resumed = scenario::resume_scenario(mid, overrides);
-    EXPECT_EQ(stripped_jsonl(resumed), stripped_jsonl(full)) << "threads " << threads;
+    EXPECT_EQ(series_jsonl(resumed), series_jsonl(full)) << "threads " << threads;
     EXPECT_EQ(resumed.final_accuracy, full.final_accuracy);
     EXPECT_EQ(resumed.dag_size, full.dag_size);
     EXPECT_DOUBLE_EQ(resumed.store_stats.delta_ratio(), full.store_stats.delta_ratio());
@@ -436,7 +434,7 @@ TEST(SnapshotCheckpoint, ReplayReproducesTheWindow) {
     reference.series.assign(full.series.begin() + 2, full.series.begin() + 5);
     reference.store_series.assign(full.store_series.begin() + 2,
                                   full.store_series.begin() + 5);
-    EXPECT_EQ(stripped_jsonl(window), stripped_jsonl(reference));
+    EXPECT_EQ(series_jsonl(window), series_jsonl(reference));
   }
 }
 
