@@ -57,6 +57,6 @@ int main(int argc, char** argv) {
   std::cout << "\nThe accuracy-biased walk limits the attack: poisoned models score\n"
                "poorly on benign clients' local test data, so benign walks route\n"
                "around them even when poisoned transactions sit in their past cone.\n"
-               "Compare with SelectorKind::kRandom (see bench/fig12_14_poisoning).\n";
+               "Compare with SelectorKind::kRandom (see examples/figures/fig12_13_random.json).\n";
   return 0;
 }

@@ -50,7 +50,8 @@ std::vector<ScenarioSpec> make_builtins() {
   }
   {
     // New workload: delayed broadcast on the round simulator (SS5.3.5
-    // network caveat; previously the ablation_visibility_delay bench).
+    // network caveat; examples/figures/ablation_visibility_delay.json sweeps
+    // the delay).
     ScenarioSpec spec;
     spec.name = "visibility-delay";
     spec.description = "Slow broadcast: transactions become visible 3 rounds late";
@@ -137,14 +138,14 @@ std::vector<ScenarioSpec> make_builtins() {
     scenarios.push_back(spec);
   }
 
-  // --- paper figures and tables (formerly hand-rolled bench mains) --------
-  // Each scenario is the base configuration of one figure/table; the thin
-  // drivers under bench/ sweep the remaining axis (dataset, algorithm,
-  // alpha, ...) over these bases.
+  // --- paper figures and tables -------------------------------------------
+  // Each scenario is the base configuration of one figure/table; its sweep
+  // grid under examples/figures/ varies the remaining axis (dataset,
+  // algorithm, alpha, ...) over this base.
   {
-    // Figure 9: per-client accuracy distributions, DAG vs FedAvg. The driver
-    // flips `algorithm` and `dataset`; the recorded per-client accuracies
-    // supply the quartile boxes.
+    // Figure 9: per-client accuracy distributions, DAG vs FedAvg. The grids
+    // fig9_*.json vary `algorithm`, one grid per dataset; the recorded
+    // per-client accuracies supply the quartile boxes.
     ScenarioSpec spec;
     spec.name = "fig9-fedavg-vs-dag";
     spec.description = "Figure 9 base: per-client accuracy distributions (DAG side)";
@@ -156,7 +157,7 @@ std::vector<ScenarioSpec> make_builtins() {
   }
   {
     // Figures 10/11: accuracy and loss per round on the FedProx synthetic
-    // dataset; the driver runs algorithm in {dag, fedavg, fedprox}.
+    // dataset; fig10_11_fedprox.json runs algorithm in {dag, fedavg, fedprox}.
     ScenarioSpec spec;
     spec.name = "fig10-11-fedprox";
     spec.description = "Figures 10/11 base: synthetic(0.5,0.5), DAG vs FedAvg vs FedProx";
@@ -170,7 +171,8 @@ std::vector<ScenarioSpec> make_builtins() {
     // Figures 12/13/14: flipped-label poisoning on the author split. Clean
     // for the first half, 3<->8 flipped for 20% of clients in the second;
     // the flip-rate / poisoned-approval probes run every round of the
-    // attack phase. The driver sweeps the fraction and the tip selector.
+    // attack phase. The fig12_13_*.json grids vary the fraction and the tip
+    // selector.
     ScenarioSpec spec;
     spec.name = "fig12-14-poisoning";
     spec.description = "Figures 12-14: mid-run flipped-label poisoning (3<->8, 20%)";
@@ -184,7 +186,8 @@ std::vector<ScenarioSpec> make_builtins() {
   {
     // Figure 15: walk cost vs concurrently active clients. Depth-sampled
     // walk starts (Popov's 15-25) and no cross-round evaluation cache, so
-    // every walk pays its full cost; the driver sweeps clients_per_round.
+    // every walk pays its full cost; fig15_scalability.json varies
+    // clients_per_round.
     ScenarioSpec spec;
     spec.name = "fig15-scalability";
     spec.description = "Figure 15: biased-walk cost, depth-sampled starts, no eval cache";
@@ -201,8 +204,8 @@ std::vector<ScenarioSpec> make_builtins() {
     scenarios.push_back(spec);
   }
   {
-    // Table 2: approval pureness after training; the driver also runs the
-    // poets and cifar presets over this base.
+    // Table 2: approval pureness after training; the table2_*.json grids
+    // also run the poets and cifar presets over this base.
     ScenarioSpec spec;
     spec.name = "table2-pureness";
     spec.description = "Table 2 base: approval pureness after 100 rounds";
@@ -215,7 +218,7 @@ std::vector<ScenarioSpec> make_builtins() {
   // --- ablations ----------------------------------------------------------
   {
     // Broadcast latency vs specialization on the event-driven simulator:
-    // zero latency collapses the tip set towards a chain; the driver sweeps
+    // zero latency collapses the tip set towards a chain; the grid sweeps
     // the latency from 0 upward.
     ScenarioSpec spec;
     spec.name = "ablation-async-latency";
@@ -230,7 +233,7 @@ std::vector<ScenarioSpec> make_builtins() {
     scenarios.push_back(spec);
   }
   {
-    // Decentralized alternatives on clustered non-IID data; the driver runs
+    // Decentralized alternatives on clustered non-IID data; the grid runs
     // algorithm in {dag, gossip, fedavg}.
     ScenarioSpec spec;
     spec.name = "ablation-baselines";
@@ -241,7 +244,7 @@ std::vector<ScenarioSpec> make_builtins() {
     scenarios.push_back(spec);
   }
   {
-    // Approvals per transaction (paper: 2); the driver sweeps num_parents.
+    // Approvals per transaction (paper: 2); the grid sweeps num_parents.
     ScenarioSpec spec;
     spec.name = "ablation-num-parents";
     spec.description = "Ablation: approvals per transaction (paper fixes 2)";
@@ -252,7 +255,7 @@ std::vector<ScenarioSpec> make_builtins() {
   }
   {
     // Partial-layer training (paper future work): the base freezes the
-    // feature layers and trains only the classifier head; the driver
+    // feature layers and trains only the classifier head; the grid
     // compares against freeze_prefix_params = 0.
     ScenarioSpec spec;
     spec.name = "ablation-partial-training";
@@ -264,7 +267,7 @@ std::vector<ScenarioSpec> make_builtins() {
     scenarios.push_back(spec);
   }
   {
-    // The publish-if-better gate (paper §4.1); the driver compares gate off.
+    // The publish-if-better gate (paper §4.1); the grid compares gate off.
     ScenarioSpec spec;
     spec.name = "ablation-publish-gate";
     spec.description = "Ablation: the publish-if-better gate filters regressions";
@@ -275,7 +278,7 @@ std::vector<ScenarioSpec> make_builtins() {
   }
   {
     // Random-weights attack (paper §4.4): one junk transaction per round
-    // from round 0; the driver sweeps the rate. evaluate_consensus supplies
+    // from round 0; the grid sweeps the rate. evaluate_consensus supplies
     // the honest-consensus accuracy, the attack summary the junk-reference
     // takeover fraction.
     ScenarioSpec spec;

@@ -14,6 +14,39 @@
 #include "util/thread_pool.hpp"
 
 namespace specdag::scenario {
+namespace {
+
+// The scenario spec of one grid point: the base with the point's axis values
+// applied, its seed, one simulator thread, and per-run trace and checkpoint
+// paths. Parsing it validates the point.
+ScenarioSpec point_spec(const SweepSpec& sweep, std::size_t run_index, const Json& params,
+                        std::uint64_t seed) {
+  Json spec_json = sweep.base;
+  for (const auto& [path, value] : params.as_object()) spec_json.set_path(path, value);
+  spec_json.set("seed", seed);
+  // One simulator thread per run; the sweep already saturates the pool.
+  spec_json.set("parallel_prepare", false);
+  if (!sweep.trace_dir.empty()) {
+    const std::filesystem::path trace_path =
+        std::filesystem::path(sweep.trace_dir) /
+        ("run-" + std::to_string(run_index) + ".trace.json");
+    spec_json.set_path("obs.trace", Json(trace_path.string()));
+  }
+  // When the base spec checkpoints, every run gets its own checkpoint
+  // directory — per-run checkpoints make an interrupted run inside a sweep
+  // resumable without colliding with its siblings.
+  if (const Json* checkpoint = spec_json.find("checkpoint")) {
+    const std::string dir = checkpoint->string_or("dir", "");
+    if (!dir.empty()) {
+      const std::filesystem::path run_dir =
+          std::filesystem::path(dir) / ("run-" + std::to_string(run_index));
+      spec_json.set_path("checkpoint.dir", Json(run_dir.string()));
+    }
+  }
+  return spec_from_json(spec_json);
+}
+
+}  // namespace
 
 std::size_t SweepSpec::num_runs() const {
   std::size_t runs = repeats;
@@ -32,13 +65,7 @@ SweepSpec sweep_from_json(const Json& json) {
   SweepSpec sweep;
   const Json* base = json.find("base");
   if (base == nullptr) throw JsonError("sweep grid needs a \"base\" spec");
-  if (base->is_string()) {
-    sweep.base = spec_to_json(get_scenario(base->as_string()));
-  } else {
-    // Validate eagerly so a broken base fails before any run starts.
-    (void)spec_from_json(*base);
-    sweep.base = *base;
-  }
+  sweep.base = base->is_string() ? spec_to_json(get_scenario(base->as_string())) : *base;
   if (const Json* axes = json.find("axes")) {
     for (const auto& [path, values] : axes->as_object()) {
       if (values.as_array().empty()) {
@@ -55,6 +82,12 @@ SweepSpec sweep_from_json(const Json& json) {
   sweep.trace_dir = json.string_or("trace_dir", sweep.trace_dir);
   sweep.metrics_out = json.string_or("metrics_out", sweep.metrics_out);
   if (sweep.num_runs() == 0) throw JsonError("sweep grid is empty");
+  // Validate every grid point eagerly: a broken base or a typo in an axis
+  // path fails here (and in `specdag sweep --dry-run`), before any run.
+  const auto grid = expand_grid(sweep);
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    (void)point_spec(sweep, i, grid[i].first, grid[i].second);
+  }
   return sweep;
 }
 
@@ -175,10 +208,27 @@ std::size_t read_manifest(const std::string& manifest_path,
 
 std::vector<SweepRun> run_sweep(const SweepSpec& sweep, std::ostream* progress) {
   const std::vector<std::pair<Json, std::uint64_t>> grid = expand_grid(sweep);
+  std::size_t threads = sweep.threads > 0 ? sweep.threads : std::thread::hardware_concurrency();
+  threads = std::max<std::size_t>(1, std::min(threads, grid.size()));
+  const bool parallel = threads > 1;
 
-  const std::filesystem::path out_path(sweep.out_path);
-  if (out_path.has_parent_path()) std::filesystem::create_directories(out_path.parent_path());
-  if (!sweep.trace_dir.empty()) std::filesystem::create_directories(sweep.trace_dir);
+  // Everything that can reject the sweep runs before its first side effect
+  // (directories, the manifest), so a rejected sweep leaves no files behind
+  // and never truncates the manifest of an earlier interrupted run.
+  std::vector<ScenarioSpec> specs;
+  specs.reserve(grid.size());
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    specs.push_back(point_spec(sweep, i, grid[i].first, grid[i].second));
+    // Per-run obs contexts attribute metrics and traces correctly at any
+    // thread count; the only remaining hazard is several runs writing the
+    // SAME trace file concurrently via a fixed obs.trace path. trace_dir is
+    // the supported spelling (one file per run index).
+    if (parallel && sweep.trace_dir.empty() && !specs.back().obs.trace.empty()) {
+      throw std::invalid_argument(
+          "sweep: a fixed obs.trace path with threads>1 would have concurrent runs "
+          "overwrite one file; set \"trace_dir\" instead (per-run run-<idx>.trace.json)");
+    }
+  }
 
   // Crash-safe orchestration: completed runs append to the manifest as they
   // finish; the final out file is only assembled (in run-index order) once
@@ -194,40 +244,15 @@ std::vector<SweepRun> run_sweep(const SweepSpec& sweep, std::ostream* progress) 
                         << " runs reused from " << manifest_path;
     }
   }
+
+  const std::filesystem::path out_path(sweep.out_path);
+  if (out_path.has_parent_path()) std::filesystem::create_directories(out_path.parent_path());
+  if (!sweep.trace_dir.empty()) std::filesystem::create_directories(sweep.trace_dir);
   std::ofstream manifest(manifest_path, sweep.resume ? std::ios::app : std::ios::trunc);
   if (!manifest) throw std::runtime_error("sweep: cannot open " + manifest_path);
 
   std::vector<SweepRun> results(grid.size());
   std::mutex sink_mutex;
-
-  std::size_t threads = sweep.threads > 0 ? sweep.threads : std::thread::hardware_concurrency();
-  threads = std::max<std::size_t>(1, std::min(threads, grid.size()));
-  const bool parallel = threads > 1;
-
-  // Per-run obs contexts attribute metrics and traces correctly at any
-  // thread count; the only remaining hazard is several runs writing the
-  // SAME trace file concurrently via a fixed obs.trace path. trace_dir is
-  // the supported spelling (one file per run index).
-  if (parallel && sweep.trace_dir.empty()) {
-    bool fixed_trace = false;
-    if (const Json* obs = sweep.base.find("obs")) {
-      fixed_trace = !obs->string_or("trace", "").empty();
-    }
-    for (const auto& [params, seed] : grid) {
-      (void)seed;
-      if (const Json* trace = params.find("obs.trace")) {
-        fixed_trace = fixed_trace || !trace->as_string().empty();
-      }
-      if (const Json* obs = params.find("obs")) {
-        fixed_trace = fixed_trace || !obs->string_or("trace", "").empty();
-      }
-    }
-    if (fixed_trace) {
-      throw std::invalid_argument(
-          "sweep: a fixed obs.trace path with threads>1 would have concurrent runs "
-          "overwrite one file; set \"trace_dir\" instead (per-run run-<idx>.trace.json)");
-    }
-  }
 
   auto run_one = [&](std::size_t run_index) {
     results[run_index].run_index = run_index;
@@ -235,38 +260,14 @@ std::vector<SweepRun> run_sweep(const SweepSpec& sweep, std::ostream* progress) 
     results[run_index].params = grid[run_index].first;
     if (!lines[run_index].empty()) return;  // reused from the manifest
 
-    Json spec_json = sweep.base;
-    for (const auto& [path, value] : grid[run_index].first.as_object()) {
-      spec_json.set_path(path, value);
-    }
-    spec_json.set("seed", grid[run_index].second);
-    // One simulator thread per run; the sweep already saturates the pool.
-    spec_json.set("parallel_prepare", false);
-    if (!sweep.trace_dir.empty()) {
-      const std::filesystem::path trace_path =
-          std::filesystem::path(sweep.trace_dir) /
-          ("run-" + std::to_string(run_index) + ".trace.json");
-      spec_json.set_path("obs.trace", Json(trace_path.string()));
-    }
-    // When the base spec checkpoints, every run gets its own checkpoint
-    // directory — per-run checkpoints make an interrupted run inside a sweep
-    // resumable without colliding with its siblings.
-    if (const Json* checkpoint = spec_json.find("checkpoint")) {
-      const std::string dir = checkpoint->string_or("dir", "");
-      if (!dir.empty()) {
-        const std::filesystem::path run_dir =
-            std::filesystem::path(dir) / ("run-" + std::to_string(run_index));
-        spec_json.set_path("checkpoint.dir", Json(run_dir.string()));
-      }
-    }
-    ScenarioSpec spec = spec_from_json(spec_json);
+    const ScenarioSpec& spec = specs[run_index];
     ScenarioResult result = run_scenario(spec);
 
     Json line = Json::make_object();
     line.set("run", run_index);
     line.set("seed", grid[run_index].second);
     line.set("params", grid[run_index].first);
-    line.set("result", result_to_json(result));
+    line.set("result", result_to_json(result, /*include_series=*/true));
 
     {
       std::lock_guard<std::mutex> lock(sink_mutex);

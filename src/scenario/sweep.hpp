@@ -1,5 +1,7 @@
 // Sweep executor: fans a grid of scenario specs across the thread pool and
-// streams one JSONL line per completed run.
+// streams one JSONL line per completed run — its params, seed, summary and
+// per-round series (the data behind every committed figure grid under
+// examples/figures/).
 //
 // Grid JSON:
 //   {
@@ -62,8 +64,8 @@ struct SweepSpec {
   std::size_t num_runs() const;
 };
 
-// Parses and validates a grid document; resolves a string "base" through
-// the registry.
+// Parses a grid document, resolves a string "base" through the registry,
+// and validates the scenario spec of every grid point.
 SweepSpec sweep_from_json(const Json& json);
 
 struct SweepRun {
@@ -77,14 +79,16 @@ struct SweepRun {
 // prints): per run the resolved params and derived seed.
 std::vector<std::pair<Json, std::uint64_t>> expand_grid(const SweepSpec& sweep);
 
-// Runs the whole grid. Completed runs stream to `<out_path>.partial` (one
-// JSON object per line, flushed per run — the crash-safe manifest `resume`
-// reads); on success the final `out_path` is written in run-index order and
-// the manifest is removed. The returned vector is ordered by run index.
-// `progress`, when non-null, receives one line per completed run. After a
-// resume, reused runs keep their recorded JSONL lines verbatim; the footer's
-// merged sweep.obs aggregate covers only the runs executed by this
-// invocation (histogram state is not reconstructible from JSON).
+// Runs the whole grid. Every point is validated before the first file is
+// touched, so a rejected grid leaves nothing behind. Completed runs stream
+// to `<out_path>.partial` (one JSON object per line, flushed per run — the
+// crash-safe manifest `resume` reads); on success the final `out_path` is
+// written in run-index order and the manifest is removed. The returned
+// vector is ordered by run index. `progress`, when non-null, receives one
+// line per completed run. After a resume, reused runs keep their recorded
+// JSONL lines verbatim; the footer's merged sweep.obs aggregate covers only
+// the runs executed by this invocation (histogram state is not
+// reconstructible from JSON).
 std::vector<SweepRun> run_sweep(const SweepSpec& sweep, std::ostream* progress = nullptr);
 
 }  // namespace specdag::scenario

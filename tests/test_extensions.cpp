@@ -231,7 +231,7 @@ TEST(AttackerIntegration, AccuracyWalkRoutesAroundRandomWeights) {
   // transaction can only shade a small fraction of the tip set — the regime
   // §4.4's "limited rate" argument is about. (At toy scale a single junk
   // transaction shades most tips and the attack does real damage; see
-  // bench/ablation_random_weights_attack for the rate sweep.)
+  // examples/figures/ablation_random_weights.json for the rate sweep.)
   sim::ExperimentPreset preset = sim::fmnist_clustered_preset({});
   nn::ModelFactory factory = preset.factory;
   nn::Sequential probe = factory();

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
 #include <stdexcept>
 
@@ -530,6 +531,8 @@ TEST(Sweep, ParallelSweepAttributesObsPerRun) {
   sweep.threads = 2;
   sweep.base.set_path("obs.trace", scenario::Json("sweep.trace.json"));
   EXPECT_THROW(scenario::run_sweep(sweep), std::invalid_argument);
+  // The rejection comes before any side effect: no manifest is left behind.
+  EXPECT_FALSE(fs::exists(sweep.out_path + ".partial"));
   std::remove("test_sweep_obs.jsonl");
   std::remove("test_sweep_obs_serial.jsonl");
   std::error_code ec;
@@ -557,6 +560,46 @@ TEST(Sweep, FromJsonResolvesRegistryBase) {
   EXPECT_THROW(
       scenario::sweep_from_json(scenario::Json::parse(R"({"base": "churn", "axis": {}})")),
       scenario::JsonError);
+}
+
+// Every committed JSON document under examples/ parses: each sweep grid
+// resolves its base, validates every grid point and has its expected number
+// of runs; each scenario spec parses. A typo in a committed grid
+// fails here in seconds instead of deep inside the slow tier.
+TEST(Sweep, CommittedGridsParseAndExpand) {
+  const std::map<std::string, std::size_t> expected_runs = {
+      {"figures/ablation_async_latency.json", 4},  {"figures/ablation_baselines.json", 3},
+      {"figures/ablation_num_parents.json", 4},    {"figures/ablation_partial_training.json", 2},
+      {"figures/ablation_publish_gate.json", 2},   {"figures/ablation_random_weights.json", 4},
+      {"figures/ablation_visibility_delay.json", 4}, {"figures/fig10_11_fedprox.json", 3},
+      {"figures/fig12_13_accuracy.json", 3},       {"figures/fig12_13_random.json", 1},
+      {"figures/fig15_scalability.json", 4},       {"figures/fig5_alpha_metrics.json", 3},
+      {"figures/fig6_7_alpha_norm.json", 8},       {"figures/fig8_relaxed.json", 4},
+      {"figures/fig9_cifar.json", 2},              {"figures/fig9_fmnist.json", 2},
+      {"figures/fig9_poets.json", 2},              {"figures/table2_cifar.json", 1},
+      {"figures/table2_fmnist.json", 1},           {"figures/table2_poets.json", 1},
+      {"scenarios/alpha_grid.json", 6},            {"scenarios/dag_vs_baselines.json", 3},
+  };
+  namespace fs = std::filesystem;
+  std::set<std::string> grids_seen;
+  for (const char* dir : {"figures", "scenarios"}) {
+    for (const fs::directory_entry& entry :
+         fs::directory_iterator(fs::path(SPECDAG_EXAMPLES_DIR) / dir)) {
+      if (entry.path().extension() != ".json") continue;
+      const std::string name = std::string(dir) + "/" + entry.path().filename().string();
+      SCOPED_TRACE(name);
+      const scenario::Json doc = scenario::Json::parse_file(entry.path().string());
+      if (doc.find("base") == nullptr) {
+        EXPECT_NO_THROW(scenario::spec_from_json(doc));
+        continue;
+      }
+      const scenario::SweepSpec sweep = scenario::sweep_from_json(doc);
+      ASSERT_TRUE(expected_runs.count(name)) << "no expected run count for this grid";
+      EXPECT_EQ(sweep.num_runs(), expected_runs.at(name));
+      grids_seen.insert(name);
+    }
+  }
+  EXPECT_EQ(grids_seen.size(), expected_runs.size());
 }
 
 }  // namespace

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -10,60 +9,11 @@
 
 #include "util/csv.hpp"
 #include "util/logging.hpp"
-#include "util/stats.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 namespace specdag {
 namespace {
-
-// ---------------------------------------------------------------- stats ----
-
-TEST(Stats, MeanAndStddev) {
-  const std::vector<double> v = {1.0, 2.0, 3.0, 4.0};
-  EXPECT_DOUBLE_EQ(mean_of(v), 2.5);
-  EXPECT_NEAR(stddev_of(v), std::sqrt(1.25), 1e-12);
-}
-
-TEST(Stats, EmptyThrows) {
-  const std::vector<double> empty;
-  EXPECT_THROW(mean_of(empty), std::invalid_argument);
-  EXPECT_THROW(summarize(empty), std::invalid_argument);
-}
-
-TEST(Stats, QuantileInterpolation) {
-  const std::vector<double> sorted = {0.0, 10.0};
-  EXPECT_DOUBLE_EQ(quantile_sorted(sorted, 0.0), 0.0);
-  EXPECT_DOUBLE_EQ(quantile_sorted(sorted, 0.5), 5.0);
-  EXPECT_DOUBLE_EQ(quantile_sorted(sorted, 1.0), 10.0);
-  EXPECT_THROW(quantile_sorted(sorted, 1.5), std::invalid_argument);
-}
-
-TEST(Stats, QuantileSingleElement) {
-  const std::vector<double> one = {42.0};
-  EXPECT_DOUBLE_EQ(quantile_sorted(one, 0.3), 42.0);
-}
-
-TEST(Stats, SummaryFiveNumbers) {
-  std::vector<double> v;
-  for (int i = 1; i <= 101; ++i) v.push_back(static_cast<double>(i));
-  const Summary s = summarize(v);
-  EXPECT_EQ(s.count, 101u);
-  EXPECT_DOUBLE_EQ(s.min, 1.0);
-  EXPECT_DOUBLE_EQ(s.max, 101.0);
-  EXPECT_DOUBLE_EQ(s.median, 51.0);
-  EXPECT_DOUBLE_EQ(s.q1, 26.0);
-  EXPECT_DOUBLE_EQ(s.q3, 76.0);
-  EXPECT_DOUBLE_EQ(s.mean, 51.0);
-}
-
-TEST(Stats, SummaryUnsortedInput) {
-  const std::vector<double> v = {3.0, 1.0, 2.0};
-  const Summary s = summarize(v);
-  EXPECT_DOUBLE_EQ(s.min, 1.0);
-  EXPECT_DOUBLE_EQ(s.median, 2.0);
-  EXPECT_DOUBLE_EQ(s.max, 3.0);
-}
 
 // ------------------------------------------------------------------ csv ----
 
