@@ -113,10 +113,11 @@ BENCHMARK(BM_WalkStepEvaluation);
 
 // --- fused batch executor -------------------------------------------------
 
-data::FederatedDataset batch_exec_dataset(std::size_t num_clients) {
+data::FederatedDataset batch_exec_dataset(std::size_t num_clients,
+                                          std::size_t samples_per_client) {
   data::SyntheticDigitsConfig config;
   config.num_clients = num_clients;
-  config.samples_per_client = 30;
+  config.samples_per_client = samples_per_client;
   config.image_size = 16;  // matches the scale-2k MLP (256 -> 32 -> 10)
   return data::make_fmnist_clustered(config);
 }
@@ -125,7 +126,7 @@ data::FederatedDataset batch_exec_dataset(std::size_t num_clients) {
 // across K lanes, including the SoA import/export of every lane's weights.
 void BM_BatchedTrainStep(benchmark::State& state) {
   const auto k = static_cast<std::size_t>(state.range(0));
-  const auto ds = batch_exec_dataset(k);
+  const auto ds = batch_exec_dataset(k, 30);
   auto factory = sim::make_mlp_factory(shape_numel(ds.element_shape), 32, 10);
   nn::BatchExecutor exec(factory);
   std::vector<nn::WeightVector> starts(k);
@@ -153,10 +154,13 @@ void BM_BatchedTrainStep(benchmark::State& state) {
 BENCHMARK(BM_BatchedTrainStep)->Arg(1)->Arg(2)->Arg(4)->Arg(16);
 
 // K candidate models evaluated on one client's test split in a single fused
-// pass — the shared input block feeds the multi-RHS matmul.
+// pass — the shared input block feeds the multi-RHS matmul. The shape is one
+// fig15-walks walk step (80 samples per client, so 8 test rows, and the
+// 256 -> 32 -> 10 MLP); a step has 2.2 candidates on average, so the
+// per-lane time at small K against K=1 says whether fusing them pays.
 void BM_BatchedEvaluate(benchmark::State& state) {
   const auto k = static_cast<std::size_t>(state.range(0));
-  const auto ds = batch_exec_dataset(2);
+  const auto ds = batch_exec_dataset(2, 80);
   auto factory = sim::make_mlp_factory(shape_numel(ds.element_shape), 32, 10);
   nn::BatchExecutor exec(factory);
   std::vector<nn::WeightVector> models(k);
@@ -174,7 +178,7 @@ void BM_BatchedEvaluate(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(k));
 }
-BENCHMARK(BM_BatchedEvaluate)->Arg(1)->Arg(2)->Arg(4)->Arg(16);
+BENCHMARK(BM_BatchedEvaluate)->Arg(1)->Arg(2)->Arg(3)->Arg(4)->Arg(8);
 
 // The blocked multi-RHS kernel against K independent matmul_into calls on
 // the same operands (the executor's shared-activation forward).

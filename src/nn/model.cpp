@@ -1,14 +1,17 @@
 #include "nn/model.hpp"
 
 #include <cmath>
+#include <iterator>
 #include <stdexcept>
 
 namespace specdag::nn {
 
 Tensor Sequential::forward(const Tensor& input, bool train) {
   if (layers_.empty()) throw std::logic_error("Sequential::forward: no layers");
-  Tensor x = input;
-  for (auto& layer : layers_) x = layer->forward(x, train);
+  Tensor x = layers_.front()->forward(input, train);
+  for (auto it = std::next(layers_.begin()); it != layers_.end(); ++it) {
+    x = (*it)->forward(x, train);
+  }
   return x;
 }
 

@@ -21,54 +21,28 @@ void require_matrix(const Tensor& t, const char* name) {
 
 void matmul_into(const float* a, const float* b, float* c, std::size_t m, std::size_t k,
                  std::size_t n) {
-  std::fill(c, c + m * n, 0.0f);
-  // ikj loop order: streams through b and c rows, cache friendly.
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t kk = 0; kk < k; ++kk) {
-      const float aik = a[i * k + kk];
-      if (aik == 0.0f) continue;
-      lanes::axpy(c + i * n, b + kk * n, aik, n);
-    }
-  }
+  lanes::gemm({.a = a, .a_row_stride = k, .a_k_stride = 1, .b = b, .c = c, .m = m, .k = k,
+               .n = n});
 }
 
 void matmul_transposed_b_into(const float* a, const float* b, float* c, std::size_t m,
                               std::size_t k, std::size_t n) {
-  // Transposing b (n x k -> k x n) turns the j-loop into a contiguous SIMD
-  // axpy while keeping the low bits of the scalar running-sum dot: each
-  // c[i,j] still receives its kk-terms one at a time in kk order, each as a
-  // separate multiply-then-add (lanes::axpy never fuses). The zero-skip is
-  // exact too — the accumulator starts at +0.0f and skipped terms are
-  // +-0.0f products, which can never change it.
+  // Transposing b (n x k -> k x n) makes the columns of C contiguous for the
+  // SIMD kernel while each c[i,j] still receives its kk-terms one at a time
+  // in kk order, exactly as a scalar running-sum dot would.
   thread_local std::vector<float> bt;
   bt.resize(k * n);
   for (std::size_t j = 0; j < n; ++j) {
     const float* brow = b + j * k;
     for (std::size_t kk = 0; kk < k; ++kk) bt[kk * n + j] = brow[kk];
   }
-  std::fill(c, c + m * n, 0.0f);
-  for (std::size_t i = 0; i < m; ++i) {
-    const float* arow = a + i * k;
-    float* crow = c + i * n;
-    for (std::size_t kk = 0; kk < k; ++kk) {
-      const float aik = arow[kk];
-      if (aik == 0.0f) continue;
-      lanes::axpy(crow, bt.data() + kk * n, aik, n);
-    }
-  }
+  matmul_into(a, bt.data(), c, m, k, n);
 }
 
 void matmul_transposed_a_acc(const float* a, const float* b, float* c, std::size_t k,
                              std::size_t m, std::size_t n) {
-  for (std::size_t kk = 0; kk < k; ++kk) {
-    const float* arow = a + kk * m;
-    const float* brow = b + kk * n;
-    for (std::size_t i = 0; i < m; ++i) {
-      const float aik = arow[i];
-      if (aik == 0.0f) continue;
-      lanes::axpy(c + i * n, brow, aik, n);
-    }
-  }
+  lanes::gemm({.a = a, .a_row_stride = 1, .a_k_stride = m, .b = b, .c = c, .m = m, .k = k,
+               .n = n, .accumulate = true});
 }
 
 void add_row_bias_into(float* m, const float* bias, std::size_t rows, std::size_t cols) {
@@ -165,28 +139,7 @@ void nchw_to_positions(const float* in, float* cols, std::size_t n, std::size_t 
 
 void matmul_multi_rhs(const float* a, const float* const* bs, float* const* cs,
                       std::size_t lanes, std::size_t m, std::size_t k, std::size_t n) {
-  // Per lane the accumulation is kk-ascending in both branches below, so the
-  // result is bit-identical to `lanes` independent matmul_into calls either
-  // way; only the interleaving across (independent) lane buffers differs.
-  if (m * k * sizeof(float) <= std::size_t{256} << 10) {
-    // A cache-resident: sequential per-lane GEMMs stream each B exactly once
-    // and re-read A from cache for free. Interleaving lanes here would only
-    // shred the B prefetch streams.
-    for (std::size_t l = 0; l < lanes; ++l) matmul_into(a, bs[l], cs[l], m, k, n);
-    return;
-  }
-  for (std::size_t l = 0; l < lanes; ++l) std::fill(cs[l], cs[l] + m * n, 0.0f);
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t kk = 0; kk < k; ++kk) {
-      const float aik = a[i * k + kk];
-      if (aik == 0.0f) continue;
-      // Lane loop innermost: each row of the large A is read once for all
-      // lanes instead of `lanes` times from memory.
-      for (std::size_t l = 0; l < lanes; ++l) {
-        lanes::axpy(cs[l] + i * n, bs[l] + kk * n, aik, n);
-      }
-    }
-  }
+  for (std::size_t l = 0; l < lanes; ++l) matmul_into(a, bs[l], cs[l], m, k, n);
 }
 
 // ---------------------------------------------------- Tensor wrappers ---

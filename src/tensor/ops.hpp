@@ -66,14 +66,20 @@ Tensor maxpool2d_backward(const Tensor& grad_output, const Shape& input_shape,
 // Raw-pointer kernels. The Tensor overloads above are thin wrappers around
 // these; layers and the SoA batch executor call them directly so hot loops can
 // reuse persistent scratch buffers instead of allocating a Tensor per batch.
-// Arithmetic (loop order, zero-skips, mul-then-add) is identical to the Tensor
-// paths — results are bit-for-bit the same.
+//
+// Every matmul below is one lanes::gemm call, so all four share one
+// arithmetic: each C element starts from +0.0f (or its current value for
+// the _acc variant) and adds its terms A(i,kk)*B(kk,j) in kk-ascending order,
+// each as a separate multiply-then-add, skipping every term whose A element
+// is +-0.0f. The skip is part of the reference semantics, not just a speedup:
+// an IEEE dot product would add 0*inf = NaN (or 0*NaN) where B holds inf or
+// NaN, and could turn a -0.0f already in C into +0.0f; this one does neither.
 
-// C(m,n) = A(m,k) * B(k,n). Zeroes C first (ikj order, accumulating).
+// C(m,n) = A(m,k) * B(k,n). Overwrites C.
 void matmul_into(const float* a, const float* b, float* c, std::size_t m, std::size_t k,
                  std::size_t n);
 
-// C(m,n) = A(m,k) * B(n,k)^T. Overwrites C (dot products, kk-ascending).
+// C(m,n) = A(m,k) * B(n,k)^T. Overwrites C.
 void matmul_transposed_b_into(const float* a, const float* b, float* c, std::size_t m,
                               std::size_t k, std::size_t n);
 
@@ -98,9 +104,9 @@ void nchw_to_positions(const float* in, float* cols, std::size_t n, std::size_t 
                        std::size_t positions);
 
 // Shared-A multi-RHS matmul: cs[l](m,n) = A(m,k) * bs[l](k,n) for each of
-// `lanes` right-hand sides. A is streamed once; each lane's accumulation order
-// is kk-ascending, so lane l's result is bit-identical to
-// matmul_into(a, bs[l], cs[l], ...). Zeroes each C first.
+// `lanes` right-hand sides, bit-identical to matmul_into per lane. It is
+// that loop: interleaving lanes over row blocks of a large A measured no
+// faster, since the blocked kernel already re-reads A from cache.
 void matmul_multi_rhs(const float* a, const float* const* bs, float* const* cs,
                       std::size_t lanes, std::size_t m, std::size_t k, std::size_t n);
 

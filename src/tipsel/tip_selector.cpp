@@ -114,7 +114,6 @@ std::vector<dag::TxId> TipSelector::select_tips(const dag::Dag& dag, std::size_t
   if (count == 0) throw std::invalid_argument("TipSelector::select_tips: count == 0");
   stats_ = WalkStats{};
   Timer timer;
-  const std::uint64_t evals_before = stats_.evaluations;
   std::vector<dag::TxId> selected;
   selected.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
@@ -137,7 +136,7 @@ std::vector<dag::TxId> TipSelector::select_tips(const dag::Dag& dag, std::size_t
   }
   std::sort(selected.begin(), selected.end());
   selected.erase(std::unique(selected.begin(), selected.end()), selected.end());
-  walk_metrics().evaluations.add(stats_.evaluations - evals_before);
+  walk_metrics().evaluations.add(stats_.evaluations);
   stats_.seconds = timer.elapsed_seconds();
   return selected;
 }
