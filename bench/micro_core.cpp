@@ -323,6 +323,71 @@ void BM_SelectTipsLargeDag(benchmark::State& state) {
 }
 BENCHMARK(BM_SelectTipsLargeDag)->Arg(1000)->Arg(5000)->Arg(10000);
 
+// A wide DAG shaped like scale-2k's (over 70% tips) that is still deep
+// enough for 15-25 depth-sampled walk starts: a core of kGenerations
+// generations kWidth transactions wide, where transaction j of a generation
+// approves transaction j of the previous one plus one other at random (so
+// no core transaction stays a tip), topped by leaves that each approve two
+// random transactions of the top generation. `append_leaf` adds one more.
+constexpr std::size_t kWidth = 24;
+constexpr std::size_t kGenerations = 48;
+
+void append_leaf(dag::Dag& dag, Rng& rng) {
+  const std::size_t top = 1 + (kGenerations - 1) * kWidth;
+  const auto picks = rng.sample_without_replacement(kWidth, 2);
+  dag.add_transaction({top + picks[0], top + picks[1]},
+                      std::make_shared<const nn::WeightVector>(nn::WeightVector{0.0f}),
+                      static_cast<int>(dag.size() % 10), dag.size());
+}
+
+std::unique_ptr<dag::Dag> build_wide_dag(std::size_t size, std::uint64_t seed) {
+  auto dag = std::make_unique<dag::Dag>(nn::WeightVector{0.0f});
+  Rng rng(seed);
+  for (std::size_t g = 0; g < kGenerations; ++g) {
+    for (std::size_t j = 0; j < kWidth; ++j) {
+      std::vector<dag::TxId> parents{dag::kGenesisTx};
+      if (g > 0) {
+        const dag::TxId previous = 1 + (g - 1) * kWidth;
+        const std::size_t other = (j + 1 + rng.index(kWidth - 1)) % kWidth;
+        parents = {previous + j, previous + other};
+      }
+      dag->add_transaction(std::move(parents),
+                           std::make_shared<const nn::WeightVector>(nn::WeightVector{0.0f}),
+                           static_cast<int>(j % 10), g);
+    }
+  }
+  while (dag->size() < size) append_leaf(*dag, rng);
+  return dag;
+}
+
+// Depth-sampled weighted selection right after an append, rotating over many
+// per-client selectors: the scale-2k walk side. BM_SelectTipsLargeDag walks a
+// static DAG from genesis, so it misses what an append costs the next walk
+// (the walk-start depth index is rebuilt once per append). One iteration is
+// one append plus a two-walk select_tips; the DAG is rebuilt (untimed) every
+// 512 appends so it stays near the argument size.
+void BM_SelectTipsAfterAppend(benchmark::State& state) {
+  const auto dag_size = static_cast<std::size_t>(state.range(0));
+  constexpr std::size_t kSelectors = 256;
+  constexpr std::size_t kAppendsPerDag = 512;
+  std::vector<tipsel::WeightedTipSelector> selectors(kSelectors, tipsel::WeightedTipSelector(1.0));
+  for (auto& selector : selectors) selector.set_walk_start(tipsel::WalkStart::kDepthSampled);
+  std::unique_ptr<dag::Dag> dag;
+  Rng rng(23);
+  std::size_t appends = 0;
+  for (auto _ : state) {
+    if (appends++ % kAppendsPerDag == 0) {
+      state.PauseTiming();
+      dag = build_wide_dag(dag_size, 15);
+      state.ResumeTiming();
+    }
+    append_leaf(*dag, rng);
+    benchmark::DoNotOptimize(selectors[appends % kSelectors].select_tips(*dag, 2, rng));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 2);
+}
+BENCHMARK(BM_SelectTipsAfterAppend)->Arg(5000);
+
 // The same workload against the retained bit-parallel sweep oracle: the
 // before/after pair BENCH_PR4.json records for the 10x acceptance check.
 void BM_CumulativeWeightsSweepReference(benchmark::State& state) {

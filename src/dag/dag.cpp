@@ -144,6 +144,18 @@ void Dag::children_into(TxId id, std::vector<TxId>& out) const {
   if (it != children_.end()) out.assign(it->second.begin(), it->second.end());
 }
 
+void Dag::children_with_weights_into(TxId id, std::vector<TxId>& children,
+                                     std::vector<std::size_t>& weights) const {
+  std::shared_lock lock(mutex_);
+  tx_locked(id);  // bounds check
+  children.clear();
+  weights.clear();
+  auto it = children_.find(id);
+  if (it == children_.end()) return;
+  children.assign(it->second.begin(), it->second.end());
+  for (TxId child : children) weights.push_back(cum_weights_[child]);
+}
+
 int Dag::publisher(TxId id) const {
   std::shared_lock lock(mutex_);
   return tx_locked(id).publisher;
@@ -185,12 +197,6 @@ std::size_t Dag::cumulative_weight(TxId id) const {
 std::vector<std::size_t> Dag::cumulative_weights_all() const {
   std::shared_lock lock(mutex_);
   return cum_weights_;
-}
-
-std::uint64_t Dag::cumulative_weights_snapshot(std::vector<std::size_t>& weights) const {
-  std::shared_lock lock(mutex_);
-  weights.assign(cum_weights_.begin(), cum_weights_.end());
-  return version_;
 }
 
 std::vector<std::size_t> Dag::cumulative_weights_reference() const {
@@ -320,25 +326,28 @@ std::unordered_map<TxId, std::size_t> Dag::depths_from_tips() const {
 
 void Dag::refresh_walk_index_locked() const {
   if (walk_index_version_ == version_) return;
-  const std::size_t n = transactions_.size();
-  constexpr std::size_t kUnset = ~std::size_t{0};
-  depth_index_.assign(n, kUnset);
-  depth_frontier_.clear();
-  for (TxId tip : tips_) {
-    depth_index_[tip] = 0;
-    depth_frontier_.push_back(tip);
+  // Extend the flat parent lists by the transactions appended since the
+  // last rebuild: the sweep then reads one contiguous array instead of
+  // chasing a heap-allocated parents vector per transaction.
+  for (TxId id = sweep_parents_end_.size(); id < transactions_.size(); ++id) {
+    const std::vector<TxId>& parents = transactions_[id].parents;
+    sweep_parents_.insert(sweep_parents_.end(), parents.begin(), parents.end());
+    sweep_parents_end_.push_back(sweep_parents_.size());
   }
-  // Plain BFS along parent edges: every transaction is an ancestor of some
-  // tip (or a tip itself), so the whole id range gets its minimum distance
-  // to the tip set — the same values depths_from_tips() computes.
-  for (std::size_t head = 0; head < depth_frontier_.size(); ++head) {
-    const TxId cur = depth_frontier_[head];
-    const std::size_t d = depth_index_[cur];
-    for (TxId p : transactions_[cur].parents) {
-      if (depth_index_[p] == kUnset || depth_index_[p] > d + 1) {
-        depth_index_[p] = d + 1;
-        depth_frontier_.push_back(p);
-      }
+  constexpr std::size_t kUnset = ~std::size_t{0};
+  depth_index_.assign(transactions_.size(), kUnset);
+  // One descending-id sweep. Parents always have smaller ids than their
+  // children, so every child has pushed its depth into a transaction before
+  // the sweep reaches it: a transaction still unset there has no children
+  // (a tip, depth 0), and any other holds 1 + min over its children — the
+  // same minimum tip distance depths_from_tips() computes, without
+  // touching the tip set.
+  for (TxId cur = depth_index_.size(); cur-- > 0;) {
+    if (depth_index_[cur] == kUnset) depth_index_[cur] = 0;
+    const std::size_t d = depth_index_[cur] + 1;
+    const std::size_t begin = cur == 0 ? 0 : sweep_parents_end_[cur - 1];
+    for (std::size_t k = begin; k < sweep_parents_end_[cur]; ++k) {
+      depth_index_[sweep_parents_[k]] = std::min(depth_index_[sweep_parents_[k]], d);
     }
   }
   start_candidates_.clear();

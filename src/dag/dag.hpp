@@ -9,9 +9,8 @@
 // Weight index: cumulative weights are maintained *incrementally* — each
 // append adds exactly one new descendant (the appended transaction) to
 // every transaction in its past cone, so add_transaction bumps those
-// entries by one and the full table is always current. A monotonically
-// increasing version() counter (one tick per append) lets consumers reuse
-// a snapshot across walks until the DAG actually changes. The historical
+// entries by one and the full table is always current. Walks read it live,
+// a step's children at a time (children_with_weights_into). The historical
 // bit-parallel sweep is retained as the masked-visibility path (per-client
 // partition views cannot be maintained incrementally) and as the reference
 // oracle for tests.
@@ -57,8 +56,7 @@ class Dag {
   std::size_t size() const;
 
   // Structure version: starts at 0 (genesis only) and increments by one per
-  // append. Consumers key cached views (weight snapshots, depth indices) on
-  // this counter.
+  // append. The walk-start depth index is keyed on this counter.
   std::uint64_t version() const;
 
   // Copy of the transaction record. Throws on unknown id.
@@ -80,6 +78,11 @@ class Dag {
   // Copies the children of `id` into `out` (cleared first) without
   // allocating a fresh vector — the walk-loop accessor.
   void children_into(TxId id, std::vector<TxId>& out) const;
+  // The children of `id` and their current cumulative weights (parallel
+  // arrays, both cleared first), read under one lock — the unmasked
+  // weighted walk's per-step accessor, O(children) whatever the DAG size.
+  void children_with_weights_into(TxId id, std::vector<TxId>& children,
+                                  std::vector<std::size_t>& weights) const;
   bool is_tip(TxId id) const;
 
   // Lightweight metadata accessors (no record copy) — used by per-client
@@ -99,11 +102,6 @@ class Dag {
   // Cumulative weight of *every* transaction, indexed by id — a copy of the
   // incrementally maintained index (O(n) copy, no recomputation).
   std::vector<std::size_t> cumulative_weights_all() const;
-
-  // Scratch-buffer variant: copies the index into `weights` (resized as
-  // needed) and returns the version the snapshot corresponds to, atomically
-  // under one lock. Callers reuse the snapshot until version() moves.
-  std::uint64_t cumulative_weights_snapshot(std::vector<std::size_t>& weights) const;
 
   // Reference implementation: recomputes the full table with bit-parallel
   // reverse-insertion-order sweeps (64 descendant candidates per sweep,
@@ -136,9 +134,9 @@ class Dag {
   // Samples a walk-start transaction uniformly among those at depth in
   // [min_depth, max_depth] from the tips (paper §5.3.5 / Popov: 15-25).
   // Falls back to genesis when the DAG is shallower than min_depth.
-  // Backed by a version-checked depth index: the depth BFS and the sorted
-  // candidate list are rebuilt at most once per append instead of once per
-  // walk, so concurrent per-walk calls cost O(1) on an unchanged DAG.
+  // Backed by a version-checked depth index: one descending-id sweep and the
+  // sorted candidate list are rebuilt at most once per append instead of
+  // once per walk, so concurrent per-walk calls cost O(1) on an unchanged DAG.
   TxId sample_walk_start(Rng& rng, std::size_t min_depth, std::size_t max_depth) const;
 
   // All transaction ids in insertion order (genesis first).
@@ -165,12 +163,15 @@ class Dag {
 
   // --- walk-start depth index ---------------------------------------------
   // Lazily rebuilt caches; guarded by walk_index_mutex_ *in addition to* a
-  // shared hold of mutex_ (rebuilds read transactions_/tips_). The critical
+  // shared hold of mutex_ (rebuilds read transactions_). The critical
   // section is O(1) between appends.
   mutable std::mutex walk_index_mutex_;
   mutable std::uint64_t walk_index_version_ = ~std::uint64_t{0};
   mutable std::vector<std::size_t> depth_index_;  // id -> depth from tips
-  mutable std::vector<TxId> depth_frontier_;      // rebuild scratch
+  // Every transaction's parents in id order, flattened for the sweep:
+  // transaction id's parents are sweep_parents_[end[id - 1], end[id]).
+  mutable std::vector<TxId> sweep_parents_;
+  mutable std::vector<std::size_t> sweep_parents_end_;
   // Sorted candidate ids per (min_depth, max_depth) window, valid at
   // walk_index_version_. A handful of distinct windows exist per run.
   mutable std::vector<std::pair<std::pair<std::size_t, std::size_t>, std::vector<TxId>>>

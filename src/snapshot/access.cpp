@@ -315,7 +315,8 @@ void Access::restore_dag(Reader& r, dag::Dag& dag) {
     std::lock_guard walk_lock(dag.walk_index_mutex_);
     dag.walk_index_version_ = ~std::uint64_t{0};  // stale — lazily rebuilt
     dag.depth_index_.clear();
-    dag.depth_frontier_.clear();
+    dag.sweep_parents_.clear();
+    dag.sweep_parents_end_.clear();
     dag.start_candidates_.clear();
   }
 }

@@ -16,6 +16,7 @@ struct WalkMetrics {
   obs::Counter& evaluations = obs::Registry::counter("tipsel.evaluations");
   obs::Histogram& walk_steps = obs::Registry::histogram("tipsel.walk_steps");
   obs::Histogram& walk_us = obs::Registry::histogram("tipsel.walk_us");
+  obs::Histogram& start_us = obs::Registry::histogram("tipsel.start_us");
 };
 
 WalkMetrics& walk_metrics() {
@@ -31,13 +32,6 @@ void TipSelector::set_start_depth(std::size_t min_depth, std::size_t max_depth) 
   }
   min_depth_ = min_depth;
   max_depth_ = max_depth;
-}
-
-void TipSelector::set_visibility_mask(VisibilityMask mask) {
-  mask_ = std::move(mask);
-  // The cw scratch may hold a masked sweep or a snapshot for the old mask
-  // state; never reuse it across a mask change.
-  cw_version_ = kNoVersion;
 }
 
 VisibilityMask make_group_visibility_mask(std::shared_ptr<const std::vector<int>> groups,
@@ -59,7 +53,6 @@ void TipSelector::visible_children_into(const dag::Dag& dag, dag::TxId id,
 }
 
 std::size_t TipSelector::walk_cumulative_weight(const dag::Dag& dag, dag::TxId id) {
-  if (!mask_) return dag.cumulative_weight(id);
   // Epoch-marked visited array: bumping the epoch invalidates every mark
   // from previous calls without touching the memory.
   if (bfs_mark_.size() <= id) bfs_mark_.resize(id + 1, 0);
@@ -84,18 +77,6 @@ std::size_t TipSelector::walk_cumulative_weight(const dag::Dag& dag, dag::TxId i
 }
 
 const std::vector<std::size_t>& TipSelector::batched_cumulative_weights(const dag::Dag& dag) {
-  if (!mask_) {
-    // Version-checked reuse of the DAG's incremental index: as long as no
-    // transaction was appended since the last snapshot (of this DAG — two
-    // DAGs of equal size share a version value), the previous copy is
-    // still exact and the call is O(1).
-    if (cw_dag_ != &dag || cw_version_ == kNoVersion || dag.version() != cw_version_) {
-      cw_version_ = dag.cumulative_weights_snapshot(cw_scratch_);
-      cw_dag_ = &dag;
-    }
-    return cw_scratch_;
-  }
-  cw_version_ = kNoVersion;  // masked sweeps must not be reused as snapshots
   const std::size_t n = dag.size();
   visible_scratch_.assign(n, 0);
   for (dag::TxId id = 0; id < n; ++id) {
@@ -117,10 +98,12 @@ std::vector<dag::TxId> TipSelector::select_tips(const dag::Dag& dag, std::size_t
   std::vector<dag::TxId> selected;
   selected.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
-    dag::TxId start =
-        start_mode_ == WalkStart::kGenesis
-            ? dag::kGenesisTx
-            : dag.sample_walk_start(rng, min_start_depth(), max_start_depth());
+    dag::TxId start = dag::kGenesisTx;
+    if (start_mode_ == WalkStart::kDepthSampled) {
+      const std::uint64_t start_begin = obs::now_ns();
+      start = dag.sample_walk_start(rng, min_start_depth(), max_start_depth());
+      walk_metrics().start_us.record((obs::now_ns() - start_begin) / 1000);
+    }
     // A depth-sampled start can land on a masked transaction; genesis is
     // always visible (publisher -1, round 0).
     if (!visible(dag, start)) {
@@ -156,28 +139,32 @@ WeightedTipSelector::WeightedTipSelector(double alpha) : alpha_(alpha) {
 }
 
 dag::TxId WeightedTipSelector::walk(const dag::Dag& dag, dag::TxId start, Rng& rng) {
-  // One version-checked index snapshot per walk instead of a future-cone BFS
-  // per step. The snapshot stays valid for the whole walk: cumulative
-  // weights only change when transactions are appended, and commits are
-  // serialized outside the prepare phase; ids beyond the snapshot (appended
-  // concurrently) fall back to the per-id path.
-  const std::vector<std::size_t>& cw_all = batched_cumulative_weights(dag);
-  const auto weight_of = [&](dag::TxId id) {
-    return id < cw_all.size() ? cw_all[id] : walk_cumulative_weight(dag, id);
-  };
+  // Unmasked, each step reads its children's weights straight from the DAG's
+  // incremental index. Masked weights count only the visible future cone,
+  // which the DAG cannot index: one masked sweep per walk, hoisted above
+  // the step loop, with ids appended after it falling back to the per-id
+  // BFS. Commits are serialized outside the prepare phase, so both read the
+  // DAG as of the walk's start.
+  const std::vector<std::size_t>* masked_cw =
+      has_visibility_mask() ? &batched_cumulative_weights(dag) : nullptr;
   dag::TxId current = start;
   for (;;) {
-    visible_children_into(dag, current, children_);
-    if (children_.empty()) return current;
-    cw_.resize(children_.size());
-    double cw_max = 0.0;
-    for (std::size_t i = 0; i < children_.size(); ++i) {
-      cw_[i] = static_cast<double>(weight_of(children_[i]));
-      cw_max = std::max(cw_max, cw_[i]);
+    if (masked_cw == nullptr) {
+      dag.children_with_weights_into(current, children_, cw_);
+    } else {
+      visible_children_into(dag, current, children_);
+      cw_.resize(children_.size());
+      for (std::size_t i = 0; i < children_.size(); ++i) {
+        const dag::TxId child = children_[i];
+        cw_[i] = child < masked_cw->size() ? (*masked_cw)[child]
+                                           : walk_cumulative_weight(dag, child);
+      }
     }
+    if (children_.empty()) return current;
+    const double cw_max = static_cast<double>(*std::max_element(cw_.begin(), cw_.end()));
     weights_.resize(children_.size());
     for (std::size_t i = 0; i < children_.size(); ++i) {
-      weights_[i] = std::exp(alpha_ * (cw_[i] - cw_max));
+      weights_[i] = std::exp(alpha_ * (static_cast<double>(cw_[i]) - cw_max));
     }
     current = children_[rng.weighted_index(weights_)];
     ++stats_.steps;

@@ -84,7 +84,7 @@ class TipSelector {
   std::size_t max_start_depth() const { return max_depth_; }
 
   // Restricts walks to the masked subgraph (empty mask = no restriction).
-  void set_visibility_mask(VisibilityMask mask);
+  void set_visibility_mask(VisibilityMask mask) { mask_ = std::move(mask); }
   bool has_visibility_mask() const { return static_cast<bool>(mask_); }
 
   const WalkStats& last_stats() const { return stats_; }
@@ -100,42 +100,33 @@ class TipSelector {
     return !mask_ || mask_(dag, id);
   }
 
-  // Cumulative weight as this walker perceives it: with a mask set, only
-  // the visible future cone counts — a partitioned client must not rank
-  // candidates by the size of subgraphs it cannot see. Uses selector-owned
-  // BFS scratch (epoch-marked visited array), so repeated calls allocate
-  // nothing once the buffers reach the DAG's high-water size.
+  // Cumulative weight as this walker perceives it: only the visible future
+  // cone counts — a partitioned client must not rank candidates by the size
+  // of subgraphs it cannot see. Uses selector-owned BFS scratch
+  // (epoch-marked visited array), so repeated calls allocate nothing once
+  // the buffers reach the DAG's high-water size.
   std::size_t walk_cumulative_weight(const dag::Dag& dag, dag::TxId id);
 
-  // Cumulative weight of every transaction at once, respecting the
-  // visibility mask (the §5.3.5 walk-cost hot path). Unmasked, this is a
-  // version-checked copy of the DAG's incremental weight index — reused
-  // across walks (and rounds) until the DAG appends a transaction, so
-  // steady-state walks neither sweep nor copy. With a mask set it falls
-  // back to one bit-parallel sweep per walk (masks are per-client state the
-  // DAG cannot index). Transactions appended after the snapshot are not
-  // covered; callers fall back to walk_cumulative_weight for ids beyond the
-  // returned size. The returned reference points into selector-owned
-  // scratch and stays valid until the next call.
+  // Masked cumulative weight of every transaction at once: one bit-parallel
+  // sweep (masks are per-client state the DAG cannot index), run once per
+  // walk. Transactions appended after the sweep are not covered; callers
+  // fall back to walk_cumulative_weight for ids beyond the returned size.
+  // The returned reference points into selector-owned scratch and stays
+  // valid until the next call.
   const std::vector<std::size_t>& batched_cumulative_weights(const dag::Dag& dag);
 
   WalkStats stats_;
 
  private:
-  static constexpr std::uint64_t kNoVersion = ~std::uint64_t{0};
-
   WalkStart start_mode_ = WalkStart::kGenesis;
   std::size_t min_depth_ = 15;
   std::size_t max_depth_ = 25;
   VisibilityMask mask_;
-  // Scratch for batched_cumulative_weights: result, sweep bit masks, the
-  // visibility snapshot, and the index version the unmasked snapshot
-  // corresponds to. Sized once per DAG high-water mark.
+  // Scratch for batched_cumulative_weights: result, sweep bit masks and the
+  // visibility snapshot. Sized once per DAG high-water mark.
   std::vector<std::size_t> cw_scratch_;
   std::vector<std::uint64_t> reach_scratch_;
   std::vector<char> visible_scratch_;
-  std::uint64_t cw_version_ = kNoVersion;
-  const dag::Dag* cw_dag_ = nullptr;  // snapshot identity: versions of distinct DAGs collide
   // Scratch for walk_cumulative_weight's BFS: epoch-marked visited array
   // (no O(n) clear per call), frontier, and a children buffer separate from
   // the walk loops' buffers (the BFS runs while a walk iterates its own).
@@ -169,7 +160,7 @@ class WeightedTipSelector final : public TipSelector {
   // Per-step scratch: candidate children, their cumulative weights, and the
   // exp-bias weights — reused across steps and walks.
   std::vector<dag::TxId> children_;
-  std::vector<double> cw_;
+  std::vector<std::size_t> cw_;
   std::vector<double> weights_;
 };
 

@@ -495,6 +495,9 @@ TEST_F(ObsTest, RunsAreBitIdenticalAcrossObsModes) {
     EXPECT_GT(baseline.obs_totals.counter("tipsel.walks"), 0u);
     EXPECT_GT(baseline.obs_totals.counter("store.puts"), 0u);
     EXPECT_GT(baseline.obs_totals.histogram("tipsel.walk_steps").count, 0u);
+    // scale-2k samples every walk's start by depth, each one timed.
+    EXPECT_EQ(baseline.obs_totals.histogram("tipsel.start_us").count,
+              baseline.obs_totals.counter("tipsel.walks"));
     EXPECT_EQ(baseline.obs_series.size(), baseline.series.size());
   }
 

@@ -1,6 +1,7 @@
 // The incremental cumulative-weight index and the version-checked walk-start
-// depth index: equivalence against the retained bit-parallel sweep oracle and
-// the per-id BFS, under randomized growth, masking, and concurrent appends.
+// depth index: equivalence against the retained bit-parallel sweep oracle,
+// the per-id BFS and depths_from_tips(), under randomized growth, masking,
+// checkpoint restore and concurrent appends.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -8,6 +9,7 @@
 
 #include "dag/dag.hpp"
 #include "metrics/dag_metrics.hpp"
+#include "snapshot/access.hpp"
 #include "tipsel/tip_selector.hpp"
 
 namespace specdag::dag {
@@ -51,13 +53,10 @@ TEST(WeightIndex, VersionCountsAppendsAndSnapshotIsConsistent) {
   Dag dag({0.0f});
   EXPECT_EQ(dag.version(), 0u);
   Rng rng(102);
-  std::vector<std::size_t> snapshot;
   for (std::size_t i = 1; i <= 50; ++i) {
     grow(dag, rng, i);
     EXPECT_EQ(dag.version(), i);
-    const std::uint64_t version = dag.cumulative_weights_snapshot(snapshot);
-    EXPECT_EQ(version, i);
-    EXPECT_EQ(snapshot.size(), dag.size());
+    EXPECT_EQ(dag.cumulative_weights_all().size(), dag.size());
   }
 }
 
@@ -111,13 +110,10 @@ TEST(WeightIndex, ConcurrentAppendsKeepSnapshotsCoherent) {
   const TxId a = dag.add_transaction({kGenesisTx}, payload(), 0, 1);
   std::atomic<bool> stop{false};
   // Readers continuously snapshot while a writer appends: every snapshot
-  // must be internally consistent — genesis counts everything, and the
-  // version matches the snapshot's length (version == size - 1).
+  // must be internally consistent — genesis counts everything.
   std::thread reader([&] {
-    std::vector<std::size_t> snapshot;
     while (!stop.load()) {
-      const std::uint64_t version = dag.cumulative_weights_snapshot(snapshot);
-      ASSERT_EQ(snapshot.size(), static_cast<std::size_t>(version) + 1);
+      const std::vector<std::size_t> snapshot = dag.cumulative_weights_all();
       ASSERT_EQ(snapshot[kGenesisTx], snapshot.size());
       Rng rng(7);
       (void)dag.sample_walk_start(rng, 1, 3);
@@ -162,6 +158,110 @@ TEST(WeightIndex, SampleWalkStartMatchesDepthsFromTipsReference) {
   }
 }
 
+// Depth windows the sweep-built index is checked over: tips only, the
+// shallow bands a wide DAG has, and the paper's 15-25 (§5.3.5).
+const std::vector<std::pair<std::size_t, std::size_t>> kWindows = {
+    {0, 0}, {1, 1}, {1, 3}, {2, 5}, {15, 25}};
+
+// Samples one start per window from `dag` and from the depths_from_tips()
+// reference (sorted candidates, one rng draw each, genesis when empty) and
+// expects the same transaction.
+void expect_starts_match_reference(const Dag& dag, Rng& sample_rng, Rng& reference_rng) {
+  const auto depth = dag.depths_from_tips();
+  ASSERT_EQ(depth.size(), dag.size());
+  for (const auto& [min_depth, max_depth] : kWindows) {
+    std::vector<TxId> candidates;
+    for (const auto& [id, d] : depth) {
+      if (d >= min_depth && d <= max_depth) candidates.push_back(id);
+    }
+    std::sort(candidates.begin(), candidates.end());
+    const TxId expected =
+        candidates.empty() ? kGenesisTx : candidates[reference_rng.index(candidates.size())];
+    ASSERT_EQ(dag.sample_walk_start(sample_rng, min_depth, max_depth), expected)
+        << "size " << dag.size() << " window " << min_depth << "-" << max_depth;
+  }
+}
+
+// The scale-2k shape: most transactions are tips. A core of generations, 12
+// wide, where transaction j approves j of the previous generation plus one
+// other, then leaves on the top generation; one leaf in eight approves an
+// older core transaction instead, which pulls that part of the core's depth
+// back to 1 and changes the depths of everything below it.
+TEST(WeightIndex, SampleWalkStartMatchesReferenceOnWideDag) {
+  constexpr std::size_t kWidth = 12;
+  constexpr std::size_t kGenerations = 30;
+  Dag dag({0.0f});
+  Rng grow_rng(111), sample_rng(56), reference_rng(56);
+  for (std::size_t g = 0; g < kGenerations; ++g) {
+    for (std::size_t j = 0; j < kWidth; ++j) {
+      std::vector<TxId> parents{kGenesisTx};
+      if (g > 0) {
+        const TxId previous = 1 + (g - 1) * kWidth;
+        parents = {previous + j, previous + (j + 1 + grow_rng.index(kWidth - 1)) % kWidth};
+      }
+      dag.add_transaction(parents, payload(), static_cast<int>(j), g);
+      expect_starts_match_reference(dag, sample_rng, reference_rng);
+    }
+  }
+  const TxId top = 1 + (kGenerations - 1) * kWidth;
+  for (std::size_t leaf = 0; leaf < 1000; ++leaf) {
+    const auto picks = grow_rng.sample_without_replacement(kWidth, 2);
+    std::vector<TxId> parents{top + picks[0], top + picks[1]};
+    if (leaf % 8 == 7) parents[1] = 1 + grow_rng.index(top - 1);
+    dag.add_transaction(parents, payload(), static_cast<int>(leaf % 7), kGenerations);
+    expect_starts_match_reference(dag, sample_rng, reference_rng);
+  }
+  EXPECT_GE(dag.tips().size() * 10, dag.size() * 7) << "not the wide shape";
+}
+
+TEST(WeightIndex, SampleWalkStartMatchesReferenceOnChain) {
+  Dag dag({0.0f});
+  Rng sample_rng(57), reference_rng(57);
+  TxId chain = kGenesisTx;
+  for (std::size_t i = 1; i < 80; ++i) {
+    chain = dag.add_transaction({chain}, payload(), 0, i);
+    expect_starts_match_reference(dag, sample_rng, reference_rng);
+  }
+  ASSERT_EQ(dag.tips(), std::vector<TxId>{chain});
+}
+
+// A DAG restored from a checkpoint rebuilds its depth index from the
+// restored transactions alone: it must sample the same starts as the
+// original from the same rng, before and after both grow further.
+TEST(WeightIndex, SampleWalkStartMatchesAfterCheckpointRestore) {
+  Dag original({0.0f});
+  Rng grow_rng(112);
+  for (std::size_t i = 1; i < 300; ++i) grow(original, grow_rng, i);
+  Rng warm(1);
+  (void)original.sample_walk_start(warm, 2, 5);  // a built index must not leak into the save
+
+  snapshot::Writer w;
+  snapshot::Access::save_dag(w, original);
+  // Restore over a longer chain whose depth index is built, so a cache the
+  // restore fails to drop would show.
+  Dag restored({0.0f});
+  TxId chain = kGenesisTx;
+  for (std::size_t i = 1; i < 400; ++i) chain = restored.add_transaction({chain}, payload(), 0, i);
+  (void)restored.sample_walk_start(warm, 2, 5);
+  snapshot::Reader r(w.buffer());
+  snapshot::Access::restore_dag(r, restored);
+  ASSERT_EQ(restored.size(), original.size());
+
+  Rng original_rng(58), restored_rng(58);
+  for (std::size_t i = 300; i < 360; ++i) {
+    for (const auto& [min_depth, max_depth] : kWindows) {
+      ASSERT_EQ(restored.sample_walk_start(restored_rng, min_depth, max_depth),
+                original.sample_walk_start(original_rng, min_depth, max_depth))
+          << "size " << original.size();
+    }
+    Rng grow_a(i), grow_b(i);
+    grow(original, grow_a, i);
+    grow(restored, grow_b, i);
+  }
+  Rng sample_rng(59), reference_rng(59);
+  expect_starts_match_reference(restored, sample_rng, reference_rng);
+}
+
 TEST(WeightIndex, SampleWalkStartServesMultipleDepthWindows) {
   Dag dag({0.0f});
   TxId chain = kGenesisTx;
@@ -199,9 +299,9 @@ TEST(WeightIndex, DagWeightSummaryUsesIndexConsistently) {
                    sum / static_cast<double>(reference.size() - 1));
 }
 
-// The Weighted selector's version-checked snapshot reuse must survive a
-// mask being set and cleared (the scratch must not leak masked weights into
-// unmasked walks or vice versa).
+// A Weighted selector must walk the same once a mask is set and cleared:
+// its masked-sweep scratch must not leak masked weights into unmasked walks
+// (which read the live index) or vice versa.
 TEST(WeightIndex, SelectorSnapshotSurvivesMaskTransitions) {
   Dag dag({0.0f});
   Rng rng(108);
@@ -223,7 +323,7 @@ TEST(WeightIndex, SelectorSnapshotSurvivesMaskTransitions) {
   EXPECT_EQ(masked_then_unmasked.select_tips(dag, 3, walk_rng_b),
             always_unmasked.select_tips(dag, 3, walk_rng_c));
 
-  // And growing the DAG invalidates the cached snapshot (version check).
+  // And both keep walking alike after the DAG grows.
   for (std::size_t i = 0; i < 30; ++i) grow(dag, rng, 90 + i);
   Rng walk_rng_d(11);
   Rng walk_rng_e(11);
@@ -231,9 +331,8 @@ TEST(WeightIndex, SelectorSnapshotSurvivesMaskTransitions) {
             always_unmasked.select_tips(dag, 3, walk_rng_e));
 }
 
-// Equal-sized DAGs share a version value; the selector's snapshot cache
-// must key on DAG identity too, or a reused selector would walk DAG B with
-// DAG A's weights.
+// Equal-sized DAGs share a version value; a selector reused across them
+// must walk DAG B with DAG B's weights, never weights kept from DAG A.
 TEST(WeightIndex, SelectorSnapshotNotReusedAcrossDags) {
   Rng rng_a(201), rng_b(202);
   Dag dag_a({0.0f}), dag_b({0.0f});
@@ -246,9 +345,68 @@ TEST(WeightIndex, SelectorSnapshotNotReusedAcrossDags) {
   tipsel::WeightedTipSelector reused(2.0);
   tipsel::WeightedTipSelector fresh(2.0);
   Rng warm(12);
-  (void)reused.select_tips(dag_a, 2, warm);  // caches dag_a's snapshot
+  (void)reused.select_tips(dag_a, 2, warm);
   Rng walk_a(13), walk_b(13);
   EXPECT_EQ(reused.select_tips(dag_b, 3, walk_a), fresh.select_tips(dag_b, 3, walk_b));
+}
+
+// The two weight sources of the Weighted walk: an always-true mask takes
+// the masked sweep (once per walk), no mask reads the live incremental
+// index per step. With the same rng they must pick exactly the same tips,
+// across appends between walks and from depth-sampled starts.
+TEST(WeightedTipSelector, AlwaysTrueMaskMatchesLiveIndexAcrossAppends) {
+  Dag dag({0.0f});
+  Rng grow_rng(113);
+  for (std::size_t i = 1; i < 150; ++i) grow(dag, grow_rng, i);
+  tipsel::WeightedTipSelector live(0.5);
+  tipsel::WeightedTipSelector masked(0.5);
+  masked.set_visibility_mask([](const Dag&, TxId) { return true; });
+  for (auto* selector : {&live, &masked}) {
+    selector->set_walk_start(tipsel::WalkStart::kDepthSampled);
+    selector->set_start_depth(1, 3);
+  }
+  Rng live_rng(14), masked_rng(14);
+  for (std::size_t walk = 0; walk < 60; ++walk) {
+    ASSERT_EQ(live.select_tips(dag, 2, live_rng), masked.select_tips(dag, 2, masked_rng))
+        << "walk " << walk << " size " << dag.size();
+    ASSERT_EQ(live.last_stats().steps, masked.last_stats().steps);
+    for (std::size_t k = 0; k <= walk % 3; ++k) grow(dag, grow_rng, 150 + walk);
+  }
+}
+
+// Readers walk (depth-sampled, live weights) and read children with their
+// weights while a writer appends: every tip is a real transaction and every
+// weight lies in [1, DAG size].
+TEST(WeightedTipSelector, ConcurrentDepthSampledWalksDuringAppends) {
+  Dag dag({0.0f});
+  Rng grow_rng(114);
+  for (std::size_t i = 1; i < 50; ++i) grow(dag, grow_rng, i);
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> readers;
+  for (std::uint64_t reader = 0; reader < 3; ++reader) {
+    readers.emplace_back([&dag, &stop, reader] {
+      tipsel::WeightedTipSelector selector(1.0);
+      selector.set_walk_start(tipsel::WalkStart::kDepthSampled);
+      selector.set_start_depth(1, 3);
+      Rng rng(300 + reader);
+      std::vector<TxId> children;
+      std::vector<std::size_t> weights;
+      for (std::size_t iteration = 0; !stop.load() || iteration < 20; ++iteration) {
+        for (TxId tip : selector.select_tips(dag, 2, rng)) ASSERT_LT(tip, dag.size());
+        dag.children_with_weights_into(rng.index(dag.size()), children, weights);
+        const std::size_t size = dag.size();
+        ASSERT_EQ(children.size(), weights.size());
+        for (std::size_t weight : weights) {
+          ASSERT_GE(weight, 1u);
+          ASSERT_LE(weight, size);
+        }
+      }
+    });
+  }
+  for (std::size_t i = 0; i < 400; ++i) grow(dag, grow_rng, 50 + i);
+  stop = true;
+  for (auto& reader : readers) reader.join();
+  EXPECT_EQ(dag.cumulative_weights_all(), dag.cumulative_weights_reference());
 }
 
 }  // namespace
