@@ -32,12 +32,13 @@ bool same_train_config(const fl::TrainConfig& a, const fl::TrainConfig& b) {
 
 SpecializingDag::SpecializingDag(nn::ModelFactory factory, fl::DagClientConfig default_config,
                                  std::uint64_t seed, store::StoreConfig store_config)
-    : factory_(std::move(factory)),
-      default_config_(default_config),
+    : default_config_(default_config),
       root_rng_(seed),
-      dag_(make_genesis_weights(factory_, seed), store_config),
+      dag_(make_genesis_weights(factory, seed), store_config),
       eval_cache_(std::make_shared<store::ShardedEvalCache>(store_config.eval_cache_shards)),
-      arch_supported_(nn::BatchExecutor::architecture_supported(factory_)) {}
+      arch_supported_(nn::BatchExecutor::architecture_supported(factory)),
+      replicas_(nn::make_replica_pool(factory)),
+      executors_([factory] { return std::make_unique<nn::BatchExecutor>(factory); }) {}
 
 int SpecializingDag::register_client(const data::ClientData* client_data) {
   return register_client(client_data, default_config_);
@@ -49,8 +50,8 @@ int SpecializingDag::register_client(const data::ClientData* client_data,
   Rng client_rng = root_rng_.fork(0xC0DE0000ULL + static_cast<std::uint64_t>(handle));
   auto cache_view = std::make_shared<store::ClientEvalCacheView>(
       eval_cache_, client_data != nullptr ? client_data->client_id : handle);
-  clients_.push_back(std::make_unique<fl::DagClient>(client_data, factory_, config, client_rng,
-                                                     std::move(cache_view)));
+  clients_.push_back(std::make_unique<fl::DagClient>(client_data, replicas_, config,
+                                                     client_rng, std::move(cache_view)));
   return handle;
 }
 
@@ -74,23 +75,6 @@ dag::TxId SpecializingDag::commit(int handle, const fl::DagRoundResult& result,
 
 bool SpecializingDag::batch_exec_enabled() const {
   return arch_supported_ && default_config_.train.batch > 0;
-}
-
-std::unique_ptr<nn::BatchExecutor> SpecializingDag::acquire_executor() {
-  {
-    std::lock_guard<std::mutex> lock(exec_mutex_);
-    if (!exec_pool_.empty()) {
-      std::unique_ptr<nn::BatchExecutor> exec = std::move(exec_pool_.back());
-      exec_pool_.pop_back();
-      return exec;
-    }
-  }
-  return std::make_unique<nn::BatchExecutor>(factory_);
-}
-
-void SpecializingDag::release_executor(std::unique_ptr<nn::BatchExecutor> exec) {
-  std::lock_guard<std::mutex> lock(exec_mutex_);
-  exec_pool_.push_back(std::move(exec));
 }
 
 void SpecializingDag::prepare_batch(const std::vector<std::vector<int>>& chains,
@@ -163,7 +147,7 @@ void SpecializingDag::prepare_batch(const std::vector<std::vector<int>>& chains,
     const std::size_t begin = g * max_lanes;
     const std::size_t end = std::min(begin + max_lanes, fused.size());
     const std::size_t nlanes = end - begin;
-    std::unique_ptr<nn::BatchExecutor> exec = acquire_executor();
+    const nn::LeasePool<nn::BatchExecutor>::Lease exec = executors_.acquire();
     std::vector<fl::BatchTrainLane> lanes(nlanes);
     for (std::size_t l = 0; l < nlanes; ++l) {
       const auto [i, j] = fused[begin + l];
@@ -209,7 +193,6 @@ void SpecializingDag::prepare_batch(const std::vector<std::vector<int>>& chains,
       }
       r.eval_seconds = eval_timer.elapsed_seconds();
     }
-    release_executor(std::move(exec));
   };
   if (pool != nullptr && num_groups > 1) {
     pool->parallel_for(num_groups, run_group);
@@ -224,6 +207,17 @@ dag::TxId SpecializingDag::consensus_reference(int handle) {
 
 nn::WeightVector SpecializingDag::consensus_weights(int handle) {
   return *dag_.weights(consensus_reference(handle));
+}
+
+std::vector<fl::EvalResult> SpecializingDag::evaluate_consensus_all() {
+  std::vector<fl::EvalResult> evals(clients_.size());
+  for (std::size_t h = 0; h < clients_.size(); ++h) {
+    const dag::WeightsPtr consensus = dag_.weights(consensus_reference(static_cast<int>(h)));
+    // Leased after the walk, which leases its own for accuracy-biased steps.
+    const nn::ReplicaPool::Lease model = replicas_.acquire();
+    evals[h] = fl::evaluate_weights_on_test(*model, *consensus, clients_[h]->client());
+  }
+  return evals;
 }
 
 void SpecializingDag::invalidate_client_cache(int handle) {

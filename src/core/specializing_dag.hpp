@@ -7,18 +7,19 @@
 //   auto result = net.client_step(me, round);   // walk, average, train, publish
 //   auto weights = net.consensus_weights(me);   // my personalized consensus model
 //
-// Internally it owns the transaction DAG (genesis = the initial model) and
-// one fl::DagClient per registered participant. The round-based simulator
+// Internally it owns the transaction DAG (genesis = the initial model), one
+// fl::DagClient per registered participant, and the pools of model replicas
+// and fused executors the clients lease from. The round-based simulator
 // (sim::DagSimulator) and the examples are both thin layers over this class.
 #pragma once
 
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "dag/dag.hpp"
 #include "fl/dag_client.hpp"
 #include "nn/batch_executor.hpp"
+#include "nn/lease_pool.hpp"
 #include "store/eval_cache.hpp"
 
 namespace specdag {
@@ -75,6 +76,11 @@ class SpecializingDag {
   dag::TxId consensus_reference(int handle);
   nn::WeightVector consensus_weights(int handle);
 
+  // Every client's consensus model evaluated on that client's test data, in
+  // handle order. Runs each client's consensus walk (advancing its rng) and
+  // evaluates the payload in place on a leased replica.
+  std::vector<fl::EvalResult> evaluate_consensus_all();
+
   // Must be called for a client whose local data changed (e.g. poisoning).
   void invalidate_client_cache(int handle);
 
@@ -88,21 +94,22 @@ class SpecializingDag {
   // The sharded evaluation cache shared by every registered client.
   const std::shared_ptr<store::ShardedEvalCache>& eval_cache() const { return eval_cache_; }
 
- private:
-  // Reusable fused executors (SoA buffers are expensive to regrow): group
-  // tasks check one out for the duration of a train+eval pass.
-  std::unique_ptr<nn::BatchExecutor> acquire_executor();
-  void release_executor(std::unique_ptr<nn::BatchExecutor> exec);
+  // The model replicas every client leases for training and evaluation.
+  // Grows to the peak number of concurrent leases, not the client count.
+  nn::ReplicaPool& replicas() { return replicas_; }
 
-  nn::ModelFactory factory_;
+ private:
   fl::DagClientConfig default_config_;
   Rng root_rng_;
   dag::Dag dag_;
   std::shared_ptr<store::ShardedEvalCache> eval_cache_;
-  std::vector<std::unique_ptr<fl::DagClient>> clients_;
   bool arch_supported_ = false;
-  std::mutex exec_mutex_;
-  std::vector<std::unique_ptr<nn::BatchExecutor>> exec_pool_;
+  nn::ReplicaPool replicas_;
+  // Fused executors (SoA buffers are expensive to regrow): a group task
+  // leases one for its train+eval pass.
+  nn::LeasePool<nn::BatchExecutor> executors_;
+  // After the pools: clients hold a pointer to replicas_ and die first.
+  std::vector<std::unique_ptr<fl::DagClient>> clients_;
 };
 
 }  // namespace specdag::core

@@ -7,15 +7,13 @@
 
 namespace specdag::fl {
 
-DagClient::DagClient(const data::ClientData* client, nn::ModelFactory factory,
+DagClient::DagClient(const data::ClientData* client, nn::ReplicaPool& replicas,
                      DagClientConfig config, Rng rng,
                      std::shared_ptr<tipsel::AccuracyCache> shared_cache)
     : client_(client),
-      factory_(std::move(factory)),
+      replicas_(&replicas),
       config_(config),
       rng_(rng),
-      model_(factory_()),
-      eval_model_(factory_()),
       cache_(config.persistent_accuracy_cache
                  ? (shared_cache ? std::move(shared_cache)
                                  : std::make_shared<tipsel::TxAccuracyCache>())
@@ -29,7 +27,8 @@ DagClient::DagClient(const data::ClientData* client, nn::ModelFactory factory,
 }
 
 double DagClient::evaluate_payload(const nn::WeightVector& weights) {
-  return evaluate_weights_on_test(eval_model_, weights, *client_).accuracy;
+  const nn::ReplicaPool::Lease model = replicas_->acquire();
+  return evaluate_weights_on_test(*model, weights, *client_).accuracy;
 }
 
 std::unique_ptr<tipsel::TipSelector> DagClient::make_selector() {
@@ -123,16 +122,18 @@ DagRoundResult DagClient::prepare_round(const dag::Dag& dag) {
   WalkPhase phase = prepare_walks(dag);
   DagRoundResult result = std::move(phase.result);
 
-  // Train the averaged model on local data.
-  model_.set_weights(phase.averaged);
+  // One replica serves training and both gate evaluations: every use loads
+  // its weights first. Train the averaged model on local data.
+  const nn::ReplicaPool::Lease model = replicas_->acquire();
+  model->set_weights(phase.averaged);
   Timer train_timer;
   {
     obs::ScopedSpan span("train",
                          {{"client", static_cast<std::uint64_t>(client_->client_id)}});
-    result.train_loss = train_local_sgd(model_, *client_, config_.train, phase.train_rng);
+    result.train_loss = train_local_sgd(*model, *client_, config_.train, phase.train_rng);
   }
   result.train_seconds = train_timer.elapsed_seconds();
-  result.trained_weights = std::make_shared<const nn::WeightVector>(model_.get_weights());
+  result.trained_weights = std::make_shared<const nn::WeightVector>(model->get_weights());
   result.averaged_base = std::make_shared<const nn::WeightVector>(std::move(phase.averaged));
 
   // Publish gate inputs: trained and reference model on local test data.
@@ -141,7 +142,7 @@ DagRoundResult DagClient::prepare_round(const dag::Dag& dag) {
     obs::ScopedSpan span("eval",
                          {{"client", static_cast<std::uint64_t>(client_->client_id)}});
     result.trained_eval =
-        evaluate_weights_on_test(eval_model_, *result.trained_weights, *client_);
+        evaluate_weights_on_test(*model, *result.trained_weights, *client_);
   }
   result.eval_seconds = eval_timer.elapsed_seconds();
   eval_timer.reset();
@@ -149,7 +150,7 @@ DagRoundResult DagClient::prepare_round(const dag::Dag& dag) {
     obs::ScopedSpan span("eval",
                          {{"client", static_cast<std::uint64_t>(client_->client_id)}});
     result.reference_eval =
-        evaluate_weights_on_test(eval_model_, *phase.reference_weights, *client_);
+        evaluate_weights_on_test(*model, *phase.reference_weights, *client_);
   }
   result.eval_seconds += eval_timer.elapsed_seconds();
   return result;

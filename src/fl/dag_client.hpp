@@ -13,6 +13,7 @@
 #include "data/dataset.hpp"
 #include "fl/evaluation.hpp"
 #include "fl/trainer.hpp"
+#include "nn/lease_pool.hpp"
 #include "tipsel/tip_selector.hpp"
 
 namespace specdag::snapshot {
@@ -98,13 +99,15 @@ struct WalkPhase {
 
 class DagClient {
  public:
-  // `client` must outlive the DagClient. The client trains a private model
-  // replica created by `factory`. `shared_cache` (optional) is a view into
-  // the simulation-wide sharded evaluation cache
+  // `client` and `replicas` must outlive the DagClient. The client owns no
+  // model: it leases a replica from `replicas` for each training or
+  // evaluation and loads the weights into it first, so replicas carry no
+  // client state and many clients share a few. `shared_cache` (optional) is
+  // a view into the simulation-wide sharded evaluation cache
   // (store::ClientEvalCacheView); without one the client falls back to a
   // private per-transaction map. Either way the cache is only consulted
   // when `config.persistent_accuracy_cache` is set.
-  DagClient(const data::ClientData* client, nn::ModelFactory factory, DagClientConfig config,
+  DagClient(const data::ClientData* client, nn::ReplicaPool& replicas, DagClientConfig config,
             Rng rng, std::shared_ptr<tipsel::AccuracyCache> shared_cache = nullptr);
 
   // Executes steps 1-4. Mutates only the client's own state; `publish` on
@@ -151,11 +154,9 @@ class DagClient {
   double evaluate_payload(const nn::WeightVector& weights);
 
   const data::ClientData* client_;
-  nn::ModelFactory factory_;
+  nn::ReplicaPool* replicas_;
   DagClientConfig config_;
   Rng rng_;
-  nn::Sequential model_;       // training replica
-  nn::Sequential eval_model_;  // separate replica so walks don't clobber training state
   std::shared_ptr<tipsel::AccuracyCache> cache_;
   std::unique_ptr<tipsel::TipSelector> selector_;
 };

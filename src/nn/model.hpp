@@ -60,7 +60,8 @@ class Sequential {
 };
 
 // Constructs a fresh, architecture-identical model; every experiment defines
-// one of these so clients/servers can instantiate private model replicas.
+// one of these. DAG clients lease replicas built with it from a shared
+// nn::ReplicaPool; the FL baselines build one scratch replica each.
 using ModelFactory = std::function<Sequential()>;
 
 // Elementwise average of weight vectors (all must be the same length).

@@ -45,8 +45,7 @@ std::size_t AttackController::run_random_weights(std::size_t unit, dag::Dag& dag
 bool AttackController::measure_at(std::size_t unit) const { return spec_.measure_at(unit); }
 
 LabelFlipProbe AttackController::probe_label_flip(core::SpecializingDag& net,
-                                                  const data::FederatedDataset& dataset,
-                                                  nn::Sequential& probe) {
+                                                  const data::FederatedDataset& dataset) {
   LabelFlipProbe result;
   std::size_t benign = 0;
   for (std::size_t i = 0; i < dataset.clients.size(); ++i) {
@@ -54,7 +53,8 @@ LabelFlipProbe AttackController::probe_label_flip(core::SpecializingDag& net,
     if (client.poisoned) continue;
     const dag::TxId reference = net.consensus_reference(static_cast<int>(i));
     const dag::WeightsPtr weights = net.dag().weights(reference);
-    result.flip_rate += fl::flip_rate(probe, *weights, client, spec_.label_flip.class_a,
+    const nn::ReplicaPool::Lease probe = net.replicas().acquire();
+    result.flip_rate += fl::flip_rate(*probe, *weights, client, spec_.label_flip.class_a,
                                       spec_.label_flip.class_b);
     result.approved_poisoned +=
         static_cast<double>(metrics::approved_poisoned_count(net.dag(), reference));

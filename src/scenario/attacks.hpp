@@ -121,9 +121,10 @@ class AttackController {
 
   // Figure 12/13 probes: walks every benign client's consensus reference and
   // evaluates the flip rate of the referenced model plus the poisoned
-  // transactions it approves. Uses the clients' own walk configuration.
+  // transactions it approves. Uses the clients' own walk configuration and a
+  // replica leased from `net`.
   LabelFlipProbe probe_label_flip(core::SpecializingDag& net,
-                                  const data::FederatedDataset& dataset, nn::Sequential& probe);
+                                  const data::FederatedDataset& dataset);
 
   // The id attacker transactions publish under (outside the client range).
   int attacker_id() const { return attacker_id_; }

@@ -6,7 +6,6 @@
 #include <fstream>
 #include <map>
 #include <memory>
-#include <optional>
 #include <stdexcept>
 
 #include "dag/export.hpp"
@@ -195,13 +194,10 @@ void maybe_write_checkpoint(const ScenarioSpec& spec, std::size_t completed,
 // The DAG loop's attack step: publish the junk transactions due this unit,
 // then run the label-flip probes when scheduled.
 void run_attack_step(std::size_t unit, AttackController& attacks, core::SpecializingDag& net,
-                     const data::FederatedDataset& dataset,
-                     std::optional<nn::Sequential>& probe, const nn::ModelFactory& factory,
-                     ScenarioPoint& point) {
+                     const data::FederatedDataset& dataset, ScenarioPoint& point) {
   point.attacker_transactions = attacks.run_random_weights(unit, net.dag());
   if (!attacks.measure_at(unit)) return;
-  if (!probe) probe.emplace(factory());
-  const LabelFlipProbe measured = attacks.probe_label_flip(net, dataset, *probe);
+  const LabelFlipProbe measured = attacks.probe_label_flip(net, dataset);
   point.has_attack_metrics = true;
   point.flip_rate = measured.flip_rate;
   point.approved_poisoned = measured.approved_poisoned;
@@ -297,9 +293,8 @@ void fill_community_metrics(const ScenarioSpec& spec, const data::FederatedDatas
 
 // Shared final-metrics computation over the (finished) DAG network.
 void finalize_result(const ScenarioSpec& spec, const data::FederatedDataset& dataset,
-                     const nn::ModelFactory& factory, core::SpecializingDag& net,
-                     AttackController& attacks, const RunOptions& options,
-                     ScenarioResult& result) {
+                     core::SpecializingDag& net, AttackController& attacks,
+                     const RunOptions& options, ScenarioResult& result) {
   std::vector<int> true_clusters;
   for (const auto& client : dataset.clients) true_clusters.push_back(client.true_cluster);
 
@@ -347,12 +342,8 @@ void finalize_result(const ScenarioSpec& spec, const data::FederatedDataset& dat
   result.tips = weights.tips;
 
   if (spec.evaluate_consensus) {
-    nn::Sequential replica = factory();
     double sum = 0.0;
-    for (std::size_t i = 0; i < dataset.clients.size(); ++i) {
-      const nn::WeightVector consensus = net.consensus_weights(static_cast<int>(i));
-      sum += fl::evaluate_weights_on_test(replica, consensus, dataset.clients[i]).accuracy;
-    }
+    for (const fl::EvalResult& eval : net.evaluate_consensus_all()) sum += eval.accuracy;
     result.consensus_accuracy = sum / static_cast<double>(dataset.clients.size());
   }
 
@@ -439,7 +430,6 @@ ScenarioResult run_dag_scenario(const ScenarioSpec& spec, sim::ExperimentPreset 
 
   const std::vector<int> churned = churn_targets(spec, num_clients);
   AttackController attacks(spec.attacks, spec.seed, num_clients);
-  std::optional<nn::Sequential> probe;
   ObsRoundSampler obs_sampler;
 
   std::size_t start_unit = 0;
@@ -474,8 +464,7 @@ ScenarioResult run_dag_scenario(const ScenarioSpec& spec, sim::ExperimentPreset 
       point.mean_loss = loss / count;
       point.mean_walk_evaluations = walk_evals / count;
     }
-    run_attack_step(unit, attacks, simulator.network(), simulator.dataset(), probe,
-                    preset.factory, point);
+    run_attack_step(unit, attacks, simulator.network(), simulator.dataset(), point);
     point.dag_size = simulator.dag().size();
     point.active_clients = simulator.active_client_count();
     point.partitioned = simulator.partitioned();
@@ -493,8 +482,7 @@ ScenarioResult run_dag_scenario(const ScenarioSpec& spec, sim::ExperimentPreset 
   result.perf = simulator.perf();
   result.prepare_threads = simulator.prepare_threads();
   if (control.finalize) {
-    finalize_result(spec, simulator.dataset(), preset.factory, simulator.network(), attacks,
-                    options, result);
+    finalize_result(spec, simulator.dataset(), simulator.network(), attacks, options, result);
   }
   return result;
 }

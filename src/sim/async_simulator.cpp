@@ -216,7 +216,7 @@ void AsyncDagSimulator::process_step_batch(std::vector<AsyncStepRecord>& records
 
   // Prepare phase: all deferred steps observe the same DAG (no commit
   // happened since the batch began). Steps of the same client are chained
-  // in event order — client state (model replica, walk RNG) is sequential.
+  // in event order — client state (walk RNG, visibility mask) is sequential.
   std::vector<std::vector<std::size_t>> per_client;  // indices into `steps`
   std::unordered_map<int, std::size_t> client_slot;
   for (std::size_t i = 0; i < steps.size(); ++i) {

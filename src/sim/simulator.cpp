@@ -34,7 +34,6 @@ DagSimulator::DagSimulator(data::FederatedDataset dataset, nn::ModelFactory fact
                            SimulatorConfig config)
     : dataset_(std::move(dataset)),
       config_(config),
-      factory_(factory),
       net_(std::move(factory), config.client, config.seed, config.store),
       round_rng_(Rng(config.seed).fork(0x520D)),
       louvain_rng_(Rng(config.seed).fork(0x10CA)) {
@@ -249,16 +248,6 @@ metrics::LouvainResult DagSimulator::louvain_communities() {
 
 double DagSimulator::client_graph_modularity() {
   return louvain_communities().modularity;
-}
-
-std::vector<fl::EvalResult> DagSimulator::evaluate_consensus_all() {
-  std::vector<fl::EvalResult> evals(dataset_.clients.size());
-  nn::Sequential replica = factory_();
-  for (std::size_t i = 0; i < dataset_.clients.size(); ++i) {
-    const nn::WeightVector weights = net_.consensus_weights(static_cast<int>(i));
-    evals[i] = fl::evaluate_weights_on_test(replica, weights, dataset_.clients[i]);
-  }
-  return evals;
 }
 
 }  // namespace specdag::sim

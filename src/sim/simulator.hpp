@@ -110,7 +110,7 @@ class DagSimulator {
 
   // Evaluates each client's *consensus* model on its local test data (the
   // personalized model a participant would use for inference).
-  std::vector<fl::EvalResult> evaluate_consensus_all();
+  std::vector<fl::EvalResult> evaluate_consensus_all() { return net_.evaluate_consensus_all(); }
 
   const dag::Dag& dag() const { return net_.dag(); }
   const data::FederatedDataset& dataset() const { return dataset_; }
@@ -141,7 +141,6 @@ class DagSimulator {
 
   data::FederatedDataset dataset_;
   SimulatorConfig config_;
-  nn::ModelFactory factory_;
   core::SpecializingDag net_;
   Rng round_rng_;
   Rng louvain_rng_;

@@ -58,7 +58,8 @@ struct Access {
   static void restore_eval_cache(Reader& r, store::ShardedEvalCache& cache);
 
   // Every registered client's RNG stream (the only persistent mutable
-  // per-client state: model replicas are rebuilt from the DAG each round).
+  // per-client state: clients own no model, they lease pooled replicas and
+  // load weights from the DAG).
   static void save_client_rngs(Writer& w, core::SpecializingDag& net);
   static void restore_client_rngs(Reader& r, core::SpecializingDag& net);
 

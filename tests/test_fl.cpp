@@ -247,6 +247,7 @@ TEST(FedServer, SampleWeightingDiffersFromUniform) {
 TEST(DagClient, RunRoundPublishesWhenImproving) {
   const auto ds = tiny_dataset();
   auto factory = tiny_factory(ds);
+  nn::ReplicaPool replicas = nn::make_replica_pool(factory);
   nn::Sequential genesis_model = factory();
   Rng genesis_rng(15);
   genesis_model.init_params(genesis_rng);
@@ -254,7 +255,7 @@ TEST(DagClient, RunRoundPublishesWhenImproving) {
 
   DagClientConfig config;
   config.train = {1, 10, 10, 0.1};
-  DagClient client(&ds.clients[0], factory, config, Rng(16));
+  DagClient client(&ds.clients[0], replicas, config, Rng(16));
   const DagRoundResult result = client.run_round(dag, 1);
   // Training from random genesis weights practically always improves.
   EXPECT_TRUE(result.did_publish());
@@ -266,6 +267,7 @@ TEST(DagClient, RunRoundPublishesWhenImproving) {
 TEST(DagClient, GateBlocksWorseModels) {
   const auto ds = tiny_dataset();
   auto factory = tiny_factory(ds);
+  nn::ReplicaPool replicas = nn::make_replica_pool(factory);
   nn::Sequential model = factory();
   Rng rng(17);
   model.init_params(rng);
@@ -274,7 +276,7 @@ TEST(DagClient, GateBlocksWorseModels) {
   DagClientConfig config;
   config.train = {1, 1, 2, 1e-6};  // training barely changes anything
   config.publish_if_equal = false;
-  DagClient client(&ds.clients[0], factory, config, Rng(18));
+  DagClient client(&ds.clients[0], replicas, config, Rng(18));
   const DagRoundResult result = client.run_round(dag, 1);
   // Equal accuracy with strict gate -> no publish.
   if (result.trained_eval.accuracy == result.reference_eval.accuracy) {
@@ -286,6 +288,7 @@ TEST(DagClient, GateBlocksWorseModels) {
 TEST(DagClient, GateDisabledAlwaysPublishes) {
   const auto ds = tiny_dataset();
   auto factory = tiny_factory(ds);
+  nn::ReplicaPool replicas = nn::make_replica_pool(factory);
   nn::Sequential model = factory();
   Rng rng(19);
   model.init_params(rng);
@@ -294,7 +297,7 @@ TEST(DagClient, GateDisabledAlwaysPublishes) {
   DagClientConfig config;
   config.train = {1, 1, 2, 1e-9};
   config.publish_gate = false;
-  DagClient client(&ds.clients[0], factory, config, Rng(20));
+  DagClient client(&ds.clients[0], replicas, config, Rng(20));
   const DagRoundResult result = client.run_round(dag, 1);
   EXPECT_TRUE(result.did_publish());
 }
@@ -302,23 +305,25 @@ TEST(DagClient, GateDisabledAlwaysPublishes) {
 TEST(DagClient, RequiresTestData) {
   const auto ds = tiny_dataset();
   auto factory = tiny_factory(ds);
+  nn::ReplicaPool replicas = nn::make_replica_pool(factory);
   data::ClientData no_test = ds.clients[0];
   no_test.test_x.clear();
   no_test.test_y.clear();
   DagClientConfig config;
-  EXPECT_THROW(DagClient(&no_test, factory, config, Rng(21)), std::invalid_argument);
-  EXPECT_THROW(DagClient(nullptr, factory, config, Rng(22)), std::invalid_argument);
+  EXPECT_THROW(DagClient(&no_test, replicas, config, Rng(21)), std::invalid_argument);
+  EXPECT_THROW(DagClient(nullptr, replicas, config, Rng(22)), std::invalid_argument);
 }
 
 TEST(DagClient, CommitWithoutPrepareThrows) {
   const auto ds = tiny_dataset();
   auto factory = tiny_factory(ds);
+  nn::ReplicaPool replicas = nn::make_replica_pool(factory);
   nn::Sequential model = factory();
   Rng rng(23);
   model.init_params(rng);
   dag::Dag dag(model.get_weights());
   DagClientConfig config;
-  DagClient client(&ds.clients[0], factory, config, Rng(24));
+  DagClient client(&ds.clients[0], replicas, config, Rng(24));
   DagRoundResult empty;
   EXPECT_THROW(client.commit_round(dag, empty, 0), std::logic_error);
 }
@@ -326,12 +331,13 @@ TEST(DagClient, CommitWithoutPrepareThrows) {
 TEST(DagClient, WalkStatsPopulated) {
   const auto ds = tiny_dataset();
   auto factory = tiny_factory(ds);
+  nn::ReplicaPool replicas = nn::make_replica_pool(factory);
   nn::Sequential model = factory();
   Rng rng(25);
   model.init_params(rng);
   dag::Dag dag(model.get_weights());
   DagClientConfig config;
-  DagClient client(&ds.clients[0], factory, config, Rng(26));
+  DagClient client(&ds.clients[0], replicas, config, Rng(26));
   client.run_round(dag, 1);
   const DagRoundResult second = client.run_round(dag, 2);
   EXPECT_GT(second.walk_stats.steps, 0u);
@@ -341,13 +347,14 @@ TEST(DagClient, WalkStatsPopulated) {
 TEST(DagClient, RandomSelectorIgnoresAccuracy) {
   const auto ds = tiny_dataset();
   auto factory = tiny_factory(ds);
+  nn::ReplicaPool replicas = nn::make_replica_pool(factory);
   nn::Sequential model = factory();
   Rng rng(27);
   model.init_params(rng);
   dag::Dag dag(model.get_weights());
   DagClientConfig config;
   config.selector = SelectorKind::kRandom;
-  DagClient client(&ds.clients[0], factory, config, Rng(28));
+  DagClient client(&ds.clients[0], replicas, config, Rng(28));
   const DagRoundResult result = client.run_round(dag, 1);
   EXPECT_EQ(result.walk_stats.evaluations, 0u);  // random walk never evaluates
 }
