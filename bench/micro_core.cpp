@@ -153,35 +153,8 @@ void BM_BatchedTrainStep(benchmark::State& state) {
 }
 BENCHMARK(BM_BatchedTrainStep)->Arg(1)->Arg(2)->Arg(4)->Arg(16);
 
-// K candidate models evaluated on one client's test split in a single fused
-// pass — the shared input block feeds the multi-RHS matmul. The shape is one
-// fig15-walks walk step (80 samples per client, so 8 test rows, and the
-// 256 -> 32 -> 10 MLP); a step has 2.2 candidates on average, so the
-// per-lane time at small K against K=1 says whether fusing them pays.
-void BM_BatchedEvaluate(benchmark::State& state) {
-  const auto k = static_cast<std::size_t>(state.range(0));
-  const auto ds = batch_exec_dataset(2, 80);
-  auto factory = sim::make_mlp_factory(shape_numel(ds.element_shape), 32, 10);
-  nn::BatchExecutor exec(factory);
-  std::vector<nn::WeightVector> models(k);
-  std::vector<const nn::WeightVector*> ptrs(k);
-  for (std::size_t m = 0; m < k; ++m) {
-    nn::Sequential model = factory();
-    Rng init_rng(200 + m);
-    model.init_params(init_rng);
-    models[m] = model.get_weights();
-    ptrs[m] = &models[m];
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(fl::evaluate_models_batched(exec, ptrs, ds.clients[0]));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(k));
-}
-BENCHMARK(BM_BatchedEvaluate)->Arg(1)->Arg(2)->Arg(3)->Arg(4)->Arg(8);
-
-// The blocked multi-RHS kernel against K independent matmul_into calls on
-// the same operands (the executor's shared-activation forward).
+// K right-hand sides against one shared left operand. matmul_multi_rhs is a
+// loop of matmul_into over the lanes; the row stays as a kernel-ladder rung.
 void BM_MatmulMultiRhs(benchmark::State& state) {
   const auto k = static_cast<std::size_t>(state.range(0));
   const std::size_t m = 30, kk = 256, n = 32;
@@ -205,28 +178,6 @@ void BM_MatmulMultiRhs(benchmark::State& state) {
                           static_cast<std::int64_t>(k * m * kk * n));
 }
 BENCHMARK(BM_MatmulMultiRhs)->Arg(1)->Arg(4)->Arg(16);
-
-void BM_MatmulMultiRhsScalarLoop(benchmark::State& state) {
-  const auto k = static_cast<std::size_t>(state.range(0));
-  const std::size_t m = 30, kk = 256, n = 32;
-  Rng rng(11);
-  std::vector<float> a(m * kk);
-  for (auto& v : a) v = static_cast<float>(rng.uniform(-1.0, 1.0));
-  std::vector<std::vector<float>> bs(k, std::vector<float>(kk * n));
-  std::vector<std::vector<float>> cs(k, std::vector<float>(m * n));
-  for (std::size_t l = 0; l < k; ++l) {
-    for (auto& v : bs[l]) v = static_cast<float>(rng.uniform(-1.0, 1.0));
-  }
-  for (auto _ : state) {
-    for (std::size_t l = 0; l < k; ++l) {
-      matmul_into(a.data(), bs[l].data(), cs[l].data(), m, kk, n);
-    }
-    benchmark::DoNotOptimize(cs);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(k * m * kk * n));
-}
-BENCHMARK(BM_MatmulMultiRhsScalarLoop)->Arg(1)->Arg(4)->Arg(16);
 
 // Full accuracy-biased tip selection on a pre-built DAG of the given size.
 void BM_AccuracyTipSelection(benchmark::State& state) {

@@ -19,9 +19,9 @@
 //                  background pipeline (results are bit-identical; this is
 //                  the attribution/debug switch for store.async_encode)
 //   --no-batch-exec  disable the fused multi-client executor (train.batch=0)
-//                  and train/evaluate every client through the scalar
-//                  per-model path (results are bit-identical; this is the
-//                  perf-comparison oracle switch)
+//                  and train every client through the scalar per-model path
+//                  (results are bit-identical; this is the perf-comparison
+//                  oracle switch)
 //   --algorithm A  override the algorithm (dag|fedavg|fedprox|gossip)
 //   --attack SPEC  replace the spec's adversary schedule: none,
 //                  random_weights[=RATE], label_flip[=FRACTION]. Each

@@ -135,12 +135,12 @@ void SpecializingDag::prepare_batch(const std::vector<std::vector<int>>& chains,
 
   static obs::Counter& batches_counter = obs::Registry::counter("train.batches");
   static obs::Counter& lanes_counter = obs::Registry::counter("train.fused_lanes");
-  static obs::Counter& eval_models_counter = obs::Registry::counter("eval.batched_models");
 
-  // Phases B/C — fused train + eval in groups of at most train.batch lanes.
-  // Groups pipeline across pool workers: one group evaluates while the next
-  // trains. Wall time of a group is attributed evenly to its lanes so the
-  // perf buckets still sum to the measured total.
+  // Phases B/C — fused training in groups of at most train.batch lanes, then
+  // each lane's scalar gate evaluation. Groups pipeline across pool workers:
+  // one group evaluates while the next trains. Training wall time of a group
+  // is attributed evenly to its lanes so the perf buckets still sum to the
+  // measured total.
   const std::size_t max_lanes = std::max<std::size_t>(1, default_config_.train.batch);
   const std::size_t num_groups = (fused.size() + max_lanes - 1) / max_lanes;
   const auto run_group = [&](std::size_t g) {
@@ -174,24 +174,7 @@ void SpecializingDag::prepare_batch(const std::vector<std::vector<int>>& chains,
       // along as the commit's delta-encode base, like the scalar path's.
       r.averaged_base =
           std::make_shared<const nn::WeightVector>(std::move(ctxs[i][j].averaged));
-    }
-    for (std::size_t l = 0; l < nlanes; ++l) {
-      const auto [i, j] = fused[begin + l];
-      fl::DagRoundResult& r = results[i][j];
-      Timer eval_timer;
-      {
-        obs::ScopedSpan span(
-            "exec.eval",
-            {{"client", static_cast<std::uint64_t>(lanes[l].client->client_id)}});
-        const std::vector<const nn::WeightVector*> models = {
-            r.trained_weights.get(), ctxs[i][j].reference_weights.get()};
-        const std::vector<fl::EvalResult> evals =
-            fl::evaluate_models_batched(*exec, models, *lanes[l].client);
-        r.trained_eval = evals[0];
-        r.reference_eval = evals[1];
-        eval_models_counter.add(models.size());
-      }
-      r.eval_seconds = eval_timer.elapsed_seconds();
+      client(chains[i][j]).evaluate_gate(r, *ctxs[i][j].reference_weights);
     }
   };
   if (pool != nullptr && num_groups > 1) {

@@ -60,14 +60,16 @@ class SpecializingDag {
   // fall back to the scalar path individually inside prepare_batch.
   bool batch_exec_enabled() const;
 
-  // Batched counterpart of prepare() over per-client step chains: chains[i]
-  // is a sequence of client handles whose steps run in order against the
-  // current DAG snapshot (the same handle may repeat within a chain — an
-  // async step batch). Walk phases run per chain (parallel across chains on
-  // `pool` when given); the train/eval finish is fused across chains into
-  // SoA groups of at most `train.batch` lanes, each group pipelining
-  // train -> eval on a pool worker. results[i][j] receives chains[i][j]'s
-  // round result, bit-identical to calling prepare() in chain order.
+  // How both simulators prepare a group of steps: the batched counterpart of
+  // prepare() over per-client step chains. chains[i] is a sequence of client
+  // handles whose steps run in order against the current DAG snapshot (the
+  // same handle may repeat within a chain — an async step batch). Walk
+  // phases run per chain (parallel across chains on `pool` when given).
+  // When batch_exec_enabled(), local training is fused across chains into
+  // SoA groups of at most `train.batch` lanes, and each group then runs its
+  // lanes' scalar gate evaluations on the same pool worker; otherwise each
+  // step runs prepare() whole. results[i][j] receives chains[i][j]'s round
+  // result, bit-identical to calling prepare() in chain order.
   void prepare_batch(const std::vector<std::vector<int>>& chains,
                      std::vector<std::vector<fl::DagRoundResult>>& results, ThreadPool* pool);
 
@@ -106,7 +108,7 @@ class SpecializingDag {
   bool arch_supported_ = false;
   nn::ReplicaPool replicas_;
   // Fused executors (SoA buffers are expensive to regrow): a group task
-  // leases one for its train+eval pass.
+  // leases one for its training pass.
   nn::LeasePool<nn::BatchExecutor> executors_;
   // After the pools: clients hold a pointer to replicas_ and die first.
   std::vector<std::unique_ptr<fl::DagClient>> clients_;

@@ -122,38 +122,39 @@ DagRoundResult DagClient::prepare_round(const dag::Dag& dag) {
   WalkPhase phase = prepare_walks(dag);
   DagRoundResult result = std::move(phase.result);
 
-  // One replica serves training and both gate evaluations: every use loads
-  // its weights first. Train the averaged model on local data.
-  const nn::ReplicaPool::Lease model = replicas_->acquire();
-  model->set_weights(phase.averaged);
-  Timer train_timer;
+  // Train the averaged model on local data.
   {
-    obs::ScopedSpan span("train",
-                         {{"client", static_cast<std::uint64_t>(client_->client_id)}});
-    result.train_loss = train_local_sgd(*model, *client_, config_.train, phase.train_rng);
+    const nn::ReplicaPool::Lease model = replicas_->acquire();
+    model->set_weights(phase.averaged);
+    Timer train_timer;
+    {
+      obs::ScopedSpan span("train",
+                           {{"client", static_cast<std::uint64_t>(client_->client_id)}});
+      result.train_loss = train_local_sgd(*model, *client_, config_.train, phase.train_rng);
+    }
+    result.train_seconds = train_timer.elapsed_seconds();
+    result.trained_weights = std::make_shared<const nn::WeightVector>(model->get_weights());
   }
-  result.train_seconds = train_timer.elapsed_seconds();
-  result.trained_weights = std::make_shared<const nn::WeightVector>(model->get_weights());
   result.averaged_base = std::make_shared<const nn::WeightVector>(std::move(phase.averaged));
-
-  // Publish gate inputs: trained and reference model on local test data.
-  Timer eval_timer;
-  {
-    obs::ScopedSpan span("eval",
-                         {{"client", static_cast<std::uint64_t>(client_->client_id)}});
-    result.trained_eval =
-        evaluate_weights_on_test(*model, *result.trained_weights, *client_);
-  }
-  result.eval_seconds = eval_timer.elapsed_seconds();
-  eval_timer.reset();
-  {
-    obs::ScopedSpan span("eval",
-                         {{"client", static_cast<std::uint64_t>(client_->client_id)}});
-    result.reference_eval =
-        evaluate_weights_on_test(*model, *phase.reference_weights, *client_);
-  }
-  result.eval_seconds += eval_timer.elapsed_seconds();
+  evaluate_gate(result, *phase.reference_weights);
   return result;
+}
+
+void DagClient::evaluate_gate(DagRoundResult& result,
+                              const nn::WeightVector& reference_weights) const {
+  const nn::ReplicaPool::Lease model = replicas_->acquire();
+  const auto evaluate = [&](const nn::WeightVector& weights, EvalResult& out) {
+    Timer eval_timer;
+    {
+      obs::ScopedSpan span("eval",
+                           {{"client", static_cast<std::uint64_t>(client_->client_id)}});
+      out = evaluate_weights_on_test(*model, weights, *client_);
+    }
+    result.eval_seconds += eval_timer.elapsed_seconds();
+  };
+  result.eval_seconds = 0.0;
+  evaluate(*result.trained_weights, result.trained_eval);
+  evaluate(reference_weights, result.reference_eval);
 }
 
 dag::TxId DagClient::commit_round(dag::Dag& dag, const DagRoundResult& result,

@@ -87,9 +87,9 @@ struct DagRoundResult {
 
 // Intermediate state of a round after the walk phases but before training.
 // Produced by DagClient::prepare_walks so a batched executor can fuse the
-// train/eval phases of many clients: training from `averaged` with
-// `train_rng` and evaluating the trained + reference weights completes the
-// round bit-identically to prepare_round.
+// local training of many clients: training from `averaged` with `train_rng`
+// and then DagClient::evaluate_gate completes the round bit-identically to
+// prepare_round.
 struct WalkPhase {
   DagRoundResult result;              // parents/reference/walk_stats filled
   nn::WeightVector averaged;          // training start point (tip average)
@@ -120,9 +120,16 @@ class DagClient {
   // the forked train_rng (never rng_ or the accuracy cache), so running the
   // reference walk before training draws exactly the same random sequence as
   // prepare_round — results stay bit-identical. prepare_round itself is a
-  // thin wrapper over this plus the scalar train/eval finish; batched
-  // executors fuse the finish across many clients instead.
+  // thin wrapper over this, scalar training and evaluate_gate; batched
+  // executors fuse the training across many clients instead.
   WalkPhase prepare_walks(const dag::Dag& dag);
+
+  // Publish gate inputs (paper §4.1): evaluates the trained weights of
+  // `result` and `reference_weights` on the local test data, filling
+  // trained_eval, reference_eval and eval_seconds. Leases its own replica.
+  // prepare_round and fused training (which skips prepare_round's scalar
+  // train) both finish a round through this.
+  void evaluate_gate(DagRoundResult& result, const nn::WeightVector& reference_weights) const;
 
   // Appends the prepared transaction to the DAG if the gate passed.
   // Returns the published id (or kInvalidTx).

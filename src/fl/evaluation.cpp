@@ -41,47 +41,6 @@ EvalResult evaluate_weights_on_test(nn::Sequential& model, const nn::WeightVecto
   return evaluate_model(model, client.test_x, client.test_y, client.element_shape);
 }
 
-std::vector<EvalResult> evaluate_models_batched(nn::BatchExecutor& exec,
-                                                const std::vector<const nn::WeightVector*>& models,
-                                                const data::ClientData& client,
-                                                std::size_t chunk) {
-  if (models.empty()) throw std::invalid_argument("evaluate_models_batched: no models");
-  if (chunk == 0) throw std::invalid_argument("evaluate_models_batched: zero chunk");
-  if (client.num_test() == 0) {
-    throw std::invalid_argument("evaluate_models_batched: client has no test data");
-  }
-  const std::vector<int>& y = client.test_y;
-  const std::size_t k = models.size();
-  exec.begin(k);
-  for (std::size_t l = 0; l < k; ++l) exec.load_weights(l, *models[l]);
-  std::vector<EvalResult> results(k);
-  std::vector<double> loss_sums(k, 0.0);
-  std::vector<std::size_t> correct(k, 0);
-  std::vector<int> preds;
-  for (std::size_t begin = 0; begin < y.size(); begin += chunk) {
-    const std::size_t end = std::min(begin + chunk, y.size());
-    std::vector<std::size_t> indices(end - begin);
-    for (std::size_t i = 0; i < indices.size(); ++i) indices[i] = begin + i;
-    data::Batch batch =
-        data::gather_batch(client.test_x, y, client.element_shape, indices);
-    exec.forward_shared(batch.inputs, /*train=*/false);
-    for (std::size_t l = 0; l < k; ++l) {
-      loss_sums[l] +=
-          exec.loss(l, batch.labels) * static_cast<double>(batch.labels.size());
-      exec.predict(l, preds);
-      for (std::size_t i = 0; i < preds.size(); ++i) {
-        if (preds[i] == batch.labels[i]) ++correct[l];
-      }
-    }
-  }
-  for (std::size_t l = 0; l < k; ++l) {
-    results[l].num_examples = y.size();
-    results[l].loss = loss_sums[l] / static_cast<double>(y.size());
-    results[l].accuracy = static_cast<double>(correct[l]) / static_cast<double>(y.size());
-  }
-  return results;
-}
-
 double flip_rate(nn::Sequential& model, const nn::WeightVector& weights,
                  const data::ClientData& client, int class_a, int class_b) {
   if (class_a == class_b) throw std::invalid_argument("flip_rate: identical classes");

@@ -5,7 +5,6 @@
 #pragma once
 
 #include "data/dataset.hpp"
-#include "nn/batch_executor.hpp"
 #include "nn/loss.hpp"
 #include "nn/model.hpp"
 
@@ -26,16 +25,6 @@ EvalResult evaluate_model(nn::Sequential& model, const std::vector<float>& x,
 // Loads `weights` into `model` and evaluates on the client's test partition.
 EvalResult evaluate_weights_on_test(nn::Sequential& model, const nn::WeightVector& weights,
                                     const data::ClientData& client);
-
-// Evaluates several weight vectors on one client's test partition in a single
-// batched pass: each test chunk is gathered once and forwarded through all
-// models simultaneously (shared-input multi-RHS path). Per model, the chunk
-// boundaries, loss, and accuracy arithmetic replicate evaluate_model exactly,
-// so results are bit-identical to evaluate_weights_on_test per weight vector.
-std::vector<EvalResult> evaluate_models_batched(nn::BatchExecutor& exec,
-                                                const std::vector<const nn::WeightVector*>& models,
-                                                const data::ClientData& client,
-                                                std::size_t chunk = 64);
 
 // Flipped-prediction rate (Figure 12): among the client's test samples
 // labeled `class_a` or `class_b`, the fraction predicted as the respective

@@ -79,7 +79,7 @@ void train_local_batched(nn::BatchExecutor& exec, std::vector<BatchTrainLane>& l
     }
     for (std::size_t b = 0; b < config.local_batches; ++b) {
       for (std::size_t l = 0; l < k; ++l) inputs[l] = &epoch_batches[l][b].inputs;
-      exec.forward(inputs, /*train=*/true);
+      exec.forward(inputs);
       for (std::size_t l = 0; l < k; ++l) {
         lanes[l].train_loss += exec.loss_and_grad(l, epoch_batches[l][b].labels);
       }

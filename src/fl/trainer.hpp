@@ -20,10 +20,11 @@ struct TrainConfig {
   // their gradients are dropped before every optimizer step. 0 trains the
   // full model. E.g. 2 freezes the first Dense layer's weight and bias.
   std::size_t freeze_prefix_params = 0;
-  // Max clients fused per BatchExecutor group ("train.batch" in scenario
-  // specs). 0 disables batched execution entirely — the scalar per-client
-  // path is the oracle the batched one is pinned against. Results are
-  // bit-identical either way; this only trades memory for throughput.
+  // Max clients whose local training is fused into one BatchExecutor group
+  // ("train.batch" in scenario specs). 0 disables fused training — the
+  // scalar per-client path is the oracle the fused one is pinned against.
+  // Evaluation always runs on the scalar path. Results are bit-identical
+  // either way; this only trades memory for throughput.
   std::size_t batch = 16;
 };
 

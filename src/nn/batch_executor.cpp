@@ -14,38 +14,28 @@
 namespace specdag::nn {
 namespace soa {
 
-// One SoA value block: either `lanes` lane-major owned slices of `stride`
-// floats, one shared slice, or external views into caller/sibling storage.
+// One SoA value block: `lanes` lane-major owned slices of `stride` floats,
+// or per-lane external views into caller/sibling storage.
 struct Block {
-  bool shared = false;
   std::size_t stride = 0;                  // floats per lane
   std::vector<float> data;                 // owned storage (lane-major)
-  std::vector<const float*> ext;           // external views (size 1 if shared)
+  std::vector<const float*> ext;           // external views, one per lane
 
-  void own(std::size_t nlanes, std::size_t s, bool sh) {
-    shared = sh;
+  void own(std::size_t nlanes, std::size_t s) {
     stride = s;
     ext.clear();
-    data.resize(sh ? s : nlanes * s);
-  }
-  void view_shared(const float* p, std::size_t s) {
-    shared = true;
-    stride = s;
-    data.clear();
-    ext.assign(1, p);
+    data.resize(nlanes * s);
   }
   void view_lanes(std::vector<const float*> ps, std::size_t s) {
-    shared = false;
     stride = s;
     data.clear();
     ext = std::move(ps);
   }
 
   const float* lane(std::size_t l) const {
-    if (!ext.empty()) return shared ? ext[0] : ext[l];
-    return data.data() + (shared ? 0 : l * stride);
+    return ext.empty() ? data.data() + l * stride : ext[l];
   }
-  float* mlane(std::size_t l) { return data.data() + (shared ? 0 : l * stride); }
+  float* mlane(std::size_t l) { return data.data() + l * stride; }
 };
 
 // Batched counterpart of one nn::Layer. Owns its output activations and its
@@ -63,8 +53,7 @@ class BatchedLayer {
   virtual void sgd_step(float, std::size_t, std::size_t) {}
 
   virtual Shape infer(const Shape& in) const = 0;
-  virtual void forward(const Block& in, const Shape& in_shape, std::size_t nlanes,
-                       bool train) = 0;
+  virtual void forward(const Block& in, const Shape& in_shape, std::size_t nlanes) = 0;
   // `need_gin` is false when no parameterized layer sits below this one: the
   // input gradient would be dead, so the layer may skip producing gin().
   virtual void backward(const Block& grad_out, std::size_t nlanes, bool need_gin) = 0;
@@ -120,26 +109,10 @@ class BDense final : public BatchedLayer {
     return {in[0], dout_};
   }
 
-  void forward(const Block& in, const Shape& in_shape, std::size_t nlanes,
-               bool /*train*/) override {
+  void forward(const Block& in, const Shape& in_shape, std::size_t nlanes) override {
     batch_ = in_shape[0];
     x_ = &in;
-    out_.own(nlanes, batch_ * dout_, false);
-    if (in.shared) {
-      // All lanes consume one activation matrix: stream it once through the
-      // multi-RHS kernel instead of nlanes separate matmuls.
-      mr_bs_.resize(nlanes);
-      mr_cs_.resize(nlanes);
-      for (std::size_t l = 0; l < nlanes; ++l) {
-        mr_bs_[l] = w_.data() + l * din_ * dout_;
-        mr_cs_[l] = out_.mlane(l);
-      }
-      matmul_multi_rhs(in.lane(0), mr_bs_.data(), mr_cs_.data(), nlanes, batch_, din_, dout_);
-      for (std::size_t l = 0; l < nlanes; ++l) {
-        add_row_bias_into(out_.mlane(l), b_.data() + l * dout_, batch_, dout_);
-      }
-      return;
-    }
+    out_.own(nlanes, batch_ * dout_);
     for (std::size_t l = 0; l < nlanes; ++l) {
       matmul_into(in.lane(l), w_.data() + l * din_ * dout_, out_.mlane(l), batch_, din_, dout_);
       add_row_bias_into(out_.mlane(l), b_.data() + l * dout_, batch_, dout_);
@@ -147,7 +120,7 @@ class BDense final : public BatchedLayer {
   }
 
   void backward(const Block& grad_out, std::size_t nlanes, bool need_gin) override {
-    if (need_gin) gin_.own(nlanes, batch_ * din_, false);
+    if (need_gin) gin_.own(nlanes, batch_ * din_);
     for (std::size_t l = 0; l < nlanes; ++l) {
       const float* g = grad_out.lane(l);
       // Grads start at +0.0 (zeroed by set_lanes / the previous sgd_step),
@@ -177,8 +150,6 @@ class BDense final : public BatchedLayer {
   std::size_t batch_ = 0;
   std::vector<float> w_, b_, gw_, gb_;
   const Block* x_ = nullptr;
-  std::vector<const float*> mr_bs_;
-  std::vector<float*> mr_cs_;
 };
 
 // --------------------------------------------------- elementwise layers ---
@@ -190,13 +161,11 @@ class BActivation final : public BatchedLayer {
 
   Shape infer(const Shape& in) const override { return in; }
 
-  void forward(const Block& in, const Shape& in_shape, std::size_t nlanes,
-               bool /*train*/) override {
+  void forward(const Block& in, const Shape& in_shape, std::size_t nlanes) override {
     numel_ = shape_product(in_shape);
     x_ = &in;
-    out_.own(nlanes, numel_, in.shared);
-    const std::size_t active = in.shared ? 1 : nlanes;
-    for (std::size_t l = 0; l < active; ++l) {
+    out_.own(nlanes, numel_);
+    for (std::size_t l = 0; l < nlanes; ++l) {
       const float* src = in.lane(l);
       float* dst = out_.mlane(l);
       switch (kind_) {
@@ -215,7 +184,7 @@ class BActivation final : public BatchedLayer {
 
   void backward(const Block& grad_out, std::size_t nlanes, bool need_gin) override {
     if (!need_gin) return;
-    gin_.own(nlanes, numel_, false);
+    gin_.own(nlanes, numel_);
     for (std::size_t l = 0; l < nlanes; ++l) {
       float* g = gin_.mlane(l);
       std::memcpy(g, grad_out.lane(l), numel_ * sizeof(float));
@@ -250,17 +219,11 @@ class BFlatten final : public BatchedLayer {
     return {in[0], shape_product(in) / in[0]};
   }
 
-  void forward(const Block& in, const Shape& in_shape, std::size_t nlanes,
-               bool /*train*/) override {
+  void forward(const Block& in, const Shape& in_shape, std::size_t nlanes) override {
     // Pure reshape: expose views of the input block, no copy.
-    const std::size_t numel = shape_product(in_shape);
-    if (in.shared) {
-      out_.view_shared(in.lane(0), numel);
-    } else {
-      std::vector<const float*> views(nlanes);
-      for (std::size_t l = 0; l < nlanes; ++l) views[l] = in.lane(l);
-      out_.view_lanes(std::move(views), numel);
-    }
+    std::vector<const float*> views(nlanes);
+    for (std::size_t l = 0; l < nlanes; ++l) views[l] = in.lane(l);
+    out_.view_lanes(std::move(views), shape_product(in_shape));
   }
 
   void backward(const Block& grad_out, std::size_t nlanes, bool need_gin) override {
@@ -315,36 +278,20 @@ class BConv final : public BatchedLayer {
     return {in[0], spec_.out_channels, spec_.out_dim(in[2]), spec_.out_dim(in[3])};
   }
 
-  void forward(const Block& in, const Shape& in_shape, std::size_t nlanes,
-               bool train) override {
+  void forward(const Block& in, const Shape& in_shape, std::size_t nlanes) override {
     in_shape_ = in_shape;
     const std::size_t n = in_shape[0], h = in_shape[2], w = in_shape[3];
     const std::size_t oc = spec_.out_channels;
     positions_ = spec_.out_dim(h) * spec_.out_dim(w);
     const std::size_t rows = n * positions_;
-    out_.own(nlanes, n * oc * positions_, false);
+    out_.own(nlanes, n * oc * positions_);
     out_cols_.resize(rows * oc);
-    if (train) {
-      // Cache each lane's im2col for backward, exactly like the scalar layer.
-      cols_.resize(nlanes * rows * ckk_);
-      for (std::size_t l = 0; l < nlanes; ++l) {
-        float* cl = cols_.data() + l * rows * ckk_;
-        im2col_into(in.lane(l), n, h, w, spec_, cl);
-        lane_matmul(cl, l, rows, oc);
-      }
-      return;
-    }
-    if (in.shared) {
-      // One im2col feeds every lane's filter GEMM.
-      ecols_.resize(rows * ckk_);
-      im2col_into(in.lane(0), n, h, w, spec_, ecols_.data());
-      for (std::size_t l = 0; l < nlanes; ++l) lane_matmul(ecols_.data(), l, rows, oc);
-      return;
-    }
-    ecols_.resize(rows * ckk_);
+    // Cache each lane's im2col for backward, exactly like the scalar layer.
+    cols_.resize(nlanes * rows * ckk_);
     for (std::size_t l = 0; l < nlanes; ++l) {
-      im2col_into(in.lane(l), n, h, w, spec_, ecols_.data());
-      lane_matmul(ecols_.data(), l, rows, oc);
+      float* cl = cols_.data() + l * rows * ckk_;
+      im2col_into(in.lane(l), n, h, w, spec_, cl);
+      lane_matmul(cl, l, rows, oc);
     }
   }
 
@@ -352,7 +299,7 @@ class BConv final : public BatchedLayer {
     const std::size_t n = in_shape_[0], h = in_shape_[2], w = in_shape_[3];
     const std::size_t oc = spec_.out_channels;
     const std::size_t rows = n * positions_;
-    if (need_gin) gin_.own(nlanes, n * spec_.in_channels * h * w, false);
+    if (need_gin) gin_.own(nlanes, n * spec_.in_channels * h * w);
     gcols_.resize(rows * oc);
     dcols_.resize(rows * ckk_);
     for (std::size_t l = 0; l < nlanes; ++l) {
@@ -390,8 +337,7 @@ class BConv final : public BatchedLayer {
   std::size_t positions_ = 0;
   Shape in_shape_;
   std::vector<float> w_, b_, gw_, gb_;
-  std::vector<float> cols_;   // per-lane im2col cache (train)
-  std::vector<float> ecols_;  // eval/shared im2col scratch
+  std::vector<float> cols_;  // per-lane im2col cache for backward
   std::vector<float> out_cols_, gcols_, dcols_;
 };
 
@@ -408,16 +354,14 @@ class BMaxPool final : public BatchedLayer {
     return {in[0], in[1], (in[2] - size_) / stride_ + 1, (in[3] - size_) / stride_ + 1};
   }
 
-  void forward(const Block& in, const Shape& in_shape, std::size_t nlanes,
-               bool /*train*/) override {
+  void forward(const Block& in, const Shape& in_shape, std::size_t nlanes) override {
     in_shape_ = in_shape;
     const std::size_t n = in_shape[0], c = in_shape[1], h = in_shape[2], w = in_shape[3];
     const std::size_t oh = (h - size_) / stride_ + 1, ow = (w - size_) / stride_ + 1;
     out_numel_ = n * c * oh * ow;
-    out_.own(nlanes, out_numel_, in.shared);
-    const std::size_t active = in.shared ? 1 : nlanes;
-    argmax_.resize(active * out_numel_);
-    for (std::size_t l = 0; l < active; ++l) {
+    out_.own(nlanes, out_numel_);
+    argmax_.resize(nlanes * out_numel_);
+    for (std::size_t l = 0; l < nlanes; ++l) {
       maxpool2d_forward_into(in.lane(l), n, c, h, w, size_, stride_, out_.mlane(l),
                              argmax_.data() + l * out_numel_);
     }
@@ -426,7 +370,7 @@ class BMaxPool final : public BatchedLayer {
   void backward(const Block& grad_out, std::size_t nlanes, bool need_gin) override {
     if (!need_gin) return;
     const std::size_t in_numel = shape_product(in_shape_);
-    gin_.own(nlanes, in_numel, false);
+    gin_.own(nlanes, in_numel);
     for (std::size_t l = 0; l < nlanes; ++l) {
       float* g = gin_.mlane(l);
       std::fill(g, g + in_numel, 0.0f);
@@ -535,8 +479,9 @@ WeightVector BatchExecutor::gradients(std::size_t lane) const {
   return out;
 }
 
-void BatchExecutor::forward(const std::vector<const Tensor*>& inputs, bool train) {
+void BatchExecutor::forward(const std::vector<const Tensor*>& inputs) {
   require_supported();
+  if (lanes_ == 0) throw std::logic_error("BatchExecutor: begin() not called");
   if (inputs.size() != lanes_) {
     throw std::invalid_argument("BatchExecutor::forward: input count != lanes");
   }
@@ -545,27 +490,14 @@ void BatchExecutor::forward(const std::vector<const Tensor*>& inputs, bool train
       throw std::invalid_argument("BatchExecutor::forward: lane input shapes differ");
     }
   }
-  input_shape_ = inputs[0]->shape();
   std::vector<const float*> views(lanes_);
   for (std::size_t l = 0; l < lanes_; ++l) views[l] = inputs[l]->raw();
   input_->view_lanes(std::move(views), inputs[0]->numel());
-  run_forward(train);
-}
-
-void BatchExecutor::forward_shared(const Tensor& input, bool train) {
-  require_supported();
-  input_shape_ = input.shape();
-  input_->view_shared(input.raw(), input.numel());
-  run_forward(train);
-}
-
-void BatchExecutor::run_forward(bool train) {
-  if (lanes_ == 0) throw std::logic_error("BatchExecutor: begin() not called");
-  Shape shape = input_shape_;
+  Shape shape = inputs[0]->shape();
   const soa::Block* cur = input_.get();
   for (auto& layer : layers_) {
     Shape out_shape = layer->infer(shape);
-    layer->forward(*cur, shape, lanes_, train);
+    layer->forward(*cur, shape, lanes_);
     cur = &layer->out();
     shape = std::move(out_shape);
   }
@@ -575,11 +507,6 @@ void BatchExecutor::run_forward(bool train) {
   logits_blk_ = cur;
   logit_rows_ = shape[0];
   logit_cols_ = shape[1];
-}
-
-const float* BatchExecutor::logits(std::size_t lane) const {
-  if (logits_blk_ == nullptr) throw std::logic_error("BatchExecutor::logits: no forward yet");
-  return logits_blk_->lane(lane);
 }
 
 namespace {
@@ -609,7 +536,7 @@ double BatchExecutor::loss_and_grad(std::size_t lane, const std::vector<int>& la
   if (labels.size() != batch) {
     throw std::invalid_argument("BatchExecutor::loss_and_grad: batch size mismatch");
   }
-  seed_->own(lanes_, batch * classes, false);
+  seed_->own(lanes_, batch * classes);
   float* probs = seed_->mlane(lane);
   std::memcpy(probs, logits_blk_->lane(lane), batch * classes * sizeof(float));
   softmax_rows(probs, batch, classes);
@@ -623,35 +550,6 @@ double BatchExecutor::loss_and_grad(std::size_t lane, const std::vector<int>& la
     for (std::size_t c = 0; c < classes; ++c) row[c] *= inv_batch;
   }
   return total / static_cast<double>(batch);
-}
-
-double BatchExecutor::loss(std::size_t lane, const std::vector<int>& labels) {
-  if (logits_blk_ == nullptr) throw std::logic_error("BatchExecutor::loss: no forward yet");
-  const std::size_t batch = logit_rows_, classes = logit_cols_;
-  if (labels.size() != batch) {
-    throw std::invalid_argument("BatchExecutor::loss: batch size mismatch");
-  }
-  prob_scratch_.resize(batch * classes);
-  std::memcpy(prob_scratch_.data(), logits_blk_->lane(lane),
-              batch * classes * sizeof(float));
-  softmax_rows(prob_scratch_.data(), batch, classes);
-  double total = 0.0;
-  for (std::size_t r = 0; r < batch; ++r) {
-    const float p = std::max(
-        prob_scratch_[r * classes + static_cast<std::size_t>(labels[r])], 1e-12f);
-    total -= std::log(p);
-  }
-  return total / static_cast<double>(batch);
-}
-
-void BatchExecutor::predict(std::size_t lane, std::vector<int>& out) const {
-  if (logits_blk_ == nullptr) throw std::logic_error("BatchExecutor::predict: no forward yet");
-  const float* rows = logits_blk_->lane(lane);
-  out.resize(logit_rows_);
-  for (std::size_t r = 0; r < logit_rows_; ++r) {
-    const float* row = rows + r * logit_cols_;
-    out[r] = static_cast<int>(std::max_element(row, row + logit_cols_) - row);
-  }
 }
 
 void BatchExecutor::backward() {

@@ -1,6 +1,8 @@
-// Struct-of-arrays batch executor: runs forward / backward / SGD for K
-// same-architecture models ("lanes") with one pass over each layer op
-// instead of K separate `Sequential` walks.
+// Struct-of-arrays batch executor: trains K same-architecture models
+// ("lanes") with one forward / backward / SGD pass over each layer op
+// instead of K separate `Sequential` walks. It only trains: evaluation
+// (walk steps and the publish gate alike) runs on a scalar `Sequential`,
+// where fusing measured no faster.
 //
 // Every client in a run shares one `ModelFactory`, so per-client training is
 // K identical layer graphs over different weight vectors. The executor
@@ -8,8 +10,7 @@
 // activation/grad block per layer boundary, and fuses the element-wise ops
 // (SGD step, ReLU) across the whole block via the runtime-dispatched SIMD
 // kernels in tensor/lanes.hpp. Matrix products run per lane with the exact
-// scalar kernels — or, when all lanes share one input (multi-model
-// evaluation), through the shared-A multi-RHS matmul.
+// scalar kernels.
 //
 // Bit-identity contract: for any lane count, lane l's results (logits,
 // losses, gradients, stepped weights) are bit-for-bit what a scalar
@@ -62,30 +63,17 @@ class BatchExecutor {
   // used by the gradcheck tests.
   WeightVector gradients(std::size_t lane) const;
 
-  // Forward with one input per lane (all the same shape). The input tensors
-  // must outlive the matching backward() call. `train` caches activations.
-  void forward(const std::vector<const Tensor*>& inputs, bool train);
-  // Forward with a single input shared by every lane (multi-model eval):
-  // layers before the first parametric one run once, and the first Dense
-  // runs as a shared-A multi-RHS matmul.
-  void forward_shared(const Tensor& input, bool train);
-
-  // Last forward's logits for one lane, row-major [logit_rows, logit_cols].
-  // Valid until the next forward/backward.
-  const float* logits(std::size_t lane) const;
-  std::size_t logit_rows() const { return logit_rows_; }
-  std::size_t logit_cols() const { return logit_cols_; }
+  // Forward with one input per lane (all the same shape), caching the
+  // activations backward() needs. The input tensors must outlive the
+  // matching backward() call.
+  void forward(const std::vector<const Tensor*>& inputs);
 
   // Replicates nn::softmax_cross_entropy for one lane: returns the mean loss
   // and seeds that lane's backward gradient with d(loss)/d(logits).
   double loss_and_grad(std::size_t lane, const std::vector<int>& labels);
-  // Replicates nn::softmax_cross_entropy_loss (no gradient seed).
-  double loss(std::size_t lane, const std::vector<int>& labels);
-  // Replicates nn::predict_classes on one lane's logits.
-  void predict(std::size_t lane, std::vector<int>& out) const;
 
   // Backpropagates every lane's seeded logit gradient, accumulating into the
-  // SoA gradient blocks. Requires a preceding forward(train=true).
+  // SoA gradient blocks. Requires a preceding forward().
   void backward();
 
   // Fused `w -= lr * g; g = 0` over every parameter block. The first
@@ -96,20 +84,17 @@ class BatchExecutor {
 
  private:
   void require_supported() const;
-  void run_forward(bool train);
 
   bool supported_ = false;
   std::size_t num_weights_ = 0;
   std::size_t lanes_ = 0;
   std::size_t logit_rows_ = 0;
   std::size_t logit_cols_ = 0;
-  Shape input_shape_;
 
   std::vector<std::unique_ptr<soa::BatchedLayer>> layers_;
   std::unique_ptr<soa::Block> input_;      // lane views over caller tensors
   std::unique_ptr<soa::Block> seed_;       // d(loss)/d(logits), lane-major
   const soa::Block* logits_blk_ = nullptr;
-  std::vector<float> prob_scratch_;        // row softmax scratch for loss()
 };
 
 }  // namespace specdag::nn

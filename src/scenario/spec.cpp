@@ -370,6 +370,22 @@ void ScenarioSpec::validate() const {
   if (broadcast_latency < 0.0) {
     throw std::invalid_argument("scenario: negative broadcast_latency");
   }
+  const fl::TrainConfig& train = client.train;
+  if (train.local_epochs == 0 || train.local_batches == 0 || train.batch_size == 0) {
+    throw std::invalid_argument(
+        "scenario: client.train local_epochs, local_batches and batch_size must be > 0");
+  }
+  if (!(train.learning_rate > 0.0)) {
+    throw std::invalid_argument("scenario: client.train.learning_rate must be > 0");
+  }
+  if (client.num_parents == 0) {
+    throw std::invalid_argument("scenario: client.num_parents must be > 0");
+  }
+  if (client.alpha < 0.0) throw std::invalid_argument("scenario: negative client.alpha");
+  if (client.start_depth_min > client.start_depth_max) {
+    throw std::invalid_argument(
+        "scenario: client.start_depth_min must be <= client.start_depth_max");
+  }
   if (dynamics.churn.enabled()) {
     if (dynamics.churn.fraction >= 1.0) {
       throw std::invalid_argument("scenario: churn.fraction must be < 1 (someone must stay)");

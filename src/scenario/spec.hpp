@@ -26,7 +26,7 @@
 //       "publish_if_equal": true, "reference_walks": 1,
 //       "train": {"local_epochs": 1, "local_batches": 10,
 //                  "batch_size": 10, "learning_rate": 0.05,
-//                  "batch": 16}   // fused-executor lanes; 0 = scalar path
+//                  "batch": 16}   // fused training lanes; 0 = all scalar
 //     },
 //     "dynamics": {
 //       "churn":      {"fraction": 0.3, "leave_round": 10, "rejoin_round": 25},

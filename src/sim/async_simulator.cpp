@@ -229,33 +229,18 @@ void AsyncDagSimulator::process_step_batch(std::vector<AsyncStepRecord>& records
     obs::trace_detail::instant("step_batch", {{"steps", steps.size()},
                                               {"chains", per_client.size()}});
   }
-  if (net_.batch_exec_enabled() && !steps.empty()) {
-    // Fused execution: walks run per chain, train/eval phases run as SoA
-    // groups across chains (bit-identical to the per-client path).
-    std::vector<std::vector<int>> chains(per_client.size());
-    for (std::size_t chain = 0; chain < per_client.size(); ++chain) {
-      chains[chain].reserve(per_client[chain].size());
-      for (std::size_t i : per_client[chain]) chains[chain].push_back(steps[i].client);
-    }
-    std::vector<std::vector<fl::DagRoundResult>> prepared;
-    net_.prepare_batch(chains, prepared, pool_ ? &*pool_ : nullptr);
-    for (std::size_t chain = 0; chain < per_client.size(); ++chain) {
-      for (std::size_t j = 0; j < per_client[chain].size(); ++j) {
-        results[per_client[chain][j]] = std::move(prepared[chain][j]);
-      }
-    }
-  } else {
-    const auto prepare_chain = [&](std::size_t chain) {
-      for (std::size_t i : per_client[chain]) {
-        obs::ScopedSpan span(
-            "prepare", {{"client", static_cast<std::uint64_t>(steps[i].client)}});
-        results[i] = net_.prepare(steps[i].client);
-      }
-    };
-    if (pool_ && per_client.size() > 1) {
-      pool_->parallel_for(per_client.size(), prepare_chain);
-    } else {
-      for (std::size_t chain = 0; chain < per_client.size(); ++chain) prepare_chain(chain);
+  // Walks run per chain, training is fused across chains when the executor
+  // is enabled (bit-identical to the per-client path).
+  std::vector<std::vector<int>> chains(per_client.size());
+  for (std::size_t chain = 0; chain < per_client.size(); ++chain) {
+    chains[chain].reserve(per_client[chain].size());
+    for (std::size_t i : per_client[chain]) chains[chain].push_back(steps[i].client);
+  }
+  std::vector<std::vector<fl::DagRoundResult>> prepared;
+  net_.prepare_batch(chains, prepared, pool_ ? &*pool_ : nullptr);
+  for (std::size_t chain = 0; chain < per_client.size(); ++chain) {
+    for (std::size_t j = 0; j < per_client[chain].size(); ++j) {
+      results[per_client[chain][j]] = std::move(prepared[chain][j]);
     }
   }
 

@@ -136,30 +136,15 @@ const RoundRecord& DagSimulator::run_round() {
   record.results.resize(active.size());
 
   // Prepare phase: all active clients walk/train against the same DAG
-  // snapshot (transactions of this round become visible next round). With
-  // fused execution enabled the clients' train/eval phases run as SoA
-  // groups (bit-identical to the per-client path); otherwise each client
-  // prepares on its own.
-  if (net_.batch_exec_enabled()) {
-    std::vector<std::vector<int>> chains(active.size());
-    for (std::size_t i = 0; i < active.size(); ++i) {
-      chains[i] = {static_cast<int>(active[i])};
-    }
-    std::vector<std::vector<fl::DagRoundResult>> prepared;
-    net_.prepare_batch(chains, prepared, pool_ ? &*pool_ : nullptr);
-    for (std::size_t i = 0; i < active.size(); ++i) {
-      record.results[i] = std::move(prepared[i][0]);
-    }
-  } else if (pool_) {
-    pool_->parallel_for(active.size(), [&](std::size_t i) {
-      obs::ScopedSpan span("prepare", {{"round", round_}, {"client", active[i]}});
-      record.results[i] = net_.prepare(static_cast<int>(active[i]));
-    });
-  } else {
-    for (std::size_t i = 0; i < active.size(); ++i) {
-      obs::ScopedSpan span("prepare", {{"round", round_}, {"client", active[i]}});
-      record.results[i] = net_.prepare(static_cast<int>(active[i]));
-    }
+  // snapshot (transactions of this round become visible next round), each
+  // a chain of one step. prepare_batch fuses their training when the
+  // executor is enabled (bit-identical to the per-client path).
+  std::vector<std::vector<int>> chains(active.size());
+  for (std::size_t i = 0; i < active.size(); ++i) chains[i] = {static_cast<int>(active[i])};
+  std::vector<std::vector<fl::DagRoundResult>> prepared;
+  net_.prepare_batch(chains, prepared, pool_ ? &*pool_ : nullptr);
+  for (std::size_t i = 0; i < active.size(); ++i) {
+    record.results[i] = std::move(prepared[i][0]);
   }
 
   // Phase accounting: tipsel/train/eval are summed over the prepared

@@ -106,7 +106,9 @@ void nchw_to_positions(const float* in, float* cols, std::size_t n, std::size_t 
 // Shared-A multi-RHS matmul: cs[l](m,n) = A(m,k) * bs[l](k,n) for each of
 // `lanes` right-hand sides, bit-identical to matmul_into per lane. It is
 // that loop: interleaving lanes over row blocks of a large A measured no
-// faster, since the blocked kernel already re-reads A from cache.
+// faster, since the blocked kernel already re-reads A from cache. No
+// production code calls it; it stays only as the kernel-ladder row that
+// perfbench reads from micro_core (BM_MatmulMultiRhs).
 void matmul_multi_rhs(const float* a, const float* const* bs, float* const* cs,
                       std::size_t lanes, std::size_t m, std::size_t k, std::size_t n);
 

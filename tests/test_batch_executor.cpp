@@ -1,10 +1,10 @@
 // Bit-identity and gradient correctness of the fused SoA batch executor.
 //
 // The executor's contract is exact: at any group size and thread count,
-// every lane's trained weights, losses, and evaluations are bit-for-bit what
-// the scalar per-client path (Sequential + Sgd) produces. These tests pin
-// that contract at three levels — raw executor train/eval, numeric
-// gradients through the fused backward for every supported layer type, and
+// every lane's trained weights and losses are bit-for-bit what the scalar
+// per-client path (Sequential + Sgd) produces. These tests pin that
+// contract at three levels — raw executor training, numeric gradients
+// through the fused backward for every supported layer type, and
 // whole-simulation histories across train.batch settings. The BatchExec*
 // suites also ride the TSan CI job (fused groups run on pool workers).
 #include <gtest/gtest.h>
@@ -13,13 +13,11 @@
 
 #include "core/specializing_dag.hpp"
 #include "data/synthetic_digits.hpp"
-#include "fl/evaluation.hpp"
 #include "fl/trainer.hpp"
 #include "nn/activations.hpp"
 #include "nn/batch_executor.hpp"
 #include "nn/conv.hpp"
 #include "nn/dense.hpp"
-#include "nn/loss.hpp"
 #include "nn/lstm.hpp"
 #include "sim/async_simulator.hpp"
 #include "sim/models.hpp"
@@ -168,34 +166,6 @@ TEST(BatchExecTest, TrainMatchesScalarBitwiseFrozenPrefix) {
   check_train_bit_identity(mlp_factory(ds), ds, train);
 }
 
-TEST(BatchExecTest, EvalMatchesScalarBitwise) {
-  const auto ds = small_dataset(3);
-  const nn::ModelFactory factory = mlp_factory(ds);
-  // A spread of candidate models, as in multi-walk reference evaluation.
-  std::vector<nn::WeightVector> models(5);
-  for (std::size_t m = 0; m < models.size(); ++m) {
-    nn::Sequential model = factory();
-    Rng rng(300 + m);
-    model.init_params(rng);
-    models[m] = model.get_weights();
-  }
-  std::vector<const nn::WeightVector*> ptrs;
-  for (const auto& m : models) ptrs.push_back(&m);
-
-  nn::Sequential replica = factory();
-  nn::BatchExecutor exec(factory);
-  for (const auto& client : ds.clients) {
-    const std::vector<fl::EvalResult> batched =
-        fl::evaluate_models_batched(exec, ptrs, client);
-    for (std::size_t m = 0; m < models.size(); ++m) {
-      const fl::EvalResult scalar = fl::evaluate_weights_on_test(replica, models[m], client);
-      EXPECT_EQ(batched[m].loss, scalar.loss) << "model " << m;
-      EXPECT_EQ(batched[m].accuracy, scalar.accuracy) << "model " << m;
-      EXPECT_EQ(batched[m].num_examples, scalar.num_examples) << "model " << m;
-    }
-  }
-}
-
 // Numeric gradcheck through the fused backward: the executor's accumulated
 // gradient for one lane must match central differences of the mean
 // cross-entropy loss computed through the executor's own forward. Run at a
@@ -217,14 +187,14 @@ void check_executor_gradients(const nn::ModelFactory& factory, const Tensor& inp
   const auto loss_at = [&](const nn::WeightVector& w) {
     exec.begin(1);
     exec.load_weights(0, w);
-    exec.forward({&input}, /*train=*/false);
-    return exec.loss(0, labels);
+    exec.forward({&input});
+    return exec.loss_and_grad(0, labels);
   };
 
   exec.begin(kLanes);
   for (std::size_t l = 0; l < kLanes; ++l) exec.load_weights(l, weights[l]);
   std::vector<const Tensor*> inputs(kLanes, &input);
-  exec.forward(inputs, /*train=*/true);
+  exec.forward(inputs);
   for (std::size_t l = 0; l < kLanes; ++l) exec.loss_and_grad(l, labels);
   exec.backward();
   const nn::WeightVector analytic = exec.gradients(lane);
@@ -279,24 +249,29 @@ TEST(BatchExecTest, GradcheckConvPool) {
 }
 
 TEST(BatchExecSim, RoundHistoryInvariantToBatchConfig) {
-  auto run = [](std::size_t batch, std::size_t threads) {
-    auto ds = small_dataset(6);
-    sim::SimulatorConfig config;
-    config.client.train = {1, 4, 8, 0.05};
-    config.client.train.batch = batch;
-    config.clients_per_round = 4;
-    config.seed = 99;
-    config.threads = threads;
-    sim::DagSimulator simulator(std::move(ds), mlp_factory(small_dataset(6)), config);
-    simulator.run_rounds(6);
-    return serialize_history(simulator.history());
-  };
-  // batch == 0 is the scalar oracle; every group size and worker count must
-  // reproduce it byte for byte.
-  const std::string scalar = run(0, 1);
-  for (std::size_t batch : {std::size_t{1}, std::size_t{3}, std::size_t{16}, std::size_t{64}}) {
-    EXPECT_EQ(scalar, run(batch, 1)) << "batch " << batch << " serial";
-    EXPECT_EQ(scalar, run(batch, 4)) << "batch " << batch << " threads 4";
+  const auto ds = small_dataset(6);
+  // The MLP and the CNN cover every layer the executor fuses.
+  for (const nn::ModelFactory& factory :
+       {mlp_factory(ds), sim::make_cnn_factory(1, 8, 3, 4, 16, ds.num_classes)}) {
+    auto run = [&factory](std::size_t batch, std::size_t threads) {
+      sim::SimulatorConfig config;
+      config.client.train = {1, 4, 8, 0.05};
+      config.client.train.batch = batch;
+      config.clients_per_round = 4;
+      config.seed = 99;
+      config.threads = threads;
+      sim::DagSimulator simulator(small_dataset(6), factory, config);
+      simulator.run_rounds(6);
+      return serialize_history(simulator.history());
+    };
+    // batch == 0 is the scalar oracle; every group size and worker count
+    // must reproduce it byte for byte.
+    const std::string scalar = run(0, 1);
+    for (std::size_t batch :
+         {std::size_t{1}, std::size_t{3}, std::size_t{16}, std::size_t{64}}) {
+      EXPECT_EQ(scalar, run(batch, 1)) << "batch " << batch << " serial";
+      EXPECT_EQ(scalar, run(batch, 4)) << "batch " << batch << " threads 4";
+    }
   }
 }
 

@@ -180,6 +180,24 @@ TEST(ScenarioSpec, RejectsSeedsThatCannotRoundTripThroughJson) {
   EXPECT_THROW(scenario::Json((std::uint64_t{1} << 53) + 2), scenario::JsonError);
 }
 
+TEST(ScenarioSpec, RejectsClientValuesThatWouldFailOnlyAtRunTime) {
+  // Each of these must fail validation, so a sweep's --dry-run rejects the
+  // point instead of the run failing after its dataset is built.
+  for (const char* client :
+       {R"({"train": {"local_epochs": 0}})", R"({"train": {"local_batches": 0}})",
+        R"({"train": {"batch_size": 0}})", R"({"train": {"learning_rate": 0}})",
+        R"({"train": {"learning_rate": -0.1}})", R"({"num_parents": 0})",
+        R"({"alpha": -1})", R"({"start_depth_min": 30, "start_depth_max": 25})"}) {
+    const std::string json = std::string(R"({"client": )") + client + "}";
+    EXPECT_THROW(scenario::spec_from_json(scenario::Json::parse(json)), std::invalid_argument)
+        << json;
+  }
+  // The boundaries stay valid: alpha 0 is an unbiased walk, equal depths a
+  // fixed start depth.
+  EXPECT_NO_THROW(scenario::spec_from_json(scenario::Json::parse(
+      R"({"client": {"alpha": 0, "start_depth_min": 20, "start_depth_max": 20}})")));
+}
+
 // --------------------------------------------------------------- registry ---
 
 TEST(Registry, HasTheRequiredScenarios) {
