@@ -20,11 +20,7 @@ int main(int argc, char** argv) {
 
   sim::ExperimentPreset preset = sim::fmnist_clustered_preset({});
   preset.sim.client.alpha = alpha;
-  const std::vector<int> true_clusters = [&] {
-    std::vector<int> tc;
-    for (const auto& c : preset.dataset.clients) tc.push_back(c.true_cluster);
-    return tc;
-  }();
+  const std::vector<int> true_clusters = preset.dataset.true_clusters();
   sim::DagSimulator simulator(std::move(preset.dataset), preset.factory, preset.sim);
 
   std::cout << "Specializing DAG on FMNIST-clustered (alpha = " << alpha << ")\n"

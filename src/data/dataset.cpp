@@ -38,6 +38,13 @@ void FederatedDataset::validate() const {
   }
 }
 
+std::vector<int> FederatedDataset::true_clusters() const {
+  std::vector<int> clusters;
+  clusters.reserve(clients.size());
+  for (const auto& c : clients) clusters.push_back(c.true_cluster);
+  return clusters;
+}
+
 Batch gather_batch(const std::vector<float>& x, const std::vector<int>& y,
                    const Shape& element_shape, const std::vector<std::size_t>& indices) {
   if (indices.empty()) throw std::invalid_argument("gather_batch: empty index set");

@@ -48,6 +48,9 @@ struct FederatedDataset {
   std::vector<ClientData> clients;
 
   void validate() const;
+  // Each client's ground-truth cluster (ClientData::true_cluster), in
+  // client order.
+  std::vector<int> true_clusters() const;
 };
 
 // A materialized minibatch: inputs [batch, element_shape...] + labels.

@@ -282,22 +282,18 @@ void fill_community_metrics(const ScenarioSpec& spec, const data::FederatedDatas
   const metrics::ClientGraph graph = metrics::build_client_graph(dag, dataset.clients.size());
   Rng rng = Rng(spec.seed).fork(0x10CA0000ULL + unit);
   const metrics::LouvainResult louvain = metrics::louvain(graph, rng);
-  std::vector<int> true_clusters;
-  for (const auto& client : dataset.clients) true_clusters.push_back(client.true_cluster);
   point.has_community_metrics = true;
   point.modularity = louvain.modularity;
   point.communities = louvain.num_communities;
   point.misclassification =
-      metrics::misclassification_fraction(louvain.partition, true_clusters);
+      metrics::misclassification_fraction(louvain.partition, dataset.true_clusters());
 }
 
 // Shared final-metrics computation over the (finished) DAG network.
 void finalize_result(const ScenarioSpec& spec, const data::FederatedDataset& dataset,
                      core::SpecializingDag& net, AttackController& attacks,
                      const RunOptions& options, ScenarioResult& result) {
-  std::vector<int> true_clusters;
-  for (const auto& client : dataset.clients) true_clusters.push_back(client.true_cluster);
-
+  const std::vector<int> true_clusters = dataset.true_clusters();
   result.clients = dataset.clients.size();
   result.dag_size = net.dag().size();
   result.final_accuracy = tail_mean_accuracy(result.series);

@@ -18,28 +18,25 @@
 // emerge. Latency comparable to the clients' step interval keeps several
 // transactions concurrently in flight, reproducing the concurrency the
 // paper's round-based simulation provides implicitly.
-// Parallel prepares: client training completions that are adjacent in the
+//
+// One step path: client training completions that are adjacent in the
 // event queue — no broadcast (commit) event between them, all earlier than
 // the first completion's own broadcast — all observe the same DAG, so they
-// are prepared concurrently on a thread pool and their results applied in
-// exact event order. The schedule is chosen by event times alone (never by
-// thread timing), so any thread count reproduces the serial trace bit for
-// bit.
+// are prepared as one group through SpecializingDag::prepare_batch (walks
+// concurrent on a thread pool, training fused across clients) and their
+// results applied in exact event order. The groups are chosen by event
+// times alone (never by thread timing), so any thread count reproduces the
+// same trace bit for bit; one thread only means prepare_batch gets no pool.
+// With zero latency every group is a single step: its broadcast is due at
+// the step's own time and commits before the next step prepares.
 #pragma once
 
-#include <memory>
 #include <optional>
 #include <queue>
 
-#include "core/specializing_dag.hpp"
-#include "data/dataset.hpp"
-#include "metrics/dag_metrics.hpp"
 #include "sim/perf.hpp"
+#include "sim/population.hpp"
 #include "util/thread_pool.hpp"
-
-namespace specdag::snapshot {
-struct Access;
-}
 
 namespace specdag::sim {
 
@@ -54,11 +51,10 @@ struct AsyncSimulatorConfig {
   // from publication until it is visible in the DAG). 0 = instantaneous.
   double broadcast_latency = 0.0;
   std::uint64_t seed = 42;
-  // Worker threads for the batched prepare phase (see the header comment).
-  // 0 = one per hardware thread; 1 = serial. Results are bit-identical
-  // across thread counts. Batching needs broadcast_latency > 0 — with
-  // instantaneous visibility every completion commits before the next one
-  // prepares, so execution stays serial regardless.
+  // Worker threads for the prepare groups (see the header comment).
+  // 0 = one per hardware thread; 1 = no pool. Results are bit-identical
+  // across thread counts. A pool needs broadcast_latency > 0 — with
+  // instantaneous visibility every group is one step, so none is built.
   std::size_t threads = 0;
   // Payload store configuration (delta encoding, LRU, eval-cache shards).
   store::StoreConfig store;
@@ -67,10 +63,13 @@ struct AsyncSimulatorConfig {
 struct AsyncStepRecord {
   double time = 0.0;
   int client_id = -1;
+  // The prepared step. `result.published` is never filled: the commit
+  // happens later, at the step's broadcast event (at the same virtual time
+  // under zero latency), and may not publish at all. Read the DAG instead.
   fl::DagRoundResult result;
 };
 
-class AsyncDagSimulator {
+class AsyncDagSimulator : public ClientPopulation {
  public:
   // Client step rates default to 1.0; pass `profiles` (same length as
   // dataset.clients) for heterogeneous device speeds.
@@ -79,27 +78,15 @@ class AsyncDagSimulator {
                     std::vector<AsyncClientProfile> profiles = {});
 
   // Advances virtual time until `num_steps` client training completions have
-  // been processed. Returns the records in event order.
+  // been processed, then commits any broadcast already due at now(). Returns
+  // the records in event order.
   std::vector<AsyncStepRecord> run_steps(std::size_t num_steps);
 
   // Advances until virtual time `until`.
   std::vector<AsyncStepRecord> run_until(double until);
 
   double now() const { return now_; }
-  const dag::Dag& dag() const { return net_.dag(); }
-  const data::FederatedDataset& dataset() const { return dataset_; }
-  core::SpecializingDag& network() { return net_; }
   std::size_t total_steps() const { return total_steps_; }
-
-  std::vector<int> true_clusters() const;
-  metrics::PurenessResult approval_pureness() const;
-
-  // Flipped-label poisoning with the same semantics (and seed-derived victim
-  // set) as DagSimulator: apply flips class_a <-> class_b for fraction `p`
-  // of the clients and invalidates their caches; revert restores the
-  // original labels and flags.
-  std::vector<int> apply_poisoning(double p, int class_a, int class_b);
-  void revert_poisoning();
 
   // --- network-dynamics hooks (scenario engine) ---------------------------
 
@@ -107,21 +94,17 @@ class AsyncDagSimulator {
   // scheduled completion is discarded when it fires); reactivating restarts
   // the clock from the current virtual time.
   void set_client_active(int client, bool active);
-  bool client_active(int client) const;
-  std::size_t active_client_count() const;
 
   // Network partition with the same semantics as DagSimulator: new
   // transactions are only visible within the publisher's group until healed.
   void begin_partition(std::vector<int> group_of_client);
-  void heal_partition();
-  bool partitioned() const { return partitioned_; }
 
   const std::vector<AsyncClientProfile>& profiles() const { return profiles_; }
 
   // Accumulated per-phase timings (tipsel / train / eval / commit) over
   // every step processed so far. See sim/perf.hpp for bucket semantics.
   const PhaseTimings& perf() const { return perf_; }
-  // Worker threads the batched prepare phase actually uses (1 = serial).
+  // Worker threads the prepare groups actually use (1 = no pool).
   std::size_t prepare_threads() const { return pool_ ? pool_->size() : 1; }
 
  private:
@@ -143,35 +126,29 @@ class AsyncDagSimulator {
   };
 
   void schedule_client_step(int client);
-  void process_event(Event event, std::vector<AsyncStepRecord>& records);
-  // Pops the maximal serially-equivalent run of client-step events (see the
-  // header comment), prepares the active ones on the pool, and applies the
+  // The one event loop behind run_steps and run_until: processes events up
+  // to virtual time `until`, stopping once `max_steps` step records exist
+  // and no broadcast is due at now().
+  std::vector<AsyncStepRecord> advance(std::size_t max_steps, double until);
+  // Inserts a broadcast event's transaction into the DAG.
+  void commit_broadcast(const Event& event);
+  // Pops the maximal commit-free run of client-step events (see the header
+  // comment), prepares the active ones as one group, and applies the
   // results in event order. `max_records` caps the records produced so
-  // run_steps stops exactly where the serial loop would; `until` (if set)
-  // excludes events past the virtual-time horizon.
+  // run_steps stops exactly after its quota; events past `until` stay queued.
   void process_step_batch(std::vector<AsyncStepRecord>& records, std::size_t max_records,
-                          std::optional<double> until);
+                          double until);
 
-  data::FederatedDataset dataset_;
   AsyncSimulatorConfig config_;
-  core::SpecializingDag net_;
   std::vector<AsyncClientProfile> profiles_;
   Rng rng_;
   std::optional<ThreadPool> pool_;
   PhaseTimings perf_;
   std::priority_queue<Event, std::vector<Event>, std::greater<>> events_;
-  std::vector<char> active_;        // churn: 1 = clock running
   std::vector<char> clock_armed_;   // 1 = a kClientStep event is in flight
-  bool partitioned_ = false;
-  // Active partition record (see DagSimulator): the masks bake the start
-  // round, so restores rebuild them from this instead of the spec.
-  std::shared_ptr<const std::vector<int>> partition_groups_;
-  std::size_t partition_start_round_ = 0;
   double now_ = 0.0;
   std::uint64_t next_seq_ = 0;
   std::size_t total_steps_ = 0;
-  int poison_class_a_ = 0;  // classes of the last apply_poisoning (for revert)
-  int poison_class_b_ = 0;
 };
 
 }  // namespace specdag::sim

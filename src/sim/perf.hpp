@@ -16,10 +16,12 @@
 //
 // tipsel/train/eval are summed across clients, so with a parallel prepare
 // phase they report aggregate busy time (they can exceed the wall clock);
+// a fused training group's wall time is split evenly across its lanes.
 // commit is always serialized and therefore wall time. total_seconds is the
-// wall clock spent inside run_round()/run_steps()/run_until() — in a serial
-// synchronous run the four buckets plus the store's encode time partition it
-// (up to scheduling overhead outside the buckets), which
+// wall clock spent inside run_round()/run_steps()/run_until() — in a
+// one-thread synchronous run (no pool: every step group still goes through
+// SpecializingDag::prepare_batch) the four buckets plus the store's encode
+// time partition it (up to scheduling overhead outside the buckets), which
 // tests/test_scenario.cpp pins.
 //
 // Because busy time and wall time mix, a raw bucket comparison across thread

@@ -32,67 +32,27 @@ std::size_t RoundRecord::publish_count() const {
 
 DagSimulator::DagSimulator(data::FederatedDataset dataset, nn::ModelFactory factory,
                            SimulatorConfig config)
-    : dataset_(std::move(dataset)),
+    : ClientPopulation(std::move(dataset), std::move(factory), config.client, config.seed,
+                       config.store),
       config_(config),
-      net_(std::move(factory), config.client, config.seed, config.store),
       round_rng_(Rng(config.seed).fork(0x520D)),
       louvain_rng_(Rng(config.seed).fork(0x10CA)) {
-  dataset_.validate();
   if (config_.clients_per_round == 0 || config_.clients_per_round > dataset_.clients.size()) {
     throw std::invalid_argument("DagSimulator: bad clients_per_round");
   }
-  for (const auto& client : dataset_.clients) {
-    net_.register_client(&client);
-  }
-  active_.assign(dataset_.clients.size(), 1);
   // threads == 0: one worker per hardware thread (ThreadPool's convention);
-  // threads == 1 degenerates to the serial path — no pool at all.
+  // threads == 1 means no pool: prepare_batch runs on the calling thread.
   if (config_.parallel_prepare && config_.threads != 1) {
     pool_.emplace(config_.threads, "prepare");
   }
 }
 
 void DagSimulator::set_client_active(int client, bool active) {
-  if (client < 0 || static_cast<std::size_t>(client) >= active_.size()) {
-    throw std::out_of_range("DagSimulator: unknown client " + std::to_string(client));
-  }
-  active_[static_cast<std::size_t>(client)] = active ? 1 : 0;
-}
-
-bool DagSimulator::client_active(int client) const {
-  if (client < 0 || static_cast<std::size_t>(client) >= active_.size()) {
-    throw std::out_of_range("DagSimulator: unknown client " + std::to_string(client));
-  }
-  return active_[static_cast<std::size_t>(client)] != 0;
-}
-
-std::size_t DagSimulator::active_client_count() const {
-  std::size_t count = 0;
-  for (char a : active_) count += a != 0;
-  return count;
+  active_[client_index(client)] = active ? 1 : 0;
 }
 
 void DagSimulator::begin_partition(std::vector<int> group_of_client) {
-  if (group_of_client.size() != dataset_.clients.size()) {
-    throw std::invalid_argument("DagSimulator::begin_partition: group count mismatch");
-  }
-  const auto groups = std::make_shared<const std::vector<int>>(std::move(group_of_client));
-  for (std::size_t i = 0; i < dataset_.clients.size(); ++i) {
-    net_.set_visibility_mask(
-        static_cast<int>(i), tipsel::make_group_visibility_mask(groups, (*groups)[i], round_));
-  }
-  partition_groups_ = groups;
-  partition_start_round_ = round_;
-  partitioned_ = true;
-}
-
-void DagSimulator::heal_partition() {
-  for (std::size_t i = 0; i < dataset_.clients.size(); ++i) {
-    net_.set_visibility_mask(static_cast<int>(i), nullptr);
-  }
-  partition_groups_.reset();
-  partition_start_round_ = 0;
-  partitioned_ = false;
+  begin_partition_at(std::move(group_of_client), round_);
 }
 
 void DagSimulator::flush_due_commits() {
@@ -189,40 +149,6 @@ const RoundRecord& DagSimulator::run_round() {
 
 void DagSimulator::run_rounds(std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) run_round();
-}
-
-std::vector<int> DagSimulator::apply_poisoning(double p, int class_a, int class_b) {
-  Rng poison_rng = Rng(config_.seed).fork(data::kPoisonForkTag);
-  const std::vector<int> ids =
-      data::poison_fraction(dataset_, p, class_a, class_b, poison_rng);
-  poison_class_a_ = class_a;
-  poison_class_b_ = class_b;
-  // The poisoned clients' local data changed: cached model accuracies are
-  // stale for them. (Other clients' caches stay valid — their data did not
-  // change; new poisoned *transactions* are evaluated fresh anyway.)
-  // Invalidate by dataset index — client handles are registration order, and
-  // poison_fraction returns client_id values, which need not match.
-  for (std::size_t i = 0; i < dataset_.clients.size(); ++i) {
-    if (dataset_.clients[i].poisoned) net_.invalidate_client_cache(static_cast<int>(i));
-  }
-  return ids;
-}
-
-void DagSimulator::revert_poisoning() {
-  for (int idx : data::revert_poisoning(dataset_, poison_class_a_, poison_class_b_)) {
-    net_.invalidate_client_cache(idx);
-  }
-}
-
-std::vector<int> DagSimulator::true_clusters() const {
-  std::vector<int> clusters;
-  clusters.reserve(dataset_.clients.size());
-  for (const auto& c : dataset_.clients) clusters.push_back(c.true_cluster);
-  return clusters;
-}
-
-metrics::PurenessResult DagSimulator::approval_pureness() const {
-  return metrics::approval_pureness(net_.dag(), true_clusters());
 }
 
 metrics::LouvainResult DagSimulator::louvain_communities() {

@@ -8,19 +8,12 @@
 // end of the round in deterministic order.
 #pragma once
 
-#include <memory>
 #include <optional>
 
-#include "core/specializing_dag.hpp"
-#include "data/poisoning.hpp"
 #include "metrics/community.hpp"
-#include "metrics/dag_metrics.hpp"
 #include "sim/perf.hpp"
+#include "sim/population.hpp"
 #include "util/thread_pool.hpp"
-
-namespace specdag::snapshot {
-struct Access;
-}
 
 namespace specdag::sim {
 
@@ -60,7 +53,7 @@ struct RoundRecord {
   std::size_t publish_count() const;
 };
 
-class DagSimulator {
+class DagSimulator : public ClientPopulation {
  public:
   // The simulator owns the dataset (poisoning mutates client shards
   // mid-experiment) and registers one DAG client per dataset client.
@@ -72,39 +65,21 @@ class DagSimulator {
   // Runs `n` rounds.
   void run_rounds(std::size_t n);
 
-  // Applies a flipped-label attack to fraction `p` of the clients and
-  // invalidates their accuracy caches (paper §5.3.4: attack starts after
-  // round 100). Returns poisoned client ids.
-  std::vector<int> apply_poisoning(double p, int class_a, int class_b);
-
-  // Reverts an earlier apply_poisoning: restores the original labels (the
-  // swap is its own inverse), clears the poisoned flags, and invalidates the
-  // affected caches again. Transactions published while poisoned keep their
-  // poisoned_publisher mark — history is immutable.
-  void revert_poisoning();
-
   // --- network-dynamics hooks (scenario engine) ---------------------------
 
   // Client churn: inactive clients are excluded from the per-round sample
   // (they "left the network"); reactivating models a rejoin. When fewer than
   // `clients_per_round` clients are active, all active clients run.
   void set_client_active(int client, bool active);
-  bool client_active(int client) const;
-  std::size_t active_client_count() const;
 
   // Network partition: clients in different groups stop seeing each other's
   // *new* transactions (anything published before the partition was already
   // broadcast and stays visible). `group_of_client` must assign one group
   // per client. heal_partition() restores full visibility for everyone.
   void begin_partition(std::vector<int> group_of_client);
-  void heal_partition();
-  bool partitioned() const { return partitioned_; }
 
   // --- evaluation helpers -------------------------------------------------
 
-  std::vector<int> true_clusters() const;
-
-  metrics::PurenessResult approval_pureness() const;
   metrics::LouvainResult louvain_communities();
   double client_graph_modularity();
 
@@ -112,9 +87,6 @@ class DagSimulator {
   // personalized model a participant would use for inference).
   std::vector<fl::EvalResult> evaluate_consensus_all() { return net_.evaluate_consensus_all(); }
 
-  const dag::Dag& dag() const { return net_.dag(); }
-  const data::FederatedDataset& dataset() const { return dataset_; }
-  core::SpecializingDag& network() { return net_; }
   const std::vector<RoundRecord>& history() const { return history_; }
   std::size_t current_round() const { return round_; }
 
@@ -139,26 +111,14 @@ class DagSimulator {
 
   void flush_due_commits();
 
-  data::FederatedDataset dataset_;
   SimulatorConfig config_;
-  core::SpecializingDag net_;
   Rng round_rng_;
   Rng louvain_rng_;
   std::optional<ThreadPool> pool_;
   PhaseTimings perf_;
   std::vector<RoundRecord> history_;
   std::vector<PendingCommit> pending_;
-  std::vector<char> active_;  // churn: 1 = participating this experiment phase
-  bool partitioned_ = false;
-  // The active partition's grouping and start round — the inputs the
-  // visibility masks were built from. The masks bake the round the
-  // partition began at, so a checkpoint restore must rebuild them from
-  // this record rather than from the spec alone.
-  std::shared_ptr<const std::vector<int>> partition_groups_;
-  std::size_t partition_start_round_ = 0;
   std::size_t round_ = 0;
-  int poison_class_a_ = 0;  // classes of the last apply_poisoning (for revert)
-  int poison_class_b_ = 0;
 };
 
 }  // namespace specdag::sim

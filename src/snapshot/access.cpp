@@ -53,43 +53,6 @@ store::WeightsPtr load_weights_ptr(Reader& r) {
   return std::make_shared<const nn::WeightVector>(r.vec_f32());
 }
 
-void save_partition(Writer& w, const std::shared_ptr<const std::vector<int>>& groups,
-                    std::size_t start_round) {
-  w.u8(groups ? 1 : 0);
-  if (!groups) return;
-  w.u64(groups->size());
-  for (int g : *groups) w.i64(g);
-  w.u64(start_round);
-}
-
-// Returns the restored grouping (null when no partition was active).
-std::shared_ptr<const std::vector<int>> load_partition(Reader& r, std::size_t& start_round) {
-  if (r.u8() == 0) return nullptr;
-  const std::uint64_t n = r.u64();
-  std::vector<int> groups;
-  groups.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) groups.push_back(static_cast<int>(r.i64()));
-  start_round = static_cast<std::size_t>(r.u64());
-  return std::make_shared<const std::vector<int>>(std::move(groups));
-}
-
-// Reinstalls the per-client visibility masks a partition had built. The
-// masks bake the partition's start round, so they are rebuilt from the
-// recorded grouping rather than derived from the spec.
-void install_partition(core::SpecializingDag& net, std::size_t num_clients,
-                       const std::shared_ptr<const std::vector<int>>& groups,
-                       std::size_t start_round) {
-  if (groups && groups->size() != num_clients) {
-    throw SnapshotError("snapshot: partition group count mismatch");
-  }
-  for (std::size_t i = 0; i < num_clients; ++i) {
-    net.set_visibility_mask(
-        static_cast<int>(i),
-        groups ? tipsel::make_group_visibility_mask(groups, (*groups)[i], start_round)
-               : tipsel::VisibilityMask{});
-  }
-}
-
 }  // namespace
 
 void Access::save_result(Writer& w, const fl::DagRoundResult& result) {
@@ -396,6 +359,41 @@ void Access::restore_client_rngs(Reader& r, core::SpecializingDag& net) {
   }
 }
 
+// --- client population (shared by both simulators) --------------------------
+
+void Access::save_population(Writer& w, const sim::ClientPopulation& population) {
+  const auto& groups = population.partition_groups_;
+  w.u8(groups ? 1 : 0);
+  if (groups) {
+    w.u64(groups->size());
+    for (int g : *groups) w.i64(g);
+    w.u64(population.partition_start_round_);
+  }
+  w.i64(population.poison_class_a_);
+  w.i64(population.poison_class_b_);
+}
+
+void Access::restore_population(Reader& r, sim::ClientPopulation& population) {
+  std::shared_ptr<const std::vector<int>> groups;
+  std::size_t start_round = 0;
+  if (r.u8() != 0) {
+    const std::uint64_t n = r.u64();
+    if (n != population.dataset_.clients.size()) {
+      throw SnapshotError("snapshot: partition group count mismatch");
+    }
+    std::vector<int> group_of_client;
+    group_of_client.reserve(static_cast<std::size_t>(n));
+    for (std::uint64_t i = 0; i < n; ++i) group_of_client.push_back(static_cast<int>(r.i64()));
+    start_round = static_cast<std::size_t>(r.u64());
+    groups = std::make_shared<const std::vector<int>>(std::move(group_of_client));
+  }
+  // The masks bake the partition's start round, so they are rebuilt from
+  // the recorded grouping rather than derived from the spec.
+  population.install_partition(std::move(groups), start_round);
+  population.poison_class_a_ = static_cast<int>(r.i64());
+  population.poison_class_b_ = static_cast<int>(r.i64());
+}
+
 // --- round simulator --------------------------------------------------------
 
 void Access::save_sim(Writer& w, const sim::DagSimulator& sim) {
@@ -403,9 +401,7 @@ void Access::save_sim(Writer& w, const sim::DagSimulator& sim) {
   save_rng(w, sim.louvain_rng_);
   w.u64(sim.round_);
   save_chars(w, sim.active_);
-  save_partition(w, sim.partition_groups_, sim.partition_start_round_);
-  w.i64(sim.poison_class_a_);
-  w.i64(sim.poison_class_b_);
+  save_population(w, sim);
   w.u64(sim.pending_.size());
   for (const auto& pending : sim.pending_) {
     w.i64(pending.handle);
@@ -420,14 +416,7 @@ void Access::restore_sim(Reader& r, sim::DagSimulator& sim) {
   sim.louvain_rng_ = load_rng(r);
   sim.round_ = static_cast<std::size_t>(r.u64());
   load_chars_into(r, sim.active_, "client");
-  std::size_t start_round = 0;
-  sim.partition_groups_ = load_partition(r, start_round);
-  sim.partition_start_round_ = start_round;
-  sim.partitioned_ = sim.partition_groups_ != nullptr;
-  install_partition(sim.net_, sim.active_.size(), sim.partition_groups_,
-                    sim.partition_start_round_);
-  sim.poison_class_a_ = static_cast<int>(r.i64());
-  sim.poison_class_b_ = static_cast<int>(r.i64());
+  restore_population(r, sim);
   sim.pending_.clear();
   const std::uint64_t num_pending = r.u64();
   sim.pending_.reserve(static_cast<std::size_t>(num_pending));
@@ -451,9 +440,7 @@ void Access::save_sim(Writer& w, const sim::AsyncDagSimulator& sim) {
   w.u64(sim.total_steps_);
   save_chars(w, sim.active_);
   save_chars(w, sim.clock_armed_);
-  save_partition(w, sim.partition_groups_, sim.partition_start_round_);
-  w.i64(sim.poison_class_a_);
-  w.i64(sim.poison_class_b_);
+  save_population(w, sim);
   // Drain a copy of the event queue into (time, seq) order. Restoring by
   // pushing them back yields the identical pop sequence — (time, seq) is a
   // total order, the heap's internal array layout is irrelevant.
@@ -480,14 +467,7 @@ void Access::restore_sim(Reader& r, sim::AsyncDagSimulator& sim) {
   sim.total_steps_ = static_cast<std::size_t>(r.u64());
   load_chars_into(r, sim.active_, "client");
   load_chars_into(r, sim.clock_armed_, "clock");
-  std::size_t start_round = 0;
-  sim.partition_groups_ = load_partition(r, start_round);
-  sim.partition_start_round_ = start_round;
-  sim.partitioned_ = sim.partition_groups_ != nullptr;
-  install_partition(sim.net_, sim.active_.size(), sim.partition_groups_,
-                    sim.partition_start_round_);
-  sim.poison_class_a_ = static_cast<int>(r.i64());
-  sim.poison_class_b_ = static_cast<int>(r.i64());
+  restore_population(r, sim);
   sim.events_ = {};
   const std::uint64_t num_events = r.u64();
   for (std::uint64_t i = 0; i < num_events; ++i) {

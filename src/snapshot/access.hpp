@@ -39,6 +39,7 @@ namespace specdag::core {
 class SpecializingDag;
 }
 namespace specdag::sim {
+class ClientPopulation;
 class DagSimulator;
 class AsyncDagSimulator;
 }  // namespace specdag::sim
@@ -63,6 +64,9 @@ struct Access {
   static void save_client_rngs(Writer& w, core::SpecializingDag& net);
   static void restore_client_rngs(Reader& r, core::SpecializingDag& net);
 
+  // Partition record and poisoning classes (both simulators).
+  static void save_population(Writer& w, const sim::ClientPopulation& population);
+  static void restore_population(Reader& r, sim::ClientPopulation& population);
   static void save_sim(Writer& w, const sim::DagSimulator& sim);
   static void restore_sim(Reader& r, sim::DagSimulator& sim);
   static void save_sim(Writer& w, const sim::AsyncDagSimulator& sim);

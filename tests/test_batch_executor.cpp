@@ -19,6 +19,8 @@
 #include "nn/conv.hpp"
 #include "nn/dense.hpp"
 #include "nn/lstm.hpp"
+#include "obs/context.hpp"
+#include "obs/metrics.hpp"
 #include "sim/async_simulator.hpp"
 #include "sim/models.hpp"
 #include "sim/simulator.hpp"
@@ -276,7 +278,10 @@ TEST(BatchExecSim, RoundHistoryInvariantToBatchConfig) {
 }
 
 TEST(BatchExecSim, AsyncTraceInvariantToBatchConfig) {
+  // Returns the trace and how many fused training groups the run executed.
   auto run = [](std::size_t batch, std::size_t threads) {
+    obs::Context context;
+    obs::ContextScope scope(&context);
     auto ds = small_dataset(6);
     sim::AsyncSimulatorConfig config;
     config.client.train = {1, 4, 8, 0.05};
@@ -288,12 +293,17 @@ TEST(BatchExecSim, AsyncTraceInvariantToBatchConfig) {
     profiles[1].mean_step_interval = 3.0;
     sim::AsyncDagSimulator simulator(std::move(ds), mlp_factory(small_dataset(6)), config,
                                      profiles);
-    return serialize_trace(simulator.run_steps(25));
+    const std::string trace = serialize_trace(simulator.run_steps(25));
+    return std::make_pair(trace, context.snapshot().counter("train.batches"));
   };
-  const std::string scalar = run(0, 1);
+  const auto [scalar, scalar_batches] = run(0, 1);
+  EXPECT_EQ(scalar_batches, 0u);
   for (std::size_t batch : {std::size_t{1}, std::size_t{3}, std::size_t{16}}) {
-    EXPECT_EQ(scalar, run(batch, 1)) << "batch " << batch << " serial";
-    EXPECT_EQ(scalar, run(batch, 4)) << "batch " << batch << " threads 4";
+    const auto [serial, serial_batches] = run(batch, 1);
+    EXPECT_EQ(scalar, serial) << "batch " << batch << " serial";
+    // One thread means no pool, not a separate step path: the executor runs.
+    if (obs::kObsCompiledIn) EXPECT_GT(serial_batches, 0u) << "batch " << batch << " serial";
+    EXPECT_EQ(scalar, run(batch, 4).first) << "batch " << batch << " threads 4";
   }
 }
 

@@ -437,6 +437,28 @@ TEST(AsyncSimulator, ZeroLatencyCollapsesSpecialization) {
   EXPECT_LT(simulator.approval_pureness().pureness, 0.6);
 }
 
+TEST(AsyncSimulator, ZeroLatencyRunStepsLeavesNoBroadcastInFlight) {
+  // With instantaneous broadcast a step's commit is due at the step's own
+  // time: run_steps must return with every gate-passing step in the DAG,
+  // not with its broadcast still queued.
+  auto ds = async_dataset();
+  auto factory = sim::make_mlp_factory(shape_numel(ds.element_shape), 16, 10);
+  sim::AsyncSimulatorConfig config = async_config();
+  config.broadcast_latency = 0.0;
+  sim::AsyncDagSimulator simulator(std::move(ds), factory, config);
+  std::size_t passed = 0;
+  for (std::size_t steps : {1u, 7u, 12u}) {
+    for (const auto& record : simulator.run_steps(steps)) {
+      passed += record.result.passes_gate(config.client.publish_if_equal);
+      // Records never carry the commit's id: it happens at the broadcast.
+      EXPECT_FALSE(record.result.did_publish());
+    }
+    EXPECT_EQ(simulator.dag().size(), 1 + passed) << "after " << steps << " steps";
+    EXPECT_EQ(simulator.perf().commits, passed);
+  }
+  EXPECT_GT(passed, 0u);
+}
+
 TEST(AsyncSimulator, RejectsBadConfig) {
   auto ds = async_dataset();
   auto factory = sim::make_mlp_factory(shape_numel(ds.element_shape), 16, 10);

@@ -4,7 +4,11 @@
 // below use hexfloat so the comparison is exact at the bit level.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "data/synthetic_digits.hpp"
 #include "scenario/registry.hpp"
@@ -30,8 +34,14 @@ nn::ModelFactory tiny_factory(const data::FederatedDataset& ds) {
   return sim::make_mlp_factory(shape_numel(ds.element_shape), 16, ds.num_classes);
 }
 
-void serialize_result(std::ostream& out, const fl::DagRoundResult& result) {
-  out << result.client_id << '|' << result.published << '|' << result.reference << '|';
+// `published` is left out of async traces: AsyncStepRecord never carries it
+// (the commit happens at the broadcast event), so those traces pin commits
+// through the DAG size instead.
+void serialize_result(std::ostream& out, const fl::DagRoundResult& result,
+                      bool with_published = true) {
+  out << result.client_id << '|';
+  if (with_published) out << result.published << '|';
+  out << result.reference << '|';
   for (dag::TxId parent : result.parents) out << parent << ',';
   out << '|' << std::hexfloat << result.trained_eval.accuracy << '|'
       << result.trained_eval.loss << '|' << result.reference_eval.accuracy << '|'
@@ -54,9 +64,23 @@ std::string serialize_trace(const std::vector<sim::AsyncStepRecord>& records) {
   std::ostringstream out;
   for (const auto& record : records) {
     out << std::hexfloat << record.time << std::defaultfloat << '@' << record.client_id << ' ';
-    serialize_result(out, record.result);
+    serialize_result(out, record.result, /*with_published=*/false);
     out << '\n';
   }
+  return out.str();
+}
+
+// The async traces are pinned to fixtures recorded from the retired serial
+// step scheduler (one scalar prepare per event). Set SPECDAG_REGEN_GOLDEN to
+// rewrite them from the current code.
+std::string golden_trace(const std::string& name, const std::string& actual) {
+  const std::string path = std::string(SPECDAG_GOLDEN_DIR) + "/" + name;
+  if (std::getenv("SPECDAG_REGEN_GOLDEN") != nullptr) {
+    std::ofstream(path, std::ios::binary) << actual;
+  }
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream out;
+  out << in.rdbuf();
   return out.str();
 }
 
@@ -109,22 +133,25 @@ TEST(Determinism, AsyncEventTraceIsByteIdentical) {
     profiles[1].mean_step_interval = 3.0;  // heterogeneous rates included
     sim::AsyncDagSimulator simulator(std::move(ds), tiny_factory(tiny_dataset()), config,
                                      profiles);
-    return serialize_trace(simulator.run_steps(25));
+    std::string trace = serialize_trace(simulator.run_steps(25));
+    return trace + "dag " + std::to_string(simulator.dag().size()) + '\n';
   };
   const std::string serial = run(1);
-  EXPECT_EQ(serial, run(1));
-  // The batched prepare phase replays the serial event schedule exactly:
-  // any worker count reproduces the serial trace byte for byte.
-  EXPECT_EQ(serial, run(0));
-  EXPECT_EQ(serial, run(4));
+  // The batch boundaries are set by event times alone: any worker count
+  // reproduces the serial scheduler's trace byte for byte.
+  const std::string golden = golden_trace("async-event-trace.txt", serial);
+  EXPECT_EQ(golden, serial);
+  EXPECT_EQ(golden, run(0));  // the default: one worker per hardware thread
+  EXPECT_EQ(golden, run(4));
 }
 
 TEST(Determinism, AsyncBatchedPrepareMatchesSerialAcrossLatencies) {
-  // Sweep the latency across regimes (dense interleaving, long visibility
-  // gaps): the batch boundaries move, the trace must not. run_until slices
-  // the horizon the way the scenario runner does.
-  for (double latency : {0.05, 0.3, 2.0}) {
-    auto run = [&](std::size_t threads) {
+  // Sweep the latency across regimes (instantaneous visibility, dense
+  // interleaving, long visibility gaps): the batch boundaries move, the trace
+  // must not. run_until slices the horizon the way the scenario runner does.
+  auto run = [](std::size_t threads) {
+    std::string trace;
+    for (double latency : {0.0, 0.05, 0.3, 2.0}) {
       auto ds = tiny_dataset();
       sim::AsyncSimulatorConfig config;
       config.client.train = {1, 2, 8, 0.05};
@@ -132,14 +159,20 @@ TEST(Determinism, AsyncBatchedPrepareMatchesSerialAcrossLatencies) {
       config.seed = 77;
       config.threads = threads;
       sim::AsyncDagSimulator simulator(std::move(ds), tiny_factory(tiny_dataset()), config);
-      std::string trace;
+      std::ostringstream header;
+      header << "latency " << latency << '\n';
+      trace += header.str();
       for (int unit = 1; unit <= 6; ++unit) {
         trace += serialize_trace(simulator.run_until(static_cast<double>(unit)));
+        trace += "dag " + std::to_string(simulator.dag().size()) + '\n';
       }
-      return trace;
-    };
-    EXPECT_EQ(run(1), run(4)) << "latency " << latency;
-  }
+    }
+    return trace;
+  };
+  const std::string serial = run(1);
+  const std::string golden = golden_trace("async-latency-traces.txt", serial);
+  EXPECT_EQ(golden, serial);
+  EXPECT_EQ(golden, run(4));
 }
 
 TEST(Determinism, ScenarioResultsAreReproducible) {
@@ -211,6 +244,69 @@ TEST(Determinism, AsyncEncodePipelineIsBitIdenticalToSynchronous) {
               sync.store_stats.resident_payload_bytes);
     EXPECT_DOUBLE_EQ(async.store_stats.delta_ratio(), sync.store_stats.delta_ratio());
   }
+}
+
+// Summary fields that legitimately differ between two runs of one spec:
+// wall-clock timings, and what the background encoder's progress decides —
+// a materialization hits the LRU or decodes depending on whether the
+// encoder replaced the raw vector first. Each entry is the path of one
+// object member; obs metric names contain dots, so paths are lists.
+const std::vector<std::vector<std::string>> kScheduleDependentSummaryFields = {
+    {"wall_seconds"},
+    {"perf", "tipsel_seconds"},
+    {"perf", "train_seconds"},
+    {"perf", "eval_seconds"},
+    {"perf", "commit_seconds"},
+    {"perf", "encode_seconds"},
+    {"perf", "total_seconds"},
+    {"perf", "utilization"},
+    {"store", "decoded_payloads"},
+    {"store", "lru_hit_rate"},
+    {"store", "peak_pending_encodes"},
+    {"store", "residency"},
+    {"obs", "counters", "pool.encode.busy_nanos"},
+    {"obs", "counters", "pool.encode.idle_nanos"},
+    {"obs", "counters", "store.decodes"},
+    {"obs", "counters", "store.lru_hits"},
+    {"obs", "counters", "store.lru_misses"},
+    {"obs", "histograms", "pool.encode.task_wait_us"},
+    {"obs", "histograms", "store.encode_queue_depth"},
+    {"obs", "histograms", "tipsel.start_us"},
+    {"obs", "histograms", "tipsel.walk_us"},
+    // Per-round counter deltas: encode tasks and LRU traffic land in
+    // whichever round the encoder reached them.
+    {"obs", "rounds"},
+};
+
+void erase_member(scenario::Json& json, const std::vector<std::string>& path,
+                  std::size_t depth = 0) {
+  if (!json.is_object()) return;
+  auto& members = json.as_object();
+  for (auto it = members.begin(); it != members.end(); ++it) {
+    if (it->first != path[depth]) continue;
+    if (depth + 1 == path.size()) {
+      members.erase(it);
+    } else {
+      erase_member(it->second, path, depth + 1);
+    }
+    return;
+  }
+}
+
+TEST(Determinism, ScaleSummaryDiffersOnlyInScheduleDependentFields) {
+  // A shrunken scale-2k at one thread, with an LRU small enough that
+  // materializations decode: two runs must agree on every summary field
+  // outside the schedule-dependent list.
+  auto summary = [] {
+    scenario::ScenarioSpec spec = scenario::get_scenario("scale-2k");
+    spec.num_clients = 200;
+    spec.threads = 1;
+    spec.store.lru_bytes = std::size_t{1} << 20;
+    scenario::Json json = *scenario::result_to_json(scenario::run_scenario(spec)).find("summary");
+    for (const auto& path : kScheduleDependentSummaryFields) erase_member(json, path);
+    return json.dump(2);
+  };
+  EXPECT_EQ(summary(), summary());
 }
 
 TEST(Determinism, AsyncScenarioWithDynamicsIsReproducible) {
