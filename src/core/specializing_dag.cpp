@@ -8,7 +8,6 @@
 #include "obs/trace.hpp"
 #include "store/eval_cache_view.hpp"
 #include "util/thread_pool.hpp"
-#include "util/timer.hpp"
 
 namespace specdag::core {
 namespace {
@@ -138,9 +137,7 @@ void SpecializingDag::prepare_batch(const std::vector<std::vector<int>>& chains,
 
   // Phases B/C — fused training in groups of at most train.batch lanes, then
   // each lane's scalar gate evaluation. Groups pipeline across pool workers:
-  // one group evaluates while the next trains. Training wall time of a group
-  // is attributed evenly to its lanes so the perf buckets still sum to the
-  // measured total.
+  // one group evaluates while the next trains.
   const std::size_t max_lanes = std::max<std::size_t>(1, default_config_.train.batch);
   const std::size_t num_groups = (fused.size() + max_lanes - 1) / max_lanes;
   const auto run_group = [&](std::size_t g) {
@@ -155,19 +152,17 @@ void SpecializingDag::prepare_batch(const std::vector<std::vector<int>>& chains,
       lanes[l].start = &ctxs[i][j].averaged;
       lanes[l].rng = &ctxs[i][j].train_rng;
     }
-    Timer train_timer;
     {
-      obs::ScopedSpan span("exec.train", {{"lanes", static_cast<std::uint64_t>(nlanes)}});
+      obs::ScopedSpan span(obs::Phase::kExecTrain,
+                           {{"lanes", static_cast<std::uint64_t>(nlanes)}});
       fl::train_local_batched(*exec, lanes, default_config_.train);
     }
-    const double train_each = train_timer.elapsed_seconds() / static_cast<double>(nlanes);
     batches_counter.add();
     lanes_counter.add(nlanes);
     for (std::size_t l = 0; l < nlanes; ++l) {
       const auto [i, j] = fused[begin + l];
       fl::DagRoundResult& r = results[i][j];
       r.train_loss = lanes[l].train_loss;
-      r.train_seconds = train_each;
       r.trained_weights =
           std::make_shared<const nn::WeightVector>(std::move(lanes[l].trained));
       // The executor copied the start weights in; the vector is free to ride

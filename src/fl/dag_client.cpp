@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "obs/trace.hpp"
-#include "util/timer.hpp"
 
 namespace specdag::fl {
 
@@ -83,7 +82,7 @@ WalkPhase DagClient::prepare_walks(const dag::Dag& dag) {
 
   // 1. Biased random walk selects the tips to approve.
   {
-    obs::ScopedSpan span("tipsel",
+    obs::ScopedSpan span(obs::Phase::kTipsel,
                          {{"client", static_cast<std::uint64_t>(client_->client_id)}});
     result.parents = selector_->select_tips(dag, config_.num_parents, rng_);
     result.walk_stats = selector_->last_stats();
@@ -106,14 +105,13 @@ WalkPhase DagClient::prepare_walks(const dag::Dag& dag) {
 
   // 4. Reference walk for the publish gate (paper §4.1).
   {
-    obs::ScopedSpan span("tipsel.reference",
+    obs::ScopedSpan span(obs::Phase::kTipselReference,
                          {{"client", static_cast<std::uint64_t>(client_->client_id)}});
     result.reference = consensus_reference(dag);
   }
   const tipsel::WalkStats ref_stats = selector_->last_stats();
   result.walk_stats.steps += ref_stats.steps;
   result.walk_stats.evaluations += ref_stats.evaluations;
-  result.walk_stats.seconds += ref_stats.seconds;
   phase.reference_weights = dag.weights(result.reference);
   return phase;
 }
@@ -126,13 +124,11 @@ DagRoundResult DagClient::prepare_round(const dag::Dag& dag) {
   {
     const nn::ReplicaPool::Lease model = replicas_->acquire();
     model->set_weights(phase.averaged);
-    Timer train_timer;
     {
-      obs::ScopedSpan span("train",
+      obs::ScopedSpan span(obs::Phase::kTrain,
                            {{"client", static_cast<std::uint64_t>(client_->client_id)}});
       result.train_loss = train_local_sgd(*model, *client_, config_.train, phase.train_rng);
     }
-    result.train_seconds = train_timer.elapsed_seconds();
     result.trained_weights = std::make_shared<const nn::WeightVector>(model->get_weights());
   }
   result.averaged_base = std::make_shared<const nn::WeightVector>(std::move(phase.averaged));
@@ -144,15 +140,10 @@ void DagClient::evaluate_gate(DagRoundResult& result,
                               const nn::WeightVector& reference_weights) const {
   const nn::ReplicaPool::Lease model = replicas_->acquire();
   const auto evaluate = [&](const nn::WeightVector& weights, EvalResult& out) {
-    Timer eval_timer;
-    {
-      obs::ScopedSpan span("eval",
-                           {{"client", static_cast<std::uint64_t>(client_->client_id)}});
-      out = evaluate_weights_on_test(*model, weights, *client_);
-    }
-    result.eval_seconds += eval_timer.elapsed_seconds();
+    obs::ScopedSpan span(obs::Phase::kEval,
+                         {{"client", static_cast<std::uint64_t>(client_->client_id)}});
+    out = evaluate_weights_on_test(*model, weights, *client_);
   };
-  result.eval_seconds = 0.0;
   evaluate(*result.trained_weights, result.trained_eval);
   evaluate(reference_weights, result.reference_eval);
 }

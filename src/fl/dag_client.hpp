@@ -69,11 +69,6 @@ struct DagRoundResult {
   EvalResult reference_eval;               // reference model on local test data
   double train_loss = 0.0;
   tipsel::WalkStats walk_stats;            // aggregated over all walks this round
-  // Wall time inside local SGD and inside the out-of-walk model evaluations
-  // (trained + reference + reference-walk candidates). Walk-internal
-  // evaluation time is part of walk_stats.seconds. Feeds sim::PhaseTimings.
-  double train_seconds = 0.0;
-  double eval_seconds = 0.0;
 
   bool did_publish() const { return published != dag::kInvalidTx; }
 
@@ -126,7 +121,7 @@ class DagClient {
 
   // Publish gate inputs (paper §4.1): evaluates the trained weights of
   // `result` and `reference_weights` on the local test data, filling
-  // trained_eval, reference_eval and eval_seconds. Leases its own replica.
+  // trained_eval and reference_eval. Leases its own replica.
   // prepare_round and fused training (which skips prepare_round's scalar
   // train) both finish a round through this.
   void evaluate_gate(DagRoundResult& result, const nn::WeightVector& reference_weights) const;

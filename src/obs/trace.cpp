@@ -1,5 +1,6 @@
 #include "obs/trace.hpp"
 
+#include <array>
 #include <atomic>
 #include <cstdio>
 #include <fstream>
@@ -197,65 +198,55 @@ Context::~Context() {
 
 namespace {
 
-// Appends an event to `ctx`'s buffer with the timestamp taken under the
-// lock — this is what makes ts monotonic per tid (and across the whole
-// file) without per-thread buffers.
+// Appends an event stamped `ts_ns` to `ctx`'s buffer while a session is
+// active — for a nonzero `epoch`, only while that session is (a span's E
+// must land beside its B). Returns the session epoch, 0 if nothing was
+// appended.
 template <typename Fill>
-void append_event(Context& ctx, Fill&& fill) {
+std::uint64_t append_event(Context& ctx, std::uint64_t ts_ns, std::uint64_t epoch, Fill&& fill) {
   Context::TraceBuffer* buffer = ctx.trace_buffer();
-  if (buffer == nullptr) return;
+  if (buffer == nullptr) return 0;
   std::lock_guard<std::mutex> lock(buffer->mutex);
-  if (!buffer->active) return;
+  if (!buffer->active || (epoch != 0 && buffer->epoch != epoch)) return 0;
   Event event;
-  event.ts_ns = now_ns();
+  event.ts_ns = ts_ns;
   event.tid = thread_id();
   fill(event);
   buffer->events.push_back(event);
+  return buffer->epoch;
+}
+
+void add_args(Event& event, const trace_detail::TraceArg* args, std::size_t num_args) {
+  for (std::size_t i = 0; i < num_args && event.num_args < 4; ++i) {
+    event.args[event.num_args++] = args[i];
+  }
 }
 
 }  // namespace
 
 namespace trace_detail {
 
-std::uint64_t begin_span(Context& ctx, const char* name,
+std::uint64_t begin_span(Context& ctx, const char* name, std::uint64_t ts_ns,
                          std::initializer_list<TraceArg> args) {
-  std::uint64_t epoch = 0;
-  Context::TraceBuffer* buffer = ctx.trace_buffer();
-  if (buffer == nullptr) return 0;
-  std::lock_guard<std::mutex> lock(buffer->mutex);
-  if (!buffer->active) return 0;
-  Event event;
-  event.ts_ns = now_ns();
-  event.tid = thread_id();
-  event.phase = 'B';
-  event.name = name;
-  for (const TraceArg& arg : args) {
-    if (event.num_args < 4) event.args[event.num_args++] = arg;
-  }
-  buffer->events.push_back(event);
-  epoch = buffer->epoch;
-  return epoch;
+  return append_event(ctx, ts_ns, 0, [&](Event& event) {
+    event.phase = 'B';
+    event.name = name;
+    add_args(event, args.begin(), args.size());
+  });
 }
 
-void end_span(Context& ctx, const char* name, std::uint64_t epoch,
+void end_span(Context& ctx, const char* name, std::uint64_t epoch, std::uint64_t ts_ns,
               const TraceArg* args, std::size_t num_args) {
-  Context::TraceBuffer* buffer = ctx.trace_buffer();
-  if (buffer == nullptr) return;
-  std::lock_guard<std::mutex> lock(buffer->mutex);
-  if (!buffer->active || buffer->epoch != epoch) return;
-  Event event;
-  event.ts_ns = now_ns();
-  event.tid = thread_id();
-  event.phase = 'E';
-  event.name = name;
-  for (std::size_t i = 0; i < num_args && event.num_args < 4; ++i) {
-    event.args[event.num_args++] = args[i];
-  }
-  buffer->events.push_back(event);
+  if (epoch == 0) return;  // the B was never appended
+  append_event(ctx, ts_ns, epoch, [&](Event& event) {
+    event.phase = 'E';
+    event.name = name;
+    add_args(event, args, num_args);
+  });
 }
 
 void flow_start(const char* name, std::uint64_t flow_id) {
-  append_event(Context::current(), [&](Event& event) {
+  append_event(Context::current(), now_ns(), 0, [&](Event& event) {
     event.phase = 's';
     event.name = name;
     event.id = flow_id;
@@ -263,7 +254,7 @@ void flow_start(const char* name, std::uint64_t flow_id) {
 }
 
 void flow_finish(const char* name, std::uint64_t flow_id) {
-  append_event(Context::current(), [&](Event& event) {
+  append_event(Context::current(), now_ns(), 0, [&](Event& event) {
     event.phase = 'f';
     event.name = name;
     event.id = flow_id;
@@ -271,17 +262,15 @@ void flow_finish(const char* name, std::uint64_t flow_id) {
 }
 
 void instant(const char* name, std::initializer_list<TraceArg> args) {
-  append_event(Context::current(), [&](Event& event) {
+  append_event(Context::current(), now_ns(), 0, [&](Event& event) {
     event.phase = 'i';
     event.name = name;
-    for (const TraceArg& arg : args) {
-      if (event.num_args < 4) event.args[event.num_args++] = arg;
-    }
+    add_args(event, args.begin(), args.size());
   });
 }
 
 void counter_event(const char* name, std::uint64_t value) {
-  append_event(Context::current(), [&](Event& event) {
+  append_event(Context::current(), now_ns(), 0, [&](Event& event) {
     event.phase = 'C';
     event.name = name;
     event.counter_value = value;
@@ -337,6 +326,61 @@ bool Context::stop_trace() {
   SPECDAG_LOG(Info) << "wrote " << events.size() << " trace events to " << path;
   return true;
 #endif
+}
+
+namespace {
+
+// Indexed by Phase.
+constexpr const char* kPhaseNames[] = {
+    "setup", "round",  "advance",       "tipsel",  "tipsel.reference", "train", "exec.train",
+    "eval",  "commit", "encode.inline", "finalize"};
+constexpr std::size_t kNumPhases = std::size(kPhaseNames);
+static_assert(kNumPhases == static_cast<std::size_t>(Phase::kFinalize) + 1);
+
+// The histogram ids, all registered on first use so every run's catalog
+// carries the whole set.
+std::uint32_t phase_histogram_id(std::size_t phase) {
+  static const std::array<std::uint32_t, kNumPhases> ids = [] {
+    std::array<std::uint32_t, kNumPhases> table{};
+    for (std::size_t i = 0; i < kNumPhases; ++i) {
+      table[i] = Registry::histogram(std::string("phase.") + kPhaseNames[i] + "_ns").id();
+    }
+    return table;
+  }();
+  return ids[phase];
+}
+
+// Inline-encode nanoseconds this thread recorded so far: a commit span
+// subtracts the growth over its lifetime.
+thread_local std::uint64_t t_inline_encode_ns = 0;
+
+}  // namespace
+
+const char* phase_name(Phase phase) { return kPhaseNames[static_cast<std::size_t>(phase)]; }
+
+std::uint64_t phase_nanos(const Context& context, Phase phase) {
+  const HistogramCell* cell =
+      context.find_histogram_cell(phase_histogram_id(static_cast<std::size_t>(phase)));
+  return cell == nullptr ? 0 : cell->sum();
+}
+
+void ScopedSpan::open(std::initializer_list<Arg> args) {
+  begin_ns_ = now_ns();
+  if (phase_ == Phase::kCommit) carved_before_ns_ = t_inline_encode_ns;
+  if (tracing_) epoch_ = trace_detail::begin_span(*ctx_, name_, begin_ns_, args);
+}
+
+void ScopedSpan::close() {
+  const std::uint64_t end_ns = now_ns();
+  if (timing_) {
+    std::uint64_t ns = end_ns - begin_ns_;
+    if (phase_ == Phase::kEncodeInline) t_inline_encode_ns += ns;
+    if (phase_ == Phase::kCommit) ns -= t_inline_encode_ns - carved_before_ns_;
+    ctx_->histogram_cell(phase_histogram_id(static_cast<std::size_t>(phase_))).record(ns);
+  }
+  if (tracing_) {
+    trace_detail::end_span(*ctx_, name_, epoch_, end_ns, end_args_, num_end_args_);
+  }
 }
 
 void start_trace(const std::string& path) { Context::current().start_trace(path); }

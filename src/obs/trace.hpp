@@ -17,12 +17,15 @@
 //
 // Tracing is off by default and costs one thread-local load plus one atomic
 // load per scope when off. When on, events append to the context's buffer
-// under its mutex; the timestamp is taken *inside* the lock, which makes ts
-// monotonic per thread within a file by construction — worth the
-// serialization because tracing is an explicitly opt-in diagnostic mode.
-// Like the metrics half, tracing never touches RNG streams or scheduling,
-// so traced runs stay bit-identical with untraced ones; SPECDAG_OBS_DISABLED
-// compiles all of it out.
+// under its mutex, stamped before the lock (each thread stamps and appends
+// in program order, so ts is monotonic per thread). Like the metrics half,
+// tracing never touches RNG streams or scheduling, so traced runs stay
+// bit-identical with untraced ones; SPECDAG_OBS_DISABLED compiles it out.
+//
+// Phase spans are the run's only clock for its phases: a span opened with
+// an obs::Phase also adds its duration (the stamps of its B/E pair) to the
+// histogram `phase.<name>_ns` whenever the context's metrics are on.
+// sim::PhaseTimings and summary.perf are views over those sums.
 #pragma once
 
 #include <cstddef>
@@ -34,6 +37,18 @@
 
 namespace specdag::obs {
 
+// The timed phases, named like their spans (kTipselReference is
+// "tipsel.reference"). A commit span records its duration net of the
+// encode.inline spans nested in it on its thread.
+enum class Phase : std::uint8_t {
+  kSetup, kRound, kAdvance, kTipsel, kTipselReference, kTrain, kExecTrain, kEval, kCommit,
+  kEncodeInline, kFinalize,
+};
+
+const char* phase_name(Phase phase);
+// Nanoseconds recorded for `phase` in `context` (its histogram's sum).
+std::uint64_t phase_nanos(const Context& context, Phase phase);
+
 namespace trace_detail {
 
 struct TraceArg {
@@ -42,12 +57,12 @@ struct TraceArg {
 };
 
 // All emitters no-op unless the target context has a session active. The
-// span pair is pinned to the context captured at open; `epoch` guards
-// against a span opened in one session closing in another (the E would be
-// unmatched).
-std::uint64_t begin_span(Context& ctx, const char* name,
+// span pair is pinned to the context captured at open and carries the
+// span's own stamps (`ts_ns`); `epoch` guards against a span opened in one
+// session closing in another (the E would be unmatched).
+std::uint64_t begin_span(Context& ctx, const char* name, std::uint64_t ts_ns,
                          std::initializer_list<TraceArg> args);
-void end_span(Context& ctx, const char* name, std::uint64_t epoch,
+void end_span(Context& ctx, const char* name, std::uint64_t epoch, std::uint64_t ts_ns,
               const TraceArg* args, std::size_t num_args);
 // These resolve the calling thread's active context themselves.
 void flow_start(const char* name, std::uint64_t flow_id);
@@ -82,6 +97,7 @@ void set_thread_name(const std::string& name);
 // lands in the same buffer as its B (one resolve per span, not two).
 //
 //   obs::ScopedSpan span("prepare", {{"round", round}, {"client", id}});
+//   obs::ScopedSpan commit(obs::Phase::kCommit, {{"client", id}});  // timed too
 //   ...
 //   span.arg("tx", published_id);  // attached to the closing E event
 class ScopedSpan {
@@ -89,23 +105,12 @@ class ScopedSpan {
   using Arg = trace_detail::TraceArg;
 
   explicit ScopedSpan(const char* name, std::initializer_list<Arg> args = {})
-#ifndef SPECDAG_OBS_DISABLED
-      : name_(name), ctx_(&Context::current()), active_(ctx_->tracing()) {
-    if (active_) epoch_ = trace_detail::begin_span(*ctx_, name_, args);
-  }
-#else
-  {
-    (void)name;
-    (void)args;
-  }
-#endif
+      : ScopedSpan(name, kUntimed, args) {}
+  explicit ScopedSpan(Phase phase, std::initializer_list<Arg> args = {})
+      : ScopedSpan(phase_name(phase), phase, args) {}
 
   ~ScopedSpan() {
-#ifndef SPECDAG_OBS_DISABLED
-    if (active_) {
-      trace_detail::end_span(*ctx_, name_, epoch_, end_args_, num_end_args_);
-    }
-#endif
+    if (tracing_ || timing_) close();
   }
 
   ScopedSpan(const ScopedSpan&) = delete;
@@ -114,26 +119,37 @@ class ScopedSpan {
   // Attaches a key/value to the closing event (Perfetto merges B and E args
   // into one slice). Useful for results only known at scope exit.
   void arg(const char* key, std::uint64_t value) {
-#ifndef SPECDAG_OBS_DISABLED
-    if (active_ && num_end_args_ < kMaxEndArgs) {
-      end_args_[num_end_args_++] = Arg{key, value};
-    }
-#else
-    (void)key;
-    (void)value;
-#endif
+    if (tracing_ && num_end_args_ < kMaxEndArgs) end_args_[num_end_args_++] = Arg{key, value};
   }
 
  private:
-#ifndef SPECDAG_OBS_DISABLED
+  static constexpr Phase kUntimed = static_cast<Phase>(0xFF);
   static constexpr std::size_t kMaxEndArgs = 3;
+
+  // With obs compiled out both flags are constant false and the span is
+  // optimized away.
+  ScopedSpan(const char* name, Phase phase, std::initializer_list<Arg> args)
+      : name_(name),
+        ctx_(kObsCompiledIn ? &Context::current() : nullptr),
+        phase_(phase),
+        tracing_(kObsCompiledIn && ctx_->tracing()),
+        timing_(kObsCompiledIn && phase != kUntimed && ctx_->metrics_on()) {
+    if (tracing_ || timing_) open(args);
+  }
+
+  void open(std::initializer_list<Arg> args);
+  void close();
+
   const char* name_;
   Context* ctx_;
-  bool active_;
+  Phase phase_;
+  bool tracing_;
+  bool timing_;
+  std::uint64_t begin_ns_ = 0;
+  std::uint64_t carved_before_ns_ = 0;  // commit: this thread's inline-encode clock at open
   std::uint64_t epoch_ = 0;
   Arg end_args_[kMaxEndArgs];
   std::size_t num_end_args_ = 0;
-#endif
 };
 
 }  // namespace specdag::obs

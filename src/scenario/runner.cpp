@@ -33,6 +33,7 @@ constexpr std::uint64_t kChurnTag = 0xC4DA;
 constexpr std::uint64_t kStragglerTag = 0x57A6;
 
 sim::ExperimentPreset build_preset(const ScenarioSpec& spec) {
+  obs::ScopedSpan span(obs::Phase::kSetup);
   const sim::PresetOptions options{spec.seed, spec.paper_scale};
   sim::ExperimentPreset preset;
   switch (spec.dataset) {
@@ -363,6 +364,7 @@ Simulator make_simulator(const ScenarioSpec& spec, sim::ExperimentPreset& preset
 
 template <>
 sim::DagSimulator make_simulator(const ScenarioSpec& spec, sim::ExperimentPreset& preset) {
+  obs::ScopedSpan span(obs::Phase::kSetup);
   sim::SimulatorConfig config;
   config.client = spec.client;
   config.rounds = spec.rounds;
@@ -380,6 +382,7 @@ sim::DagSimulator make_simulator(const ScenarioSpec& spec, sim::ExperimentPreset
 
 template <>
 sim::AsyncDagSimulator make_simulator(const ScenarioSpec& spec, sim::ExperimentPreset& preset) {
+  obs::ScopedSpan span(obs::Phase::kSetup);
   sim::AsyncSimulatorConfig config;
   config.client = spec.client;
   config.broadcast_latency = spec.broadcast_latency;
@@ -430,6 +433,7 @@ ScenarioResult run_dag_scenario(const ScenarioSpec& spec, sim::ExperimentPreset 
 
   std::size_t start_unit = 0;
   if (control.restore != nullptr) {
+    obs::ScopedSpan span(obs::Phase::kSetup);
     result = control.restore->partial;
     replay_label_flips(spec, control.restore->completed_units, simulator, result);
     snapshot::restore_state(*control.restore, simulator, attacks);
@@ -475,11 +479,12 @@ ScenarioResult run_dag_scenario(const ScenarioSpec& spec, sim::ExperimentPreset 
   // delta_ratio) match a synchronous run of the same spec.
   simulator.dag().store().drain();
   obs_sampler.finish(result);
-  result.perf = simulator.perf();
   result.prepare_threads = simulator.prepare_threads();
   if (control.finalize) {
+    obs::ScopedSpan span(obs::Phase::kFinalize);
     finalize_result(spec, simulator.dataset(), simulator.network(), attacks, options, result);
   }
+  result.perf = simulator.perf();
   return result;
 }
 
@@ -851,25 +856,32 @@ Json result_to_json(const ScenarioResult& result, bool include_series) {
     eval_cache.set("invalidations", result.eval_cache_stats.invalidations);
     summary.set("eval_cache", std::move(eval_cache));
 
-    // Per-phase timing breakdown of the simulation (see sim/perf.hpp):
-    // tipsel/train/eval are aggregate busy seconds over the prepared
-    // clients, commit is serialized wall time, encode is the store's own
-    // measurement of every encode site (inline and background).
+    // Per-phase timing breakdown, a view over the obs phase spans (see
+    // sim/perf.hpp); setup, finalize and unaccounted split the rest of
+    // wall_seconds. encode is the store's own clock, so it stays when
+    // metrics are off and the span-derived fields are dropped.
     if (result.perf.prepares > 0) {
       Json perf = Json::make_object();
-      perf.set("tipsel_seconds", result.perf.tipsel_seconds);
-      perf.set("train_seconds", result.perf.train_seconds);
-      perf.set("eval_seconds", result.perf.eval_seconds);
-      perf.set("commit_seconds", result.perf.commit_seconds);
-      perf.set("encode_seconds", result.store_stats.encode_seconds);
-      perf.set("total_seconds", result.perf.total_seconds);
       perf.set("prepares", result.perf.prepares);
       perf.set("commits", result.perf.commits);
       perf.set("threads", result.prepare_threads);
-      // Busy-time sum over (wall x threads): normalizes the busy/wall bucket
-      // mix into one comparable number across thread counts.
-      perf.set("utilization",
-               result.perf.utilization(std::max<std::size_t>(1, result.prepare_threads)));
+      perf.set("encode_seconds", result.store_stats.encode_seconds);
+      if (result.obs_enabled) {
+        perf.set("tipsel_seconds", result.perf.tipsel_seconds);
+        perf.set("train_seconds", result.perf.train_seconds);
+        perf.set("eval_seconds", result.perf.eval_seconds);
+        perf.set("commit_seconds", result.perf.commit_seconds);
+        perf.set("total_seconds", result.perf.total_seconds);
+        perf.set("setup_seconds", result.perf.setup_seconds);
+        perf.set("finalize_seconds", result.perf.finalize_seconds);
+        perf.set("unaccounted_seconds", result.wall_seconds - result.perf.setup_seconds -
+                                            result.perf.total_seconds -
+                                            result.perf.finalize_seconds);
+        // Busy-time sum over (wall x threads): normalizes the busy/wall
+        // bucket mix into one comparable number across thread counts.
+        perf.set("utilization",
+                 result.perf.utilization(std::max<std::size_t>(1, result.prepare_threads)));
+      }
       summary.set("perf", std::move(perf));
     }
 

@@ -6,7 +6,6 @@
 #include <unordered_map>
 
 #include "obs/trace.hpp"
-#include "util/timer.hpp"
 
 namespace specdag::sim {
 
@@ -70,19 +69,6 @@ void AsyncDagSimulator::begin_partition(std::vector<int> group_of_client) {
   // leaves the current unit's commits visible — sub-unit fuzz the integral
   // round granularity cannot express.
   begin_partition_at(std::move(group_of_client), static_cast<std::size_t>(std::ceil(now_)));
-}
-
-void AsyncDagSimulator::commit_broadcast(const Event& event) {
-  // The transaction reaches the network: insert it into the DAG. The gate
-  // was already evaluated against the publisher's view at prepare time; the
-  // virtual round is the event time floored.
-  now_ = event.time;
-  obs::ScopedSpan span("commit", {{"client", static_cast<std::uint64_t>(event.client)}});
-  ScopedCommitTimer commit_timer(net_.dag().store(), perf_);
-  const dag::TxId published =
-      net_.commit(event.client, event.result, static_cast<std::size_t>(now_));
-  span.arg("tx", static_cast<std::uint64_t>(published));
-  if (published != dag::kInvalidTx) ++perf_.commits;
 }
 
 void AsyncDagSimulator::process_step_batch(std::vector<AsyncStepRecord>& records,
@@ -151,18 +137,15 @@ void AsyncDagSimulator::process_step_batch(std::vector<AsyncStepRecord>& records
   // then release the broadcasts into the queue.
   for (std::size_t i = 0; i < broadcasts.size(); ++i) {
     fl::DagRoundResult& result = prepared[slots[i].first][slots[i].second];
-    perf_.tipsel_seconds += result.walk_stats.seconds;
-    perf_.train_seconds += result.train_seconds;
-    perf_.eval_seconds += result.eval_seconds;
     records[first + i].result = result;
     broadcasts[i].result = std::move(result);
     events_.push(std::move(broadcasts[i]));
   }
-  perf_.prepares += broadcasts.size();
+  prepares_ += broadcasts.size();
 }
 
 std::vector<AsyncStepRecord> AsyncDagSimulator::advance(std::size_t max_steps, double until) {
-  Timer total_timer;
+  obs::ScopedSpan span(obs::Phase::kAdvance);
   std::vector<AsyncStepRecord> records;
   while (!events_.empty() && events_.top().time <= until) {
     const bool quota_met = records.size() >= max_steps;
@@ -173,12 +156,14 @@ std::vector<AsyncStepRecord> AsyncDagSimulator::advance(std::size_t max_steps, d
       // Past the quota only broadcasts due at now() still commit: under
       // zero latency they belong to the steps just recorded.
       if (quota_met && events_.top().time > now_) break;
+      // The transaction reaches the network. Its gate was evaluated against
+      // the publisher's view at prepare time; the round is the time floored.
       const Event event = events_.top();
       events_.pop();
-      commit_broadcast(event);
+      now_ = event.time;
+      commit(event.client, event.result, static_cast<std::size_t>(now_));
     }
   }
-  perf_.total_seconds += total_timer.elapsed_seconds();
   return records;
 }
 

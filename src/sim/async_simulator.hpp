@@ -34,7 +34,6 @@
 #include <optional>
 #include <queue>
 
-#include "sim/perf.hpp"
 #include "sim/population.hpp"
 #include "util/thread_pool.hpp"
 
@@ -101,9 +100,6 @@ class AsyncDagSimulator : public ClientPopulation {
 
   const std::vector<AsyncClientProfile>& profiles() const { return profiles_; }
 
-  // Accumulated per-phase timings (tipsel / train / eval / commit) over
-  // every step processed so far. See sim/perf.hpp for bucket semantics.
-  const PhaseTimings& perf() const { return perf_; }
   // Worker threads the prepare groups actually use (1 = no pool).
   std::size_t prepare_threads() const { return pool_ ? pool_->size() : 1; }
 
@@ -130,8 +126,6 @@ class AsyncDagSimulator : public ClientPopulation {
   // to virtual time `until`, stopping once `max_steps` step records exist
   // and no broadcast is due at now().
   std::vector<AsyncStepRecord> advance(std::size_t max_steps, double until);
-  // Inserts a broadcast event's transaction into the DAG.
-  void commit_broadcast(const Event& event);
   // Pops the maximal commit-free run of client-step events (see the header
   // comment), prepares the active ones as one group, and applies the
   // results in event order. `max_records` caps the records produced so
@@ -143,7 +137,6 @@ class AsyncDagSimulator : public ClientPopulation {
   std::vector<AsyncClientProfile> profiles_;
   Rng rng_;
   std::optional<ThreadPool> pool_;
-  PhaseTimings perf_;
   std::priority_queue<Event, std::vector<Event>, std::greater<>> events_;
   std::vector<char> clock_armed_;   // 1 = a kClientStep event is in flight
   double now_ = 0.0;

@@ -1,41 +1,38 @@
-// Per-phase timing breakdown of a simulation run.
+// Per-phase timing breakdown of a simulation run: a view over the obs phase
+// spans (obs/trace.hpp), not a clock of its own.
 //
-// Both simulators account wall time into four foreground buckets per client
-// step:
-//   * tipsel — biased random walks (approval walks + the reference walk),
-//   * train  — local SGD on the averaged parent model,
-//   * eval   — trained/reference model evaluations outside the walks
-//              (per-step candidate evaluations inside a walk count as
-//              tipsel; they are part of Algorithm 1's walk cost),
-//   * commit — serialized DAG appends (payload hashing and bookkeeping,
-//              but NOT delta encoding).
+// Every client step opens timed spans, and each span adds its duration to a
+// `phase.<name>_ns` histogram of the obs context it runs under. The four
+// foreground buckets sum those histograms:
+//   * tipsel — `tipsel` + `tipsel.reference`: the approval walks and the
+//              reference walk (candidate evaluations inside a walk count
+//              here; they are part of Algorithm 1's walk cost),
+//   * train  — `train` (scalar path) + `exec.train` (a fused group's wall
+//              time, once per group),
+//   * eval   — `eval`: the trained and reference models on local test data,
+//   * commit — `commit`: serialized DAG appends (payload hashing and
+//              bookkeeping) net of the `encode.inline` spans nested in them.
+// total_seconds sums `round` (DagSimulator::run_round) and `advance`
+// (AsyncDagSimulator::run_steps / run_until). setup_seconds and
+// finalize_seconds are the scenario runner's spans (0 outside it).
 //
 // Delta encoding is not a bucket here: the store measures every encode site
 // itself (StoreStats::encode_seconds — inline in the commit section,
 // background workers under store.async_encode, attacker-published payloads).
 //
-// tipsel/train/eval are summed across clients, so with a parallel prepare
-// phase they report aggregate busy time (they can exceed the wall clock);
-// a fused training group's wall time is split evenly across its lanes.
-// commit is always serialized and therefore wall time. total_seconds is the
-// wall clock spent inside run_round()/run_steps()/run_until() — in a
-// one-thread synchronous run (no pool: every step group still goes through
-// SpecializingDag::prepare_batch) the four buckets plus the store's encode
-// time partition it (up to scheduling overhead outside the buckets), which
-// tests/test_scenario.cpp pins.
+// tipsel/train/eval are summed across the threads that ran the spans, so
+// under a parallel prepare they are aggregate busy time and can exceed the
+// wall clock; commit is serialized wall time. utilization() normalizes the
+// mix into one number, background encode excluded so it stays at most 1.
 //
-// Because busy time and wall time mix, a raw bucket comparison across thread
-// counts is misleading; utilization() normalizes the mix into one number
-// (foreground busy-time sum over wall x threads) that summary.perf reports
-// directly. Background encode is excluded, so it cannot push it above 1.
+// With metrics off (`--obs off`) or obs compiled out (SPECDAG_ENABLE_OBS=OFF)
+// the timings read 0; prepares and commits are the simulators' own counters
+// and never depend on obs.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
-#include <cstdint>
 
-#include "store/model_store.hpp"
-#include "util/timer.hpp"
+#include "obs/trace.hpp"
 
 namespace specdag::sim {
 
@@ -45,8 +42,30 @@ struct PhaseTimings {
   double eval_seconds = 0.0;
   double commit_seconds = 0.0;
   double total_seconds = 0.0;
+  double setup_seconds = 0.0;
+  double finalize_seconds = 0.0;
   std::size_t prepares = 0;  // client steps prepared
   std::size_t commits = 0;   // transactions appended through the simulator
+
+  // The phase totals recorded so far in `context`, plus the given counts.
+  static PhaseTimings from_obs(const obs::Context& context, std::size_t prepares,
+                               std::size_t commits) {
+    const auto seconds = [&](auto... phases) {
+      return static_cast<double>((obs::phase_nanos(context, phases) + ...)) * 1e-9;
+    };
+    using obs::Phase;
+    PhaseTimings timings;
+    timings.tipsel_seconds = seconds(Phase::kTipsel, Phase::kTipselReference);
+    timings.train_seconds = seconds(Phase::kTrain, Phase::kExecTrain);
+    timings.eval_seconds = seconds(Phase::kEval);
+    timings.commit_seconds = seconds(Phase::kCommit);
+    timings.total_seconds = seconds(Phase::kRound, Phase::kAdvance);
+    timings.setup_seconds = seconds(Phase::kSetup);
+    timings.finalize_seconds = seconds(Phase::kFinalize);
+    timings.prepares = prepares;
+    timings.commits = commits;
+    return timings;
+  }
 
   double phase_sum_seconds() const {
     return tipsel_seconds + train_seconds + eval_seconds + commit_seconds;
@@ -59,30 +78,6 @@ struct PhaseTimings {
     if (total_seconds <= 0.0 || threads == 0) return 0.0;
     return phase_sum_seconds() / (total_seconds * static_cast<double>(threads));
   }
-};
-
-// Times one serialized commit section, leaving out the delta-encode work the
-// store did inline during it (encoding is codec cost, not append cost; the
-// store's own encode_seconds already counts it).
-class ScopedCommitTimer {
- public:
-  ScopedCommitTimer(const store::ModelStore& store, PhaseTimings& perf)
-      : store_(store), perf_(perf), inline_before_(store.encode_nanos_inline()) {}
-
-  ~ScopedCommitTimer() {
-    const double inline_encode =
-        static_cast<double>(store_.encode_nanos_inline() - inline_before_) * 1e-9;
-    perf_.commit_seconds += std::max(0.0, timer_.elapsed_seconds() - inline_encode);
-  }
-
-  ScopedCommitTimer(const ScopedCommitTimer&) = delete;
-  ScopedCommitTimer& operator=(const ScopedCommitTimer&) = delete;
-
- private:
-  const store::ModelStore& store_;
-  PhaseTimings& perf_;
-  std::uint64_t inline_before_;
-  Timer timer_;
 };
 
 }  // namespace specdag::sim

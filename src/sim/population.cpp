@@ -4,6 +4,7 @@
 #include <string>
 
 #include "data/poisoning.hpp"
+#include "obs/trace.hpp"
 
 namespace specdag::sim {
 
@@ -14,6 +15,16 @@ ClientPopulation::ClientPopulation(data::FederatedDataset dataset, nn::ModelFact
   dataset_.validate();
   for (const auto& c : dataset_.clients) net_.register_client(&c);
   active_.assign(dataset_.clients.size(), 1);
+}
+
+dag::TxId ClientPopulation::commit(int client, const fl::DagRoundResult& result,
+                                   std::size_t round) {
+  obs::ScopedSpan span(obs::Phase::kCommit,
+                       {{"round", round}, {"client", static_cast<std::uint64_t>(client)}});
+  const dag::TxId published = net_.commit(client, result, round);
+  span.arg("tx", static_cast<std::uint64_t>(published));
+  if (published != dag::kInvalidTx) ++commits_;
+  return published;
 }
 
 std::size_t ClientPopulation::client_index(int client) const {

@@ -11,6 +11,7 @@
 #include "core/specializing_dag.hpp"
 #include "data/dataset.hpp"
 #include "metrics/dag_metrics.hpp"
+#include "sim/perf.hpp"
 
 namespace specdag::snapshot {
 struct Access;
@@ -48,6 +49,10 @@ class ClientPopulation {
   std::vector<int> true_clusters() const { return dataset_.true_clusters(); }
   metrics::PurenessResult approval_pureness() const;
 
+  // Step and commit counts, and the phase totals of the obs context the
+  // simulator was built under (sim/perf.hpp) — one context per run.
+  PhaseTimings perf() const { return PhaseTimings::from_obs(*obs_, prepares_, commits_); }
+
  protected:
   // Validates the dataset and registers one DAG client per dataset client,
   // all active.
@@ -58,6 +63,9 @@ class ClientPopulation {
   // The dataset index of `client`; throws std::out_of_range if unknown.
   std::size_t client_index(int client) const;
 
+  // Appends a prepared transaction into the DAG under a commit span.
+  dag::TxId commit(int client, const fl::DagRoundResult& result, std::size_t round);
+
   // Starts a partition: clients in different groups stop seeing each
   // other's transactions committed from `start_round` on.
   void begin_partition_at(std::vector<int> group_of_client, std::size_t start_round);
@@ -65,6 +73,8 @@ class ClientPopulation {
   data::FederatedDataset dataset_;
   core::SpecializingDag net_;
   std::vector<char> active_;  // churn: 1 = participating
+  std::size_t prepares_ = 0;  // client steps prepared
+  std::size_t commits_ = 0;   // transactions appended through the simulator
 
  private:
   friend struct snapshot::Access;  // checkpoint serialization (src/snapshot)
@@ -75,6 +85,7 @@ class ClientPopulation {
   void install_partition(std::shared_ptr<const std::vector<int>> groups,
                          std::size_t start_round);
 
+  const obs::Context* obs_ = &obs::Context::current();
   std::uint64_t seed_;
   std::shared_ptr<const std::vector<int>> partition_groups_;
   std::size_t partition_start_round_ = 0;

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "obs/trace.hpp"
-#include "util/timer.hpp"
 
 namespace specdag::sim {
 
@@ -57,26 +56,19 @@ void DagSimulator::begin_partition(std::vector<int> group_of_client) {
 
 void DagSimulator::flush_due_commits() {
   std::vector<PendingCommit> still_pending;
-  {
-    ScopedCommitTimer commit_timer(net_.dag().store(), perf_);
-    // Pending commits are already in deterministic (insertion) order.
-    for (auto& pending : pending_) {
-      if (pending.release_round <= round_) {
-        if (net_.commit(pending.handle, pending.result, pending.publish_round) !=
-            dag::kInvalidTx) {
-          ++perf_.commits;
-        }
-      } else {
-        still_pending.push_back(std::move(pending));
-      }
+  // Pending commits are already in deterministic (insertion) order.
+  for (auto& pending : pending_) {
+    if (pending.release_round <= round_) {
+      commit(pending.handle, pending.result, pending.publish_round);
+    } else {
+      still_pending.push_back(std::move(pending));
     }
   }
   pending_ = std::move(still_pending);
 }
 
 const RoundRecord& DagSimulator::run_round() {
-  obs::ScopedSpan round_span("round", {{"round", round_}});
-  Timer round_timer;
+  obs::ScopedSpan round_span(obs::Phase::kRound, {{"round", round_}});
   if (config_.visibility_delay_rounds > 0) flush_due_commits();
   // Sample among the currently active clients (churn support). With everyone
   // active this draws exactly the same indices as sampling [0, n) directly,
@@ -107,14 +99,7 @@ const RoundRecord& DagSimulator::run_round() {
     record.results[i] = std::move(prepared[i][0]);
   }
 
-  // Phase accounting: tipsel/train/eval are summed over the prepared
-  // clients (aggregate busy time under a parallel prepare).
-  for (const auto& result : record.results) {
-    perf_.tipsel_seconds += result.walk_stats.seconds;
-    perf_.train_seconds += result.train_seconds;
-    perf_.eval_seconds += result.eval_seconds;
-  }
-  perf_.prepares += record.results.size();
+  prepares_ += record.results.size();
 
   // Commit phase: deterministic order (ascending client index). With a
   // visibility delay the prepared transactions are queued instead and enter
@@ -124,26 +109,18 @@ const RoundRecord& DagSimulator::run_round() {
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
   std::sort(order.begin(), order.end(),
             [&](std::size_t a, std::size_t b) { return active[a] < active[b]; });
-  {
-    ScopedCommitTimer commit_timer(net_.dag().store(), perf_);
-    for (std::size_t i : order) {
-      if (config_.visibility_delay_rounds == 0) {
-        obs::ScopedSpan span("commit", {{"round", round_}, {"client", active[i]}});
-        record.results[i].published =
-            net_.commit(static_cast<int>(active[i]), record.results[i], round_);
-        span.arg("tx", static_cast<std::uint64_t>(record.results[i].published));
-        if (record.results[i].did_publish()) ++perf_.commits;
-      } else {
-        pending_.push_back({static_cast<int>(active[i]), record.results[i], round_,
-                            round_ + config_.visibility_delay_rounds});
-      }
+  for (std::size_t i : order) {
+    if (config_.visibility_delay_rounds == 0) {
+      record.results[i].published = commit(static_cast<int>(active[i]), record.results[i], round_);
+    } else {
+      pending_.push_back({static_cast<int>(active[i]), record.results[i], round_,
+                          round_ + config_.visibility_delay_rounds});
     }
   }
 
   ++round_;
   if (!config_.keep_history) history_.clear();
   history_.push_back(std::move(record));
-  perf_.total_seconds += round_timer.elapsed_seconds();
   return history_.back();
 }
 

@@ -11,7 +11,6 @@
 #include <optional>
 
 #include "metrics/community.hpp"
-#include "sim/perf.hpp"
 #include "sim/population.hpp"
 #include "util/thread_pool.hpp"
 
@@ -90,9 +89,6 @@ class DagSimulator : public ClientPopulation {
   const std::vector<RoundRecord>& history() const { return history_; }
   std::size_t current_round() const { return round_; }
 
-  // Accumulated per-phase timings (tipsel / train / eval / commit) over
-  // every round run so far. See sim/perf.hpp for bucket semantics.
-  const PhaseTimings& perf() const { return perf_; }
   // Worker threads the prepare phase actually uses (1 = serial).
   std::size_t prepare_threads() const { return pool_ ? pool_->size() : 1; }
 
@@ -115,7 +111,6 @@ class DagSimulator : public ClientPopulation {
   Rng round_rng_;
   Rng louvain_rng_;
   std::optional<ThreadPool> pool_;
-  PhaseTimings perf_;
   std::vector<RoundRecord> history_;
   std::vector<PendingCommit> pending_;
   std::size_t round_ = 0;

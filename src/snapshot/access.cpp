@@ -71,9 +71,6 @@ void Access::save_result(Writer& w, const fl::DagRoundResult& result) {
   w.f64(result.train_loss);
   w.u64(result.walk_stats.steps);
   w.u64(result.walk_stats.evaluations);
-  w.f64(result.walk_stats.seconds);
-  w.f64(result.train_seconds);
-  w.f64(result.eval_seconds);
 }
 
 fl::DagRoundResult Access::load_result(Reader& r) {
@@ -94,9 +91,6 @@ fl::DagRoundResult Access::load_result(Reader& r) {
   result.train_loss = r.f64();
   result.walk_stats.steps = static_cast<std::size_t>(r.u64());
   result.walk_stats.evaluations = static_cast<std::size_t>(r.u64());
-  result.walk_stats.seconds = r.f64();
-  result.train_seconds = r.f64();
-  result.eval_seconds = r.f64();
   return result;
 }
 

@@ -170,7 +170,7 @@ PayloadId ModelStore::put(WeightsPtr weights, const std::vector<PayloadId>& base
 
   bool stored_as_delta = false;
   if (encodable && chain_depth <= config_.anchor_interval) {
-    obs::ScopedSpan span("encode.inline", {{"payload", id}});
+    obs::ScopedSpan span(obs::Phase::kEncodeInline, {{"payload", id}});
     Timer encode_timer;
     nn::WeightVector base_storage;
     const nn::WeightVector* base = encode_base.get();

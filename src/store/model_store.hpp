@@ -172,17 +172,6 @@ class ModelStore {
   // the barrier before asserting delta_ratio.
   void drain() const;
 
-  // Cumulative nanoseconds of encode work done inline in put() — the part
-  // of the codec cost that sits on the caller's (commit) path. The
-  // simulators sample this around their commit sections to split the
-  // `encode` perf bucket out of `commit`.
-  std::uint64_t encode_nanos_inline() const {
-    return encode_nanos_inline_.load(std::memory_order_relaxed);
-  }
-  // Cumulative nanoseconds of encode work done on the background pool.
-  std::uint64_t encode_nanos_async() const {
-    return encode_nanos_async_.load(std::memory_order_relaxed);
-  }
 
   StoreStats stats() const;
   const StoreConfig& config() const { return config_; }

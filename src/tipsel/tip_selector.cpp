@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
-#include "util/timer.hpp"
 
 namespace specdag::tipsel {
 namespace {
@@ -94,7 +93,6 @@ std::vector<dag::TxId> TipSelector::select_tips(const dag::Dag& dag, std::size_t
                                                 Rng& rng) {
   if (count == 0) throw std::invalid_argument("TipSelector::select_tips: count == 0");
   stats_ = WalkStats{};
-  Timer timer;
   std::vector<dag::TxId> selected;
   selected.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
@@ -120,7 +118,6 @@ std::vector<dag::TxId> TipSelector::select_tips(const dag::Dag& dag, std::size_t
   std::sort(selected.begin(), selected.end());
   selected.erase(std::unique(selected.begin(), selected.end()), selected.end());
   walk_metrics().evaluations.add(stats_.evaluations);
-  stats_.seconds = timer.elapsed_seconds();
   return selected;
 }
 

@@ -46,7 +46,6 @@ enum class WalkStart {
 struct WalkStats {
   std::size_t steps = 0;        // walk steps taken
   std::size_t evaluations = 0;  // candidate-model evaluations performed
-  double seconds = 0.0;         // wall time inside the selector
 };
 
 // Per-client visibility filter over the shared DAG: a walk only traverses

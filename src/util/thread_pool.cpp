@@ -103,11 +103,11 @@ void ThreadPool::worker_loop(std::size_t worker_index) {
       if (tracing) {
         obs::trace_detail::instant("pool.dequeue", {{"wait_us", wait_us}});
       }
+      // Counted before fn(): a submitted task's future is ready once fn()
+      // returns, so a count taken after it could miss the run's snapshot.
+      if (metrics) tasks_run_->add();
       task.fn();
-      if (metrics) {
-        tasks_run_->add();
-        busy_nanos_->add(obs::now_ns() - run_start);
-      }
+      if (metrics) busy_nanos_->add(obs::now_ns() - run_start);
     } else {
       task.fn();
     }

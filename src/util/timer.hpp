@@ -1,5 +1,5 @@
-// Monotonic wall-clock stopwatch used for the random-walk timing experiments
-// (Figure 15) and the microbenches.
+// Monotonic wall-clock stopwatch: the runner's wall_seconds, the store's
+// encode clock and the microbenches.
 #pragma once
 
 #include <chrono>

@@ -247,10 +247,11 @@ TEST(Determinism, AsyncEncodePipelineIsBitIdenticalToSynchronous) {
 }
 
 // Summary fields that legitimately differ between two runs of one spec:
-// wall-clock timings, and what the background encoder's progress decides —
-// a materialization hits the LRU or decodes depending on whether the
-// encoder replaced the raw vector first. Each entry is the path of one
-// object member; obs metric names contain dots, so paths are lists.
+// wall-clock timings, what the background encoder's progress decides — a
+// materialization hits the LRU or decodes depending on whether the encoder
+// replaced the raw vector first — and, above one thread, how many model
+// replicas the peak of concurrent leases built. Each entry is the path of
+// one object member; obs metric names contain dots, so paths are lists.
 const std::vector<std::vector<std::string>> kScheduleDependentSummaryFields = {
     {"wall_seconds"},
     {"perf", "tipsel_seconds"},
@@ -259,17 +260,35 @@ const std::vector<std::vector<std::string>> kScheduleDependentSummaryFields = {
     {"perf", "commit_seconds"},
     {"perf", "encode_seconds"},
     {"perf", "total_seconds"},
+    {"perf", "setup_seconds"},
+    {"perf", "finalize_seconds"},
+    {"perf", "unaccounted_seconds"},
     {"perf", "utilization"},
     {"store", "decoded_payloads"},
     {"store", "lru_hit_rate"},
     {"store", "peak_pending_encodes"},
     {"store", "residency"},
+    {"obs", "counters", "nn.replicas_built"},
     {"obs", "counters", "pool.encode.busy_nanos"},
     {"obs", "counters", "pool.encode.idle_nanos"},
+    {"obs", "counters", "pool.prepare.busy_nanos"},
+    {"obs", "counters", "pool.prepare.idle_nanos"},
     {"obs", "counters", "store.decodes"},
     {"obs", "counters", "store.lru_hits"},
     {"obs", "counters", "store.lru_misses"},
+    {"obs", "histograms", "phase.advance_ns"},
+    {"obs", "histograms", "phase.commit_ns"},
+    {"obs", "histograms", "phase.encode.inline_ns"},
+    {"obs", "histograms", "phase.eval_ns"},
+    {"obs", "histograms", "phase.exec.train_ns"},
+    {"obs", "histograms", "phase.finalize_ns"},
+    {"obs", "histograms", "phase.round_ns"},
+    {"obs", "histograms", "phase.setup_ns"},
+    {"obs", "histograms", "phase.tipsel.reference_ns"},
+    {"obs", "histograms", "phase.tipsel_ns"},
+    {"obs", "histograms", "phase.train_ns"},
     {"obs", "histograms", "pool.encode.task_wait_us"},
+    {"obs", "histograms", "pool.prepare.task_wait_us"},
     {"obs", "histograms", "store.encode_queue_depth"},
     {"obs", "histograms", "tipsel.start_us"},
     {"obs", "histograms", "tipsel.walk_us"},
@@ -294,19 +313,19 @@ void erase_member(scenario::Json& json, const std::vector<std::string>& path,
 }
 
 TEST(Determinism, ScaleSummaryDiffersOnlyInScheduleDependentFields) {
-  // A shrunken scale-2k at one thread, with an LRU small enough that
-  // materializations decode: two runs must agree on every summary field
-  // outside the schedule-dependent list.
-  auto summary = [] {
+  // A shrunken scale-2k, with an LRU small enough that materializations
+  // decode: two runs at the same thread count must agree on every summary
+  // field outside the schedule-dependent list.
+  auto summary = [](std::size_t threads) {
     scenario::ScenarioSpec spec = scenario::get_scenario("scale-2k");
     spec.num_clients = 200;
-    spec.threads = 1;
+    spec.threads = threads;
     spec.store.lru_bytes = std::size_t{1} << 20;
     scenario::Json json = *scenario::result_to_json(scenario::run_scenario(spec)).find("summary");
     for (const auto& path : kScheduleDependentSummaryFields) erase_member(json, path);
     return json.dump(2);
   };
-  EXPECT_EQ(summary(), summary());
+  for (std::size_t threads : {1, 4}) EXPECT_EQ(summary(threads), summary(threads)) << threads;
 }
 
 TEST(Determinism, AsyncScenarioWithDynamicsIsReproducible) {

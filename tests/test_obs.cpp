@@ -4,6 +4,7 @@
 // bit-identical with obs on, off, or traced, at any thread count.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <future>
 #include <initializer_list>
@@ -397,6 +398,49 @@ void check_trace_file(const std::string& path, std::size_t min_events) {
   }
 }
 
+// Per-name sums of span durations (E ts - B ts in integer nanoseconds; the
+// file keeps ns precision) from a written trace, plus the encode.inline time
+// nested directly inside commit spans.
+struct SpanSums {
+  std::map<std::string, std::uint64_t> ns;
+  std::map<std::string, std::size_t> count;
+  std::uint64_t encode_in_commit_ns = 0;
+
+  std::uint64_t of(const std::string& name) const {
+    const auto it = ns.find(name);
+    return it == ns.end() ? 0 : it->second;
+  }
+  std::size_t spans(const std::string& name) const {
+    const auto it = count.find(name);
+    return it == count.end() ? 0 : it->second;
+  }
+};
+
+SpanSums span_sums(const std::string& path) {
+  const scenario::Json trace = scenario::Json::parse_file(path);
+  SpanSums sums;
+  std::map<std::uint64_t, std::vector<std::pair<std::string, std::uint64_t>>> open;
+  for (const scenario::Json& event : trace.find("traceEvents")->as_array()) {
+    const std::string phase = event.find("ph")->as_string();
+    if (phase != "B" && phase != "E") continue;
+    const auto ts =
+        static_cast<std::uint64_t>(std::llround(event.find("ts")->as_number() * 1000.0));
+    auto& stack = open[event.find("tid")->as_uint()];
+    if (phase == "B") {
+      stack.emplace_back(event.find("name")->as_string(), ts);
+      continue;
+    }
+    const auto [name, begin] = stack.back();
+    stack.pop_back();
+    sums.ns[name] += ts - begin;
+    ++sums.count[name];
+    if (name == "encode.inline" && !stack.empty() && stack.back().first == "commit") {
+      sums.encode_in_commit_ns += ts - begin;
+    }
+  }
+  return sums;
+}
+
 TEST_F(ObsTest, TraceFileIsWellFormed) {
   if (!obs::kObsCompiledIn) GTEST_SKIP() << "obs compiled out";
   obs::set_metrics_enabled(true);
@@ -523,6 +567,91 @@ TEST_F(ObsTest, RunsAreBitIdenticalAcrossObsModes) {
   }
 }
 
+// summary.perf is a view over the obs phase spans: its four buckets and its
+// total equal the phase histograms' sums and the trace's span sums to the
+// nanosecond, on both simulators and on the fused and scalar train paths.
+TEST_F(ObsTest, PerfBucketsAreThePhaseSpanSums) {
+  if (!obs::kObsCompiledIn) GTEST_SKIP() << "obs compiled out";
+  struct Case {
+    const char* base;
+    std::size_t batch;
+    std::size_t threads;
+  };
+  for (const Case& c : {Case{"fmnist-clustered", 16, 1}, Case{"fmnist-clustered", 0, 2},
+                        Case{"scale-2k", 16, 4}, Case{"scale-2k", 0, 1}}) {
+    SCOPED_TRACE(std::string(c.base) + " batch " + std::to_string(c.batch));
+    scenario::ScenarioSpec spec = scenario::get_scenario(c.base);
+    spec.num_clients = 30;
+    spec.samples_per_client = 20;
+    spec.rounds = 3;
+    spec.clients_per_round = 6;
+    spec.threads = c.threads;
+    spec.client.train.batch = c.batch;
+    // Inline encoding puts encode.inline spans inside the commits.
+    spec.store.delta = true;
+    spec.store.async_encode = false;
+    spec.obs.trace = ::testing::TempDir() + "test_obs_perf.trace.json";
+    const scenario::ScenarioResult result = scenario::run_scenario(spec);
+    const SpanSums trace = span_sums(spec.obs.trace);
+    std::remove(spec.obs.trace.c_str());
+
+    const auto phase_ns = [&](const char* name) {
+      return result.obs_totals.histogram(std::string("phase.") + name + "_ns").sum;
+    };
+    for (const char* name : {"tipsel", "tipsel.reference", "train", "exec.train", "eval",
+                             "round", "advance", "encode.inline"}) {
+      EXPECT_EQ(phase_ns(name), trace.of(name)) << name;
+    }
+    EXPECT_GT(trace.encode_in_commit_ns, 0u);
+    EXPECT_EQ(phase_ns("commit"), trace.of("commit") - trace.encode_in_commit_ns);
+    EXPECT_GT(trace.spans(c.batch > 0 ? "exec.train" : "train"), 0u);
+    EXPECT_EQ(trace.spans(c.batch > 0 ? "train" : "exec.train"), 0u);
+
+    const auto seconds = [](std::uint64_t ns) { return static_cast<double>(ns) * 1e-9; };
+    const sim::PhaseTimings& perf = result.perf;
+    EXPECT_EQ(perf.tipsel_seconds, seconds(phase_ns("tipsel") + phase_ns("tipsel.reference")));
+    EXPECT_EQ(perf.train_seconds, seconds(phase_ns("train") + phase_ns("exec.train")));
+    EXPECT_EQ(perf.eval_seconds, seconds(phase_ns("eval")));
+    EXPECT_EQ(perf.commit_seconds, seconds(phase_ns("commit")));
+    EXPECT_EQ(perf.total_seconds, seconds(phase_ns("round") + phase_ns("advance")));
+    EXPECT_GT(perf.phase_sum_seconds(), 0.0);
+
+    const scenario::Json json = scenario::result_to_json(result);
+    const scenario::Json& perf_json = *json.find("summary")->find("perf");
+    EXPECT_EQ(perf_json.find("tipsel_seconds")->as_number(), perf.tipsel_seconds);
+    EXPECT_EQ(perf_json.find("train_seconds")->as_number(), perf.train_seconds);
+    EXPECT_EQ(perf_json.find("eval_seconds")->as_number(), perf.eval_seconds);
+    EXPECT_EQ(perf_json.find("commit_seconds")->as_number(), perf.commit_seconds);
+    EXPECT_EQ(perf_json.find("total_seconds")->as_number(), perf.total_seconds);
+  }
+}
+
+// Delayed commits (visibility_delay_rounds > 0) enter the DAG in a later
+// round's flush, each under its own commit span.
+TEST_F(ObsTest, DelayedCommitsAreTimedUnderCommitSpans) {
+  if (!obs::kObsCompiledIn) GTEST_SKIP() << "obs compiled out";
+  scenario::ScenarioSpec spec = scenario::get_scenario("fmnist-clustered");
+  spec.num_clients = 6;
+  spec.samples_per_client = 20;
+  spec.rounds = 4;
+  spec.clients_per_round = 3;
+  spec.visibility_delay_rounds = 1;
+  spec.store.delta = true;
+  spec.store.async_encode = false;
+  spec.obs.trace = ::testing::TempDir() + "test_obs_delay.trace.json";
+  const scenario::ScenarioResult result = scenario::run_scenario(spec);
+  const SpanSums trace = span_sums(spec.obs.trace);
+  std::remove(spec.obs.trace.c_str());
+
+  // Rounds 1..3 flush the 3 prepares of the round before; the last round's
+  // stay pending.
+  EXPECT_EQ(trace.spans("commit"), 9u);
+  EXPECT_GT(result.perf.commits, 0u);
+  EXPECT_GT(trace.encode_in_commit_ns, 0u);
+  EXPECT_EQ(result.perf.commit_seconds,
+            static_cast<double>(trace.of("commit") - trace.encode_in_commit_ns) * 1e-9);
+}
+
 // summary.obs serialization: present (with the catalog counters) when
 // metrics are on, absent when off.
 TEST_F(ObsTest, SummaryObsBlockFollowsTheSwitch) {
@@ -553,8 +682,36 @@ TEST_F(ObsTest, SummaryObsBlockFollowsTheSwitch) {
     EXPECT_EQ(obs_block, nullptr);
   }
 
+  // summary.perf accounts for the whole wall clock: setup + simulate
+  // (total) + finalize + unaccounted.
+  const scenario::Json* perf = summary->find("perf");
+  ASSERT_NE(perf, nullptr);
+  if (obs::kObsCompiledIn) {
+    double sum = 0.0;
+    for (const char* name : {"setup_seconds", "total_seconds", "finalize_seconds",
+                             "unaccounted_seconds"}) {
+      ASSERT_NE(perf->find(name), nullptr) << name;
+      EXPECT_GE(perf->find(name)->as_number(), 0.0) << name;
+      sum += perf->find(name)->as_number();
+    }
+    EXPECT_GT(perf->find("setup_seconds")->as_number(), 0.0);
+    EXPECT_GT(perf->find("finalize_seconds")->as_number(), 0.0);
+    EXPECT_NEAR(sum, summary->find("wall_seconds")->as_number(), 1e-9);
+  }
+
+  // Without metrics summary.perf keeps its counts (and the store's own
+  // encode clock) and drops every span-derived field.
   const scenario::Json without_obs = run(false);
   EXPECT_EQ(without_obs.find("summary")->find("obs"), nullptr);
+  const scenario::Json* counts = without_obs.find("summary")->find("perf");
+  ASSERT_NE(counts, nullptr);
+  for (const auto& [name, value] : counts->as_object()) {
+    EXPECT_TRUE(name == "prepares" || name == "commits" || name == "threads" ||
+                name == "encode_seconds")
+        << name;
+  }
+  EXPECT_EQ(counts->find("prepares")->as_uint(), perf->find("prepares")->as_uint());
+  EXPECT_EQ(counts->find("commits")->as_uint(), perf->find("commits")->as_uint());
 }
 
 // The obs spec block round-trips through JSON and defaults stay invisible

@@ -357,6 +357,32 @@ TEST(SnapshotCheckpoint, WriteLoadResumeMatchesUninterrupted) {
   }
 }
 
+// A checkpoint carries no wall clock: two runs of one spec write the same
+// bytes, also when prepared results are serialized — broadcasts still in
+// flight (async) and commits held back by a visibility delay (round). The
+// spec, checkpoint.dir included, is embedded, so both runs use one path.
+TEST(SnapshotCheckpoint, CheckpointBytesAreIdenticalAcrossRuns) {
+  TempDir dir("ckpt-bytes");
+  scenario::ScenarioSpec delayed = tiny_checkpoint_spec(dir.file("round"));
+  delayed.visibility_delay_rounds = 1;
+  for (const scenario::ScenarioSpec& spec :
+       {tiny_async_checkpoint_spec(dir.file("async")), delayed}) {
+    SCOPED_TRACE(spec.name);
+    const auto checkpoint_bytes = [&] {
+      (void)scenario::run_scenario(spec);
+      std::string bytes;
+      for (std::size_t unit : {2, 4, 6}) {
+        std::ifstream in(snapshot::checkpoint_path(spec.checkpoint.dir, unit), std::ios::binary);
+        bytes.append(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+      }
+      return bytes;
+    };
+    const std::string first = checkpoint_bytes();
+    ASSERT_GT(first.size(), 1000u);
+    EXPECT_TRUE(first == checkpoint_bytes());
+  }
+}
+
 TEST(SnapshotCheckpoint, KeepLastPrunesOldCheckpoints) {
   TempDir dir("prune");
   scenario::ScenarioSpec spec = tiny_checkpoint_spec(dir.file("ckpts"));

@@ -233,7 +233,6 @@ TEST(AccuracyTipSelector, StatsCountStepsAndEvaluations) {
   selector.select_tips(dag, 1, rng);
   EXPECT_EQ(selector.last_stats().steps, 2u);
   EXPECT_EQ(selector.last_stats().evaluations, 2u);
-  EXPECT_GE(selector.last_stats().seconds, 0.0);
 }
 
 // ------------------------------------------------------------ select_tips --
