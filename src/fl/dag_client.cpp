@@ -8,16 +8,16 @@ namespace specdag::fl {
 
 DagClient::DagClient(const data::ClientData* client, nn::ReplicaPool& replicas,
                      DagClientConfig config, Rng rng,
-                     std::shared_ptr<tipsel::AccuracyCache> shared_cache)
+                     std::shared_ptr<tipsel::AccuracyCache> cache)
     : client_(client),
       replicas_(&replicas),
       config_(config),
       rng_(rng),
-      cache_(config.persistent_accuracy_cache
-                 ? (shared_cache ? std::move(shared_cache)
-                                 : std::make_shared<tipsel::TxAccuracyCache>())
-                 : nullptr) {
+      cache_(config.persistent_accuracy_cache ? std::move(cache) : nullptr) {
   if (client_ == nullptr) throw std::invalid_argument("DagClient: null client data");
+  if (config_.persistent_accuracy_cache && !cache_) {
+    throw std::invalid_argument("DagClient: persistent_accuracy_cache needs a cache");
+  }
   if (config_.num_parents == 0) throw std::invalid_argument("DagClient: zero parents");
   if (client_->num_test() == 0) {
     throw std::invalid_argument("DagClient: client needs test data for the biased walk");

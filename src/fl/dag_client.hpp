@@ -97,13 +97,12 @@ class DagClient {
   // `client` and `replicas` must outlive the DagClient. The client owns no
   // model: it leases a replica from `replicas` for each training or
   // evaluation and loads the weights into it first, so replicas carry no
-  // client state and many clients share a few. `shared_cache` (optional) is
-  // a view into the simulation-wide sharded evaluation cache
-  // (store::ClientEvalCacheView); without one the client falls back to a
-  // private per-transaction map. Either way the cache is only consulted
-  // when `config.persistent_accuracy_cache` is set.
+  // client state and many clients share a few. `cache` is the client's view
+  // into the simulation-wide sharded evaluation cache
+  // (store::ClientEvalCacheView); it is required when
+  // `config.persistent_accuracy_cache` is set and ignored otherwise.
   DagClient(const data::ClientData* client, nn::ReplicaPool& replicas, DagClientConfig config,
-            Rng rng, std::shared_ptr<tipsel::AccuracyCache> shared_cache = nullptr);
+            Rng rng, std::shared_ptr<tipsel::AccuracyCache> cache);
 
   // Executes steps 1-4. Mutates only the client's own state; `publish` on
   // the DAG happens through the returned result when the caller commits it

@@ -112,7 +112,6 @@ class HistogramCell {
 
   std::uint64_t count() const;
   std::uint64_t sum() const;
-  void reset();
 
  private:
   friend struct HistogramSnapshot;
@@ -191,8 +190,6 @@ class Context {
   // THIS context (unmaterialized cells read as zero, so the catalog is
   // identical across contexts). Defined in metrics.cpp with the registry.
   MetricsSnapshot snapshot() const;
-  // Zeroes every materialized cell in place.
-  void reset_metrics();
 
   // Disabled-path bookkeeping: called instead of recording when metrics are
   // off. Only does work when the context was closed — the defunct-epoch

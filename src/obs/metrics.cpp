@@ -61,13 +61,6 @@ std::uint64_t HistogramCell::sum() const {
   return total;
 }
 
-void HistogramCell::reset() {
-  for (auto& shard : shards_) {
-    for (auto& bucket : shard.buckets) bucket.store(0, std::memory_order_relaxed);
-    shard.sum.store(0, std::memory_order_relaxed);
-  }
-}
-
 std::uint64_t Histogram::count() const {
   const HistogramCell* cell = Context::current().find_histogram_cell(id_);
   return cell == nullptr ? 0 : cell->count();
@@ -76,11 +69,6 @@ std::uint64_t Histogram::count() const {
 std::uint64_t Histogram::sum() const {
   const HistogramCell* cell = Context::current().find_histogram_cell(id_);
   return cell == nullptr ? 0 : cell->sum();
-}
-
-void Histogram::reset() {
-  auto* cell = const_cast<HistogramCell*>(Context::current().find_histogram_cell(id_));
-  if (cell != nullptr) cell->reset();
 }
 
 HistogramSnapshot HistogramSnapshot::of_cell(const HistogramCell& cell) {
@@ -223,8 +211,6 @@ Histogram& Registry::histogram(std::string_view name) {
 
 MetricsSnapshot Registry::snapshot() { return Context::current().snapshot(); }
 
-void Registry::reset() { Context::current().reset_metrics(); }
-
 // Defined here (not context.cpp) because it iterates the registry's name
 // maps: the snapshot catalog is every *named* metric, with unmaterialized
 // cells reading as zero so all contexts report an identical key set.
@@ -242,15 +228,6 @@ MetricsSnapshot Context::snapshot() const {
         cell == nullptr ? HistogramSnapshot{} : HistogramSnapshot::of_cell(*cell);
   }
   return snap;
-}
-
-void Context::reset_metrics() {
-  for (std::size_t id = 0; id < kMaxMetricsPerKind; ++id) {
-    auto* counter = counter_cells_[id].load(std::memory_order_acquire);
-    if (counter != nullptr) counter->reset();
-    auto* histogram = histogram_cells_[id].load(std::memory_order_acquire);
-    if (histogram != nullptr) histogram->reset();
-  }
 }
 
 }  // namespace specdag::obs

@@ -117,7 +117,6 @@ class Histogram {
 
   std::uint64_t count() const;
   std::uint64_t sum() const;
-  void reset();
 
   std::uint32_t id() const { return id_; }
 
@@ -181,17 +180,14 @@ struct MetricsSnapshot {
 };
 
 // Process-global name -> handle table. Lookup takes a mutex; cache the
-// returned reference (it is stable for the process lifetime). Snapshots and
-// resets act on the calling thread's ACTIVE context — for a specific run's
-// context use Context::snapshot()/reset_metrics() directly.
+// returned reference (it is stable for the process lifetime). Snapshots act
+// on the calling thread's ACTIVE context — for a specific run's context use
+// Context::snapshot() directly.
 class Registry {
  public:
   static Counter& counter(std::string_view name);
   static Histogram& histogram(std::string_view name);
   static MetricsSnapshot snapshot();
-  // Zeroes every registered metric of the active context in place
-  // (references stay valid).
-  static void reset();
 };
 
 }  // namespace specdag::obs

@@ -332,8 +332,8 @@ namespace {
 
 // Indexed by Phase.
 constexpr const char* kPhaseNames[] = {
-    "setup", "round",  "advance",       "tipsel",  "tipsel.reference", "train", "exec.train",
-    "eval",  "commit", "encode.inline", "finalize"};
+    "setup", "round",  "advance",       "tipsel",       "tipsel.reference", "train",
+    "exec.train", "eval",  "commit", "encode.inline", "encode.async", "finalize"};
 constexpr std::size_t kNumPhases = std::size(kPhaseNames);
 static_assert(kNumPhases == static_cast<std::size_t>(Phase::kFinalize) + 1);
 

@@ -42,7 +42,7 @@ namespace specdag::obs {
 // encode.inline spans nested in it on its thread.
 enum class Phase : std::uint8_t {
   kSetup, kRound, kAdvance, kTipsel, kTipselReference, kTrain, kExecTrain, kEval, kCommit,
-  kEncodeInline, kFinalize,
+  kEncodeInline, kEncodeAsync, kFinalize,
 };
 
 const char* phase_name(Phase phase);

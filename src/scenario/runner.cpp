@@ -21,7 +21,6 @@
 #include "snapshot/checkpoint.hpp"
 #include "util/csv.hpp"
 #include "util/logging.hpp"
-#include "util/timer.hpp"
 
 namespace specdag::scenario {
 namespace {
@@ -601,7 +600,7 @@ class ObsSession {
 ScenarioResult run_scenario_impl(const ScenarioSpec& spec, const RunOptions& options,
                                  const RunControl& control) {
   spec.validate();
-  Timer timer;
+  const std::uint64_t start_ns = obs::now_ns();
   ObsSession obs_session(spec.obs);
   sim::ExperimentPreset preset = build_preset(spec);
 
@@ -640,7 +639,7 @@ ScenarioResult run_scenario_impl(const ScenarioSpec& spec, const RunOptions& opt
   if (poison_measured > 0) {
     result.mean_approved_poisoned = poison_sum / static_cast<double>(poison_measured);
   }
-  result.wall_seconds = timer.elapsed_seconds();
+  result.wall_seconds = static_cast<double>(obs::now_ns() - start_ns) * 1e-9;
   if (!spec.obs.metrics_out.empty()) {
     if (result.obs_enabled) {
       if (!obs::write_prometheus_file(spec.obs.metrics_out, result.obs_totals)) {
@@ -858,15 +857,14 @@ Json result_to_json(const ScenarioResult& result, bool include_series) {
 
     // Per-phase timing breakdown, a view over the obs phase spans (see
     // sim/perf.hpp); setup, finalize and unaccounted split the rest of
-    // wall_seconds. encode is the store's own clock, so it stays when
-    // metrics are off and the span-derived fields are dropped.
+    // wall_seconds. With metrics off only the counts stay.
     if (result.perf.prepares > 0) {
       Json perf = Json::make_object();
       perf.set("prepares", result.perf.prepares);
       perf.set("commits", result.perf.commits);
       perf.set("threads", result.prepare_threads);
-      perf.set("encode_seconds", result.store_stats.encode_seconds);
       if (result.obs_enabled) {
+        perf.set("encode_seconds", result.store_stats.encode_seconds);
         perf.set("tipsel_seconds", result.perf.tipsel_seconds);
         perf.set("train_seconds", result.perf.train_seconds);
         perf.set("eval_seconds", result.perf.eval_seconds);

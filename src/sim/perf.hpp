@@ -16,9 +16,9 @@
 // (AsyncDagSimulator::run_steps / run_until). setup_seconds and
 // finalize_seconds are the scenario runner's spans (0 outside it).
 //
-// Delta encoding is not a bucket here: the store measures every encode site
-// itself (StoreStats::encode_seconds — inline in the commit section,
-// background workers under store.async_encode, attacker-published payloads).
+// Delta encoding is not a bucket here: its `encode.inline` (in the commit
+// section, or publishing attacker payloads) and `encode.async` (background
+// workers under store.async_encode) spans sum to StoreStats::encode_seconds.
 //
 // tipsel/train/eval are summed across the threads that ran the spans, so
 // under a parallel prepare they are aggregate busy time and can exceed the

@@ -134,8 +134,4 @@ metrics::LouvainResult DagSimulator::louvain_communities() {
   return metrics::louvain(graph, louvain_rng_);
 }
 
-double DagSimulator::client_graph_modularity() {
-  return louvain_communities().modularity;
-}
-
 }  // namespace specdag::sim

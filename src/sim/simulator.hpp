@@ -80,7 +80,6 @@ class DagSimulator : public ClientPopulation {
   // --- evaluation helpers -------------------------------------------------
 
   metrics::LouvainResult louvain_communities();
-  double client_graph_modularity();
 
   // Evaluates each client's *consensus* model on its local test data (the
   // personalized model a participant would use for inference).

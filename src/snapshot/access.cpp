@@ -196,8 +196,6 @@ void Access::restore_store(Reader& r, store::ModelStore& store) {
     store.lru_misses_ = 0;
     store.decoded_payloads_ = 0;
   }
-  store.encode_nanos_inline_.store(0, std::memory_order_relaxed);
-  store.encode_nanos_async_.store(0, std::memory_order_relaxed);
 }
 
 // --- DAG --------------------------------------------------------------------

@@ -1,7 +1,6 @@
 #include "snapshot/checkpoint.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <filesystem>
 
@@ -18,7 +17,6 @@ namespace {
 struct SnapshotMetrics {
   obs::Counter& writes = obs::Registry::counter("snapshot.writes");
   obs::Counter& bytes = obs::Registry::counter("snapshot.bytes");
-  obs::Counter& restore_nanos = obs::Registry::counter("snapshot.restore_nanos");
 };
 
 SnapshotMetrics& snapshot_metrics() {
@@ -145,7 +143,6 @@ void restore_state_impl(const LoadedCheckpoint& checkpoint, Simulator& sim,
                         (checkpoint.sim_kind == kSimRound ? "round" : "async") +
                         " simulator, cannot restore into the " + expected_name + " simulator");
   }
-  const auto start = std::chrono::steady_clock::now();
   Reader r(checkpoint.payload.data() + checkpoint.state_offset,
            checkpoint.payload.size() - checkpoint.state_offset);
   Access::restore_dag(r, sim.network().dag());
@@ -157,9 +154,6 @@ void restore_state_impl(const LoadedCheckpoint& checkpoint, Simulator& sim,
     throw SnapshotError("snapshot: " + std::to_string(r.remaining()) +
                         " trailing bytes after the state section");
   }
-  const auto elapsed = std::chrono::steady_clock::now() - start;
-  snapshot_metrics().restore_nanos.add(static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count()));
 }
 
 }  // namespace

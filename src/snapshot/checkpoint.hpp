@@ -64,7 +64,8 @@ LoadedCheckpoint load_checkpoint(const std::string& path);
 // `checkpoint.spec` (same dataset, client count, model — mismatches throw).
 // The label-flip schedule for units before completed_units must already have
 // been replayed into the simulator's dataset (the runner does this), so the
-// restored eval cache matches the client data. Records snapshot.restore_nanos.
+// restored eval cache matches the client data. The runner times a restore
+// under its `setup` span.
 void restore_state(const LoadedCheckpoint& checkpoint, sim::DagSimulator& sim,
                    scenario::AttackController& attacks);
 void restore_state(const LoadedCheckpoint& checkpoint, sim::AsyncDagSimulator& sim,

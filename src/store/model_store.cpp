@@ -8,7 +8,6 @@
 #include "obs/trace.hpp"
 #include "store/delta_codec.hpp"
 #include "util/rng.hpp"
-#include "util/timer.hpp"
 
 namespace specdag::store {
 namespace {
@@ -26,11 +25,6 @@ struct StoreMetrics {
 StoreMetrics& store_metrics() {
   static StoreMetrics metrics;
   return metrics;
-}
-
-
-std::uint64_t elapsed_nanos(const Timer& timer) {
-  return static_cast<std::uint64_t>(timer.elapsed_seconds() * 1e9);
 }
 
 }  // namespace
@@ -62,7 +56,8 @@ ContentHash hash_weights(const nn::WeightVector& weights) {
   return ContentHash{splitmix64(hi ^ weights.size()), splitmix64(lo ^ weights.size())};
 }
 
-ModelStore::ModelStore(StoreConfig config) : config_(config) {
+ModelStore::ModelStore(StoreConfig config)
+    : config_(config), obs_(&obs::Context::current()) {
   if (config_.anchor_interval == 0) {
     throw std::invalid_argument("ModelStore: anchor_interval must be > 0");
   }
@@ -171,7 +166,6 @@ PayloadId ModelStore::put(WeightsPtr weights, const std::vector<PayloadId>& base
   bool stored_as_delta = false;
   if (encodable && chain_depth <= config_.anchor_interval) {
     obs::ScopedSpan span(obs::Phase::kEncodeInline, {{"payload", id}});
-    Timer encode_timer;
     nn::WeightVector base_storage;
     const nn::WeightVector* base = encode_base.get();
     if (base == nullptr) {
@@ -180,7 +174,6 @@ PayloadId ModelStore::put(WeightsPtr weights, const std::vector<PayloadId>& base
     }
     std::vector<std::uint8_t> encoded =
         encode_delta(weights->data(), base->data(), weights->size());
-    encode_nanos_inline_.fetch_add(elapsed_nanos(encode_timer), std::memory_order_relaxed);
     if (encoded.size() < raw_bytes) {
       entry.state = EntryState::kDelta;
       entry.chain_depth = chain_depth;
@@ -258,36 +251,35 @@ void ModelStore::encode_async_impl(PayloadId id) {
     });
   }
 
-  // Time only the real encode work (not the wait above), and publish the
-  // nanos before settling so a drain()-then-stats() sees the full cost.
-  obs::ScopedSpan span("encode.async", {{"payload", id}});
-  // Flow end emitted after the span's B event so the 'f' (bp:"e") lands
-  // inside the encode.async slice and the put->encode arrow binds to it.
-  if (obs::tracing_enabled()) obs::trace_detail::flow_finish("encode", id);
-  Timer encode_timer;
   std::uint32_t chain_depth = 0;
-  {
-    std::shared_lock lock(entries_mutex_);
-    for (PayloadId base : bases) {
-      chain_depth = std::max(chain_depth, entries_[base].chain_depth + 1);
-    }
-  }
-
   std::vector<std::uint8_t> encoded;
   bool stored_as_delta = false;
   const std::size_t raw_bytes = raw->size() * sizeof(float);
-  if (chain_depth <= config_.anchor_interval) {
-    nn::WeightVector base_storage;
-    const nn::WeightVector* base = encode_base.get();
-    if (base == nullptr) {
+  {
+    // Times only the real encode work (not the wait above), and closes
+    // before the entry settles, so whoever sees it settled sees its time.
+    obs::ScopedSpan span(obs::Phase::kEncodeAsync, {{"payload", id}});
+    // Flow end emitted after the span's B event so the 'f' (bp:"e") lands
+    // inside the encode.async slice and the put->encode arrow binds to it.
+    if (obs::tracing_enabled()) obs::trace_detail::flow_finish("encode", id);
+    {
       std::shared_lock lock(entries_mutex_);
-      base_storage = base_vector_locked(bases);
-      base = &base_storage;
+      for (PayloadId base : bases) {
+        chain_depth = std::max(chain_depth, entries_[base].chain_depth + 1);
+      }
     }
-    encoded = encode_delta(raw->data(), base->data(), raw->size());
-    stored_as_delta = encoded.size() < raw_bytes;
+    if (chain_depth <= config_.anchor_interval) {
+      nn::WeightVector base_storage;
+      const nn::WeightVector* base = encode_base.get();
+      if (base == nullptr) {
+        std::shared_lock lock(entries_mutex_);
+        base_storage = base_vector_locked(bases);
+        base = &base_storage;
+      }
+      encoded = encode_delta(raw->data(), base->data(), raw->size());
+      stored_as_delta = encoded.size() < raw_bytes;
+    }
   }
-  encode_nanos_async_.fetch_add(elapsed_nanos(encode_timer), std::memory_order_relaxed);
 
   {
     std::unique_lock lock(entries_mutex_);
@@ -321,8 +313,9 @@ void ModelStore::encode_async_impl(PayloadId id) {
 }
 
 void ModelStore::drain() const {
-  std::unique_lock encode_lock(encode_mutex_);
-  encode_cv_.wait(encode_lock, [&] { return unsettled_.empty(); });
+  // Every unsettled entry has a queued or running encode task, so an idle
+  // pool means a settled store.
+  if (encode_pool_) encode_pool_->wait_idle();
 }
 
 WeightsPtr ModelStore::materialize_locked(PayloadId id) const {
@@ -390,14 +383,6 @@ ContentHash ModelStore::hash_of(PayloadId id) const {
   return entries_[id].hash;
 }
 
-std::size_t ModelStore::num_floats(PayloadId id) const {
-  std::shared_lock lock(entries_mutex_);
-  if (id >= entries_.size()) {
-    throw std::out_of_range("ModelStore: unknown payload " + std::to_string(id));
-  }
-  return entries_[id].num_floats;
-}
-
 std::size_t ModelStore::size() const {
   std::shared_lock lock(entries_mutex_);
   return entries_.size();
@@ -418,10 +403,9 @@ StoreStats ModelStore::stats() const {
     out.peak_pending_encodes = peak_pending_;
   }
   out.deltas = entries_.size() - anchor_count_ - out.pending_encodes;
-  out.encode_seconds =
-      static_cast<double>(encode_nanos_inline_.load(std::memory_order_relaxed) +
-                          encode_nanos_async_.load(std::memory_order_relaxed)) *
-      1e-9;
+  out.encode_seconds = static_cast<double>(obs::phase_nanos(*obs_, obs::Phase::kEncodeInline) +
+                                           obs::phase_nanos(*obs_, obs::Phase::kEncodeAsync)) *
+                       1e-9;
   std::lock_guard lru_lock(lru_mutex_);
   out.lru_bytes = lru_bytes_;
   out.lru_entries = lru_.size();

@@ -34,7 +34,6 @@
 // so averaging and walks stay copy-free.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <list>
@@ -47,6 +46,10 @@
 
 #include "nn/model.hpp"
 #include "util/thread_pool.hpp"
+
+namespace specdag::obs {
+class Context;
+}
 
 namespace specdag::snapshot {
 struct Access;
@@ -118,8 +121,10 @@ struct StoreStats {
   std::uint64_t lru_hits = 0;
   std::uint64_t lru_misses = 0;    // materializations that had to decode
   std::uint64_t decoded_payloads = 0;  // total delta decodes performed
-  // Total wall time spent in the XOR codec + base materialization for
-  // encoding, wherever it ran (inline in put() or on the async workers).
+  // Time spent in the XOR codec + base materialization for encoding,
+  // wherever it ran: the `encode.inline` (in put()) and `encode.async` (on
+  // the workers) phase spans of the obs context the store was built under.
+  // Reads 0 when that context records no metrics.
   double encode_seconds = 0.0;
 
   // Resident fraction of the full-vector baseline (1.0 when delta is off).
@@ -164,7 +169,6 @@ class ModelStore {
   WeightsPtr get(PayloadId id) const;
 
   ContentHash hash_of(PayloadId id) const;
-  std::size_t num_floats(PayloadId id) const;
   std::size_t size() const;
 
   // Blocks until every queued/in-flight async encode has settled (no-op in
@@ -211,6 +215,9 @@ class ModelStore {
   void encode_async_impl(PayloadId id);
 
   const StoreConfig config_;
+  // The context the store was built under (it must outlive the store):
+  // stats() reads the encode spans' totals from it.
+  const obs::Context* obs_;
 
   // Lock order: entries_mutex_ before encode_mutex_ before lru_mutex_ (each
   // may be taken alone; never in reverse). Entries are append-only and
@@ -233,15 +240,14 @@ class ModelStore {
 
   // --- async encode pipeline ----------------------------------------------
   // unsettled_ tracks entries still in flight; workers wait on encode_cv_
-  // for their bases to leave the set, drain() waits for it to empty. The
-  // pool is declared last so its destructor (which completes every queued
+  // for their bases to leave the set. drain() waits for the pool to go
+  // idle, which also covers the workers' accounting. The pool is declared
+  // last so its destructor (which completes every queued
   // task) runs while the rest of the store is still alive.
   mutable std::mutex encode_mutex_;
   mutable std::condition_variable encode_cv_;
   mutable std::unordered_set<PayloadId> unsettled_;  // guarded by encode_mutex_
   std::size_t peak_pending_ = 0;                     // guarded by encode_mutex_
-  std::atomic<std::uint64_t> encode_nanos_inline_{0};
-  std::atomic<std::uint64_t> encode_nanos_async_{0};
 
   // Materialized delta payloads, most recently used first.
   mutable std::mutex lru_mutex_;

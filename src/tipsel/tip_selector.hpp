@@ -179,9 +179,8 @@ using ModelEvaluator = std::function<double(const nn::WeightVector&)>;
 // none, in which case evaluations are only memoized within a single walk
 // (matches the paper's cost model for the Figure 15 timing).
 //
-// Implementations: TxAccuracyCache below (a private per-client map) and
-// store::ClientEvalCacheView (a client-scoped view of the simulation-wide
-// sharded cache keyed by payload content).
+// Implementation: store::ClientEvalCacheView (a client-scoped view of the
+// simulation-wide sharded cache keyed by payload content).
 class AccuracyCache {
  public:
   virtual ~AccuracyCache() = default;
@@ -190,24 +189,6 @@ class AccuracyCache {
   virtual void store(const dag::Dag& dag, dag::TxId id, double accuracy) = 0;
   // Invalidates the cached view (the owning client's data changed).
   virtual void clear() = 0;
-};
-
-// The simple persistent cache: a private map keyed by transaction id.
-class TxAccuracyCache final : public AccuracyCache {
- public:
-  std::optional<double> lookup(const dag::Dag&, dag::TxId id) override {
-    auto it = map_.find(id);
-    if (it == map_.end()) return std::nullopt;
-    return it->second;
-  }
-  void store(const dag::Dag&, dag::TxId id, double accuracy) override {
-    map_.emplace(id, accuracy);
-  }
-  void clear() override { map_.clear(); }
-  std::size_t size() const { return map_.size(); }
-
- private:
-  std::unordered_map<dag::TxId, double> map_;
 };
 
 class AccuracyTipSelector final : public TipSelector {

@@ -1,6 +1,7 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
+#include <exception>
 #include <stdexcept>
 #include <string>
 
@@ -37,15 +38,15 @@ ThreadPool::~ThreadPool() {
 }
 
 std::future<void> ThreadPool::submit(std::function<void()> task) {
-  // std::function requires copyable targets, so the packaged_task rides in
-  // a shared_ptr.
-  auto packaged = std::make_shared<std::packaged_task<void()>>(std::move(task));
-  std::future<void> fut = packaged->get_future();
-  post([packaged] { (*packaged)(); });
+  std::promise<void> done;
+  std::future<void> fut = done.get_future();
+  enqueue(std::move(task), std::move(done));
   return fut;
 }
 
-void ThreadPool::post(std::function<void()> task) {
+void ThreadPool::post(std::function<void()> task) { enqueue(std::move(task), std::nullopt); }
+
+void ThreadPool::enqueue(std::function<void()> fn, std::optional<std::promise<void>> done) {
   const std::uint64_t enqueue_ns =
       obs::metrics_enabled() || obs::tracing_enabled() ? obs::now_ns() : 0;
   // Capture the poster's active context so the worker records this task's
@@ -54,7 +55,7 @@ void ThreadPool::post(std::function<void()> task) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (stop_) throw std::runtime_error("ThreadPool: submit after shutdown");
-    tasks_.push(Task{std::move(task), enqueue_ns, ctx});
+    tasks_.push(Task{std::move(fn), std::move(done), enqueue_ns, ctx});
   }
   cv_.notify_one();
 }
@@ -68,8 +69,14 @@ void ThreadPool::parallel_for(std::size_t n, const std::function<void(std::size_
   for (auto& f : futures) f.get();
 }
 
+void ThreadPool::wait_idle() {
+  std::unique_lock<std::mutex> lock(mutex_);
+  idle_cv_.wait(lock, [this] { return tasks_.empty() && running_ == 0; });
+}
+
 void ThreadPool::worker_loop(std::size_t worker_index) {
   obs::set_thread_name(std::string(name_) + "-" + std::to_string(worker_index));
+  bool ran = false;
   for (;;) {
     Task task;
     // The idle interval belongs to whichever task ends it, so the clock
@@ -79,10 +86,13 @@ void ThreadPool::worker_loop(std::size_t worker_index) {
     if (obs::kObsCompiledIn) wait_start = obs::now_ns();
     {
       std::unique_lock<std::mutex> lock(mutex_);
+      if (ran && --running_ == 0 && tasks_.empty()) idle_cv_.notify_all();
       cv_.wait(lock, [this] { return stop_ || !tasks_.empty(); });
       if (stop_ && tasks_.empty()) return;
       task = std::move(tasks_.front());
       tasks_.pop();
+      ++running_;
+      ran = true;
     }
     // Run the task under the context it was posted from: its counters,
     // spans, and the pool's own accounting attribute to the posting run.
@@ -91,6 +101,17 @@ void ThreadPool::worker_loop(std::size_t worker_index) {
     // must still emit the dequeue instants (and vice versa).
     const bool metrics = obs::metrics_enabled() && busy_nanos_ != nullptr;
     const bool tracing = obs::tracing_enabled();
+    // A submitted task's exception goes to its future; a posted task must
+    // not throw.
+    std::exception_ptr error;
+    const auto run = [&] {
+      if (!task.done) return task.fn();
+      try {
+        task.fn();
+      } catch (...) {
+        error = std::current_exception();
+      }
+    };
     if (metrics || tracing) {
       const std::uint64_t run_start = obs::now_ns();
       const std::uint64_t wait_us = task.enqueue_ns != 0 && run_start > task.enqueue_ns
@@ -103,14 +124,17 @@ void ThreadPool::worker_loop(std::size_t worker_index) {
       if (tracing) {
         obs::trace_detail::instant("pool.dequeue", {{"wait_us", wait_us}});
       }
-      // Counted before fn(): a submitted task's future is ready once fn()
-      // returns, so a count taken after it could miss the run's snapshot.
-      if (metrics) tasks_run_->add();
-      task.fn();
-      if (metrics) busy_nanos_->add(obs::now_ns() - run_start);
+      run();
+      if (metrics) {
+        busy_nanos_->add(obs::now_ns() - run_start);
+        tasks_run_->add();
+      }
     } else {
-      task.fn();
+      run();
     }
+    // Completion becomes visible only now, after the accounting above: the
+    // future here, wait_idle() once the worker takes the lock again.
+    if (task.done) error ? task.done->set_exception(error) : task.done->set_value();
   }
 }
 

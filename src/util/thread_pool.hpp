@@ -15,6 +15,7 @@
 #include <functional>
 #include <future>
 #include <mutex>
+#include <optional>
 #include <queue>
 #include <thread>
 #include <vector>
@@ -41,6 +42,8 @@ class ThreadPool {
   std::size_t size() const { return workers_.size(); }
 
   // Enqueues a task; the returned future rethrows any exception it raised.
+  // The future becomes ready only after the worker has recorded the task's
+  // pool metrics, so a snapshot taken right after get() includes them.
   std::future<void> submit(std::function<void()> task);
 
   // Fire-and-forget enqueue (no future, no promise allocation). The task
@@ -53,9 +56,14 @@ class ThreadPool {
   // tasks are rethrown (the first one encountered).
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
+  // Blocks until the queue is empty and no worker is running a task, with
+  // every finished task's pool metrics recorded.
+  void wait_idle();
+
  private:
   struct Task {
     std::function<void()> fn;
+    std::optional<std::promise<void>> done;  // submit() only
     std::uint64_t enqueue_ns = 0;
     // The poster's active obs context, captured at post()/submit() time and
     // re-installed around fn() in the worker — so pool work (client
@@ -64,6 +72,7 @@ class ThreadPool {
     obs::Context* ctx = nullptr;
   };
 
+  void enqueue(std::function<void()> fn, std::optional<std::promise<void>> done);
   void worker_loop(std::size_t worker_index);
 
   const char* name_;
@@ -71,6 +80,8 @@ class ThreadPool {
   std::queue<Task> tasks_;
   std::mutex mutex_;
   std::condition_variable cv_;
+  std::condition_variable idle_cv_;
+  std::size_t running_ = 0;  // tasks dequeued and not yet accounted for
   bool stop_ = false;
 
   // Cached registry references — resolved once in the ctor so workers never

@@ -278,6 +278,7 @@ const std::vector<std::vector<std::string>> kScheduleDependentSummaryFields = {
     {"obs", "counters", "store.lru_misses"},
     {"obs", "histograms", "phase.advance_ns"},
     {"obs", "histograms", "phase.commit_ns"},
+    {"obs", "histograms", "phase.encode.async_ns"},
     {"obs", "histograms", "phase.encode.inline_ns"},
     {"obs", "histograms", "phase.eval_ns"},
     {"obs", "histograms", "phase.exec.train_ns"},

@@ -8,6 +8,7 @@
 #include "fl/trainer.hpp"
 #include "nn/dense.hpp"
 #include "sim/models.hpp"
+#include "store/eval_cache_view.hpp"
 
 namespace specdag::fl {
 namespace {
@@ -22,6 +23,13 @@ data::FederatedDataset tiny_dataset() {
 
 nn::ModelFactory tiny_factory(const data::FederatedDataset& ds) {
   return sim::make_mlp_factory(shape_numel(ds.element_shape), 16, ds.num_classes);
+}
+
+// The client's view into a fresh simulation-wide evaluation cache, the kind
+// core::SpecializingDag::register_client hands every client.
+std::shared_ptr<tipsel::AccuracyCache> eval_cache(const data::ClientData& client) {
+  return std::make_shared<store::ClientEvalCacheView>(
+      std::make_shared<store::ShardedEvalCache>(), client.client_id);
 }
 
 // ------------------------------------------------------------ evaluation ---
@@ -255,7 +263,7 @@ TEST(DagClient, RunRoundPublishesWhenImproving) {
 
   DagClientConfig config;
   config.train = {1, 10, 10, 0.1};
-  DagClient client(&ds.clients[0], replicas, config, Rng(16));
+  DagClient client(&ds.clients[0], replicas, config, Rng(16), eval_cache(ds.clients[0]));
   const DagRoundResult result = client.run_round(dag, 1);
   // Training from random genesis weights practically always improves.
   EXPECT_TRUE(result.did_publish());
@@ -276,7 +284,7 @@ TEST(DagClient, GateBlocksWorseModels) {
   DagClientConfig config;
   config.train = {1, 1, 2, 1e-6};  // training barely changes anything
   config.publish_if_equal = false;
-  DagClient client(&ds.clients[0], replicas, config, Rng(18));
+  DagClient client(&ds.clients[0], replicas, config, Rng(18), eval_cache(ds.clients[0]));
   const DagRoundResult result = client.run_round(dag, 1);
   // Equal accuracy with strict gate -> no publish.
   if (result.trained_eval.accuracy == result.reference_eval.accuracy) {
@@ -297,7 +305,7 @@ TEST(DagClient, GateDisabledAlwaysPublishes) {
   DagClientConfig config;
   config.train = {1, 1, 2, 1e-9};
   config.publish_gate = false;
-  DagClient client(&ds.clients[0], replicas, config, Rng(20));
+  DagClient client(&ds.clients[0], replicas, config, Rng(20), eval_cache(ds.clients[0]));
   const DagRoundResult result = client.run_round(dag, 1);
   EXPECT_TRUE(result.did_publish());
 }
@@ -310,8 +318,20 @@ TEST(DagClient, RequiresTestData) {
   no_test.test_x.clear();
   no_test.test_y.clear();
   DagClientConfig config;
-  EXPECT_THROW(DagClient(&no_test, replicas, config, Rng(21)), std::invalid_argument);
-  EXPECT_THROW(DagClient(nullptr, replicas, config, Rng(22)), std::invalid_argument);
+  EXPECT_THROW(DagClient(&no_test, replicas, config, Rng(21), eval_cache(no_test)),
+               std::invalid_argument);
+  EXPECT_THROW(DagClient(nullptr, replicas, config, Rng(22), eval_cache(no_test)),
+               std::invalid_argument);
+}
+
+TEST(DagClient, PersistentAccuracyCacheNeedsACache) {
+  const auto ds = tiny_dataset();
+  nn::ReplicaPool replicas = nn::make_replica_pool(tiny_factory(ds));
+  DagClientConfig config;
+  EXPECT_THROW(DagClient(&ds.clients[0], replicas, config, Rng(29), nullptr),
+               std::invalid_argument);
+  config.persistent_accuracy_cache = false;
+  EXPECT_NO_THROW(DagClient(&ds.clients[0], replicas, config, Rng(29), nullptr));
 }
 
 TEST(DagClient, CommitWithoutPrepareThrows) {
@@ -323,7 +343,7 @@ TEST(DagClient, CommitWithoutPrepareThrows) {
   model.init_params(rng);
   dag::Dag dag(model.get_weights());
   DagClientConfig config;
-  DagClient client(&ds.clients[0], replicas, config, Rng(24));
+  DagClient client(&ds.clients[0], replicas, config, Rng(24), eval_cache(ds.clients[0]));
   DagRoundResult empty;
   EXPECT_THROW(client.commit_round(dag, empty, 0), std::logic_error);
 }
@@ -337,7 +357,7 @@ TEST(DagClient, WalkStatsPopulated) {
   model.init_params(rng);
   dag::Dag dag(model.get_weights());
   DagClientConfig config;
-  DagClient client(&ds.clients[0], replicas, config, Rng(26));
+  DagClient client(&ds.clients[0], replicas, config, Rng(26), eval_cache(ds.clients[0]));
   client.run_round(dag, 1);
   const DagRoundResult second = client.run_round(dag, 2);
   EXPECT_GT(second.walk_stats.steps, 0u);
@@ -354,7 +374,7 @@ TEST(DagClient, RandomSelectorIgnoresAccuracy) {
   dag::Dag dag(model.get_weights());
   DagClientConfig config;
   config.selector = SelectorKind::kRandom;
-  DagClient client(&ds.clients[0], replicas, config, Rng(28));
+  DagClient client(&ds.clients[0], replicas, config, Rng(28), eval_cache(ds.clients[0]));
   const DagRoundResult result = client.run_round(dag, 1);
   EXPECT_EQ(result.walk_stats.evaluations, 0u);  // random walk never evaluates
 }

@@ -20,6 +20,7 @@
 #include "scenario/registry.hpp"
 #include "scenario/runner.hpp"
 #include "sim/models.hpp"
+#include "store/eval_cache_view.hpp"
 
 namespace specdag {
 namespace {
@@ -119,15 +120,20 @@ void check_lease_carries_no_state(const nn::ModelFactory& factory,
   fl::DagClientConfig config;
   config.train = {1, 3, 8, 0.1};
 
+  // Every client gets its own evaluation cache: only the replicas are shared.
+  const auto cache = [](const data::ClientData& client) {
+    return std::make_shared<store::ClientEvalCacheView>(
+        std::make_shared<store::ShardedEvalCache>(), client.client_id);
+  };
   nn::ReplicaPool shared = nn::make_replica_pool(factory);
-  fl::DagClient b(&ds.clients[1], shared, config, Rng(11));
-  fl::DagClient a(&ds.clients[0], shared, config, Rng(12));
+  fl::DagClient b(&ds.clients[1], shared, config, Rng(11), cache(ds.clients[1]));
+  fl::DagClient a(&ds.clients[0], shared, config, Rng(12), cache(ds.clients[0]));
   b.prepare_round(dag);
   const fl::DagRoundResult reused = a.prepare_round(dag);
   EXPECT_EQ(shared.built(), 1u);
 
   nn::ReplicaPool fresh = nn::make_replica_pool(factory);
-  fl::DagClient a_fresh(&ds.clients[0], fresh, config, Rng(12));
+  fl::DagClient a_fresh(&ds.clients[0], fresh, config, Rng(12), cache(ds.clients[0]));
   expect_same_round(reused, a_fresh.prepare_round(dag));
 }
 

@@ -4,6 +4,7 @@
 // bit-identical with obs on, off, or traced, at any thread count.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <future>
@@ -21,6 +22,7 @@
 #include "scenario/config.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/runner.hpp"
+#include "store/model_store.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -220,6 +222,39 @@ TEST_F(ObsTest, ThreadPoolPropagatesPostersContext) {
   // which worker ran it or what ran on that worker before.
   EXPECT_EQ(a.snapshot().counter("test_obs.pool_ctx"), 8u);
   EXPECT_EQ(b.snapshot().counter("test_obs.pool_ctx"), 8u);
+}
+
+// A task's busy time is recorded before its completion becomes visible: read
+// right after parallel_for returns (or after wait_idle for posted tasks),
+// busy_nanos holds every task's time.
+TEST_F(ObsTest, PoolBusyTimeIsRecordedBeforeCompletion) {
+  if (!obs::kObsCompiledIn) GTEST_SKIP() << "obs compiled out";
+  obs::Counter& busy = obs::Registry::counter("pool.obstest.busy_nanos");
+  obs::Counter& tasks = obs::Registry::counter("pool.obstest.tasks");
+  obs::Context ctx;
+  obs::ContextScope scope(&ctx);
+  ThreadPool pool(4, "obstest");
+  std::atomic<std::uint64_t> task_ns{0};
+  const auto task = [&](std::size_t) {
+    const std::uint64_t start = obs::now_ns();
+    volatile std::uint64_t sink = 0;
+    for (std::uint64_t i = 0; i < 2000; ++i) sink = sink + i;
+    task_ns.fetch_add(obs::now_ns() - start);
+  };
+  std::uint64_t expected_tasks = 0;
+  for (int round = 0; round < 200; ++round) {
+    pool.parallel_for(4, task);
+    expected_tasks += 4;
+    ASSERT_EQ(tasks.value(), expected_tasks) << "round " << round;
+    ASSERT_GE(busy.value(), task_ns.load()) << "round " << round;
+  }
+  for (int round = 0; round < 50; ++round) {
+    pool.post([&] { task(0); });
+    pool.wait_idle();
+    expected_tasks += 1;
+    ASSERT_EQ(tasks.value(), expected_tasks) << "post " << round;
+    ASSERT_GE(busy.value(), task_ns.load()) << "post " << round;
+  }
 }
 
 TEST_F(ObsTest, ClosedContextCountsLateRecordsInsteadOfSkewing) {
@@ -599,7 +634,7 @@ TEST_F(ObsTest, PerfBucketsAreThePhaseSpanSums) {
       return result.obs_totals.histogram(std::string("phase.") + name + "_ns").sum;
     };
     for (const char* name : {"tipsel", "tipsel.reference", "train", "exec.train", "eval",
-                             "round", "advance", "encode.inline"}) {
+                             "round", "advance", "encode.inline", "encode.async"}) {
       EXPECT_EQ(phase_ns(name), trace.of(name)) << name;
     }
     EXPECT_GT(trace.encode_in_commit_ns, 0u);
@@ -623,6 +658,84 @@ TEST_F(ObsTest, PerfBucketsAreThePhaseSpanSums) {
     EXPECT_EQ(perf_json.find("eval_seconds")->as_number(), perf.eval_seconds);
     EXPECT_EQ(perf_json.find("commit_seconds")->as_number(), perf.commit_seconds);
     EXPECT_EQ(perf_json.find("total_seconds")->as_number(), perf.total_seconds);
+    EXPECT_EQ(result.store_stats.encode_seconds,
+              seconds(phase_ns("encode.inline") + phase_ns("encode.async")));
+    EXPECT_EQ(perf_json.find("encode_seconds")->as_number(), result.store_stats.encode_seconds);
+  }
+}
+
+// StoreStats::encode_seconds is a view over the encode.inline and
+// encode.async spans of the context the store was built under. Read right
+// after drain() it already holds the last encode, and it equals both the
+// phase histograms and the trace's span sums exactly, for a bare store and
+// for a scenario run's summary.perf, encoding inline or on 1 or 4 workers.
+TEST_F(ObsTest, StoreEncodeSecondsAreTheEncodeSpanSums) {
+  if (!obs::kObsCompiledIn) GTEST_SKIP() << "obs compiled out";
+  const auto seconds = [](std::uint64_t ns) { return static_cast<double>(ns) * 1e-9; };
+  const auto phase_ns = [](const obs::MetricsSnapshot& snapshot, const char* name) {
+    return snapshot.histogram(std::string("phase.") + name + "_ns").sum;
+  };
+  const std::string path = ::testing::TempDir() + "test_obs_encode.trace.json";
+  for (const bool async : {false, true}) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      SCOPED_TRACE(std::string(async ? "async" : "sync") + " threads " +
+                   std::to_string(threads));
+      const char* encoded_by = async ? "encode.async" : "encode.inline";
+      const char* idle = async ? "encode.inline" : "encode.async";
+      {
+        obs::Context ctx;
+        obs::ContextScope scope(&ctx);
+        ctx.start_trace(path);
+        store::StoreConfig config;
+        config.async_encode = async;
+        config.encode_threads = threads;
+        store::ModelStore store(config);
+        nn::WeightVector current(512, 0.5f);
+        Rng rng(3);
+        std::vector<store::PayloadId> ids{
+            store.put(std::make_shared<const nn::WeightVector>(current), {})};
+        for (int i = 0; i < 40; ++i) {
+          for (float& v : current) v += 1e-3f * static_cast<float>(rng.normal());
+          ids.push_back(store.put(std::make_shared<const nn::WeightVector>(current),
+                                  {ids.back()}));
+        }
+        store.drain();
+        const store::StoreStats stats = store.stats();
+        const obs::MetricsSnapshot snapshot = ctx.snapshot();
+        ASSERT_TRUE(ctx.stop_trace());
+        const SpanSums trace = span_sums(path);
+        std::remove(path.c_str());
+        EXPECT_GT(trace.spans(encoded_by), 0u);
+        EXPECT_EQ(trace.spans(idle), 0u);
+        EXPECT_EQ(phase_ns(snapshot, encoded_by), trace.of(encoded_by));
+        EXPECT_EQ(phase_ns(snapshot, idle), 0u);
+        EXPECT_EQ(stats.encode_seconds, seconds(trace.of(encoded_by)));
+        EXPECT_GT(stats.encode_seconds, 0.0);
+      }
+      {
+        scenario::ScenarioSpec spec = scenario::get_scenario("scale-2k");
+        spec.num_clients = 30;
+        spec.samples_per_client = 20;
+        spec.rounds = 3;
+        spec.threads = threads;
+        spec.store.delta = true;
+        spec.store.async_encode = async;
+        spec.store.encode_threads = threads;
+        spec.obs.trace = path;
+        const scenario::ScenarioResult result = scenario::run_scenario(spec);
+        const SpanSums trace = span_sums(path);
+        std::remove(path.c_str());
+        EXPECT_GT(trace.spans(encoded_by), 0u);
+        EXPECT_EQ(trace.spans(idle), 0u);
+        const std::uint64_t encode_ns =
+            phase_ns(result.obs_totals, "encode.inline") + phase_ns(result.obs_totals, "encode.async");
+        EXPECT_EQ(encode_ns, trace.of("encode.inline") + trace.of("encode.async"));
+        EXPECT_EQ(result.store_stats.encode_seconds, seconds(encode_ns));
+        const scenario::Json json = scenario::result_to_json(result);
+        EXPECT_EQ(json.find("summary")->find("perf")->find("encode_seconds")->as_number(),
+                  seconds(encode_ns));
+      }
+    }
   }
 }
 
@@ -699,16 +812,15 @@ TEST_F(ObsTest, SummaryObsBlockFollowsTheSwitch) {
     EXPECT_NEAR(sum, summary->find("wall_seconds")->as_number(), 1e-9);
   }
 
-  // Without metrics summary.perf keeps its counts (and the store's own
-  // encode clock) and drops every span-derived field.
+  // Without metrics summary.perf keeps its counts and drops every
+  // span-derived field, encode_seconds included.
+  EXPECT_EQ(perf->find("encode_seconds") != nullptr, obs::kObsCompiledIn);
   const scenario::Json without_obs = run(false);
   EXPECT_EQ(without_obs.find("summary")->find("obs"), nullptr);
   const scenario::Json* counts = without_obs.find("summary")->find("perf");
   ASSERT_NE(counts, nullptr);
   for (const auto& [name, value] : counts->as_object()) {
-    EXPECT_TRUE(name == "prepares" || name == "commits" || name == "threads" ||
-                name == "encode_seconds")
-        << name;
+    EXPECT_TRUE(name == "prepares" || name == "commits" || name == "threads") << name;
   }
   EXPECT_EQ(counts->find("prepares")->as_uint(), perf->find("prepares")->as_uint());
   EXPECT_EQ(counts->find("commits")->as_uint(), perf->find("commits")->as_uint());

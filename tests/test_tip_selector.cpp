@@ -6,6 +6,8 @@
 #include <map>
 #include <set>
 
+#include "store/eval_cache_view.hpp"
+
 namespace specdag::tipsel {
 namespace {
 
@@ -185,7 +187,8 @@ TEST(AccuracyTipSelector, CachesEvaluations) {
     ++evaluations;
     return static_cast<double>(w[0]);
   };
-  auto cache = std::make_shared<TxAccuracyCache>();
+  auto cache = std::make_shared<store::ClientEvalCacheView>(
+      std::make_shared<store::ShardedEvalCache>(), /*client=*/0);
   AccuracyTipSelector selector(1.0, Normalization::kStandard, counting_evaluator, cache);
   Rng rng(8);
   selector.walk(dag, kGenesisTx, rng);

@@ -10,7 +10,6 @@
 #include "util/csv.hpp"
 #include "util/logging.hpp"
 #include "util/thread_pool.hpp"
-#include "util/timer.hpp"
 
 namespace specdag {
 namespace {
@@ -121,16 +120,6 @@ TEST(Logging, BelowThresholdIsCheap) {
   // Should not crash or emit; mostly exercising the disabled path.
   SPECDAG_LOG(Debug) << "invisible " << 42;
   set_log_level(before);
-}
-
-// ---------------------------------------------------------------- timer ----
-
-TEST(Timer, MeasuresNonNegativeDurations) {
-  Timer t;
-  EXPECT_GE(t.elapsed_seconds(), 0.0);
-  EXPECT_GE(t.elapsed_ms(), 0.0);
-  t.reset();
-  EXPECT_GE(t.elapsed_seconds(), 0.0);
 }
 
 }  // namespace
