@@ -61,6 +61,8 @@
 //
 // Global: --log-level debug|info|warn|error|off (any command; the
 // SPECDAG_LOG_LEVEL env var sets the same thing, the flag wins).
+#include <charconv>
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <functional>
@@ -113,6 +115,19 @@ int usage(std::ostream& out, int code) {
          "                          SPECDAG_LOG_LEVEL env var also accepted,\n"
          "                          the flag wins)\n";
   return code;
+}
+
+// The value of an integer flag: decimal digits only (no sign, no trailing
+// text) that fit in 64 bits; anything else is a usage error.
+std::uint64_t parse_uint(const std::string& flag, const std::string& text) {
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc{} || stop != end) {
+    std::cerr << flag << " expects a non-negative decimal integer, got \"" << text << "\"\n";
+    std::exit(2);
+  }
+  return value;
 }
 
 int cmd_list() {
@@ -203,13 +218,13 @@ bool apply_spec_override(const std::string& flag,
                          scenario::ScenarioSpec& spec,
                          std::vector<std::string>& attack_overrides) {
   if (flag == "--rounds") {
-    spec.rounds = std::strtoull(next().c_str(), nullptr, 10);
+    spec.rounds = parse_uint(flag, next());
   } else if (flag == "--seed") {
-    spec.seed = std::strtoull(next().c_str(), nullptr, 10);
+    spec.seed = parse_uint(flag, next());
   } else if (flag == "--clients") {
-    spec.num_clients = std::strtoull(next().c_str(), nullptr, 10);
+    spec.num_clients = parse_uint(flag, next());
   } else if (flag == "--threads") {
-    spec.threads = std::strtoull(next().c_str(), nullptr, 10);
+    spec.threads = parse_uint(flag, next());
   } else if (flag == "--algorithm") {
     spec.algorithm = scenario::algorithm_from_string(next());
   } else if (flag == "--attack") {
@@ -236,9 +251,9 @@ bool apply_spec_override(const std::string& flag,
     spec.checkpoint.dir = next();
     if (spec.checkpoint.every_n_rounds == 0) spec.checkpoint.every_n_rounds = 1;
   } else if (flag == "--checkpoint-every") {
-    spec.checkpoint.every_n_rounds = std::strtoull(next().c_str(), nullptr, 10);
+    spec.checkpoint.every_n_rounds = parse_uint(flag, next());
   } else if (flag == "--checkpoint-keep") {
-    spec.checkpoint.keep_last = std::strtoull(next().c_str(), nullptr, 10);
+    spec.checkpoint.keep_last = parse_uint(flag, next());
   } else if (flag == "--obs") {
     const std::string& value = next();
     if (value == "on" || value == "true" || value == "1") {
@@ -305,7 +320,7 @@ int cmd_run_resume(const std::vector<std::string>& args) {
     auto next = value_getter(args, i, "run");
     if (flag == "--threads") {
       overrides.has_threads = true;
-      overrides.threads = std::strtoull(next().c_str(), nullptr, 10);
+      overrides.threads = parse_uint(flag, next());
     } else if (flag == "--series") {
       include_series = true;
     } else if (flag == "--csv") {
@@ -382,7 +397,7 @@ int cmd_replay(const std::vector<std::string>& args) {
       rounds_window = next();
     } else if (flag == "--threads") {
       overrides.has_threads = true;
-      overrides.threads = std::strtoull(next().c_str(), nullptr, 10);
+      overrides.threads = parse_uint(flag, next());
     } else if (flag == "--jsonl") {
       jsonl_path = next();
     } else if (flag == "--quiet") {
@@ -397,8 +412,8 @@ int cmd_replay(const std::vector<std::string>& args) {
     std::cerr << "replay: --rounds A..B is required (1-based, inclusive)\n";
     return 2;
   }
-  const std::size_t first = std::strtoull(rounds_window.c_str(), nullptr, 10);
-  const std::size_t last = std::strtoull(rounds_window.c_str() + dots + 2, nullptr, 10);
+  const std::size_t first = parse_uint("--rounds", rounds_window.substr(0, dots));
+  const std::size_t last = parse_uint("--rounds", rounds_window.substr(dots + 2));
   SPECDAG_LOG(Info) << "replaying rounds " << first << ".." << last << " from " << checkpoint
                     << "...";
   const scenario::ScenarioResult result =
@@ -482,7 +497,7 @@ int cmd_sweep(const std::vector<std::string>& args) {
     if (flag == "--out") {
       sweep.out_path = next();
     } else if (flag == "--threads") {
-      sweep.threads = std::strtoull(next().c_str(), nullptr, 10);
+      sweep.threads = parse_uint(flag, next());
     } else if (flag == "--trace-dir") {
       sweep.trace_dir = next();
     } else if (flag == "--metrics-out") {

@@ -78,10 +78,6 @@ class CounterCell {
     return sum;
   }
 
-  void reset() {
-    for (auto& shard : shards_) shard.value.store(0, std::memory_order_relaxed);
-  }
-
  private:
   std::array<detail::Shard, detail::kShards> shards_;
 };

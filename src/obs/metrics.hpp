@@ -71,11 +71,6 @@ class Counter {
     return cell == nullptr ? 0 : cell->value();
   }
 
-  void reset() {
-    CounterCell* cell = const_cast<CounterCell*>(Context::current().find_counter_cell(id_));
-    if (cell != nullptr) cell->reset();
-  }
-
   std::uint32_t id() const { return id_; }
 
  private:

@@ -828,10 +828,10 @@ Json result_to_json(const ScenarioResult& result, bool include_series) {
     store.set("decoded_payloads", result.store_stats.decoded_payloads);
     // Async encode pipeline: pending_encodes is 0 after the runner's drain
     // barrier; the peak and the per-point residency array show how deep the
-    // queue ran and how the raw-vs-delta split evolved during the run.
+    // queue ran and how the raw-vs-delta split evolved during the units this
+    // run executed (a resumed run starts both afresh).
     store.set("pending_encodes", result.store_stats.pending_encodes);
     store.set("peak_pending_encodes", result.store_stats.peak_pending_encodes);
-    store.set("async_encoded", result.store_stats.async_encoded);
     if (!result.store_series.empty()) {
       Json residency = Json::make_array();
       for (const StoreResidencyPoint& sample : result.store_series) {

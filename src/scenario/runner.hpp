@@ -110,7 +110,8 @@ struct ScenarioResult {
   store::StoreStats store_stats;
   store::EvalCacheStats eval_cache_stats;
   // Raw-vs-delta residency and encode-queue depth over time (one sample per
-  // series point; DAG algorithm only).
+  // unit this run executed — checkpoints do not carry it; DAG algorithm
+  // only).
   std::vector<StoreResidencyPoint> store_series;
 
   // Per-phase timing breakdown (tipsel / train / eval / commit) and the

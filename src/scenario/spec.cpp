@@ -212,13 +212,10 @@ Json attacks_to_json(const AttackSpec& attacks) {
 
 store::StoreConfig store_from_json(const Json& json, store::StoreConfig store) {
   check_known_keys(json,
-                   {"delta", "async_encode", "encode_threads", "anchor_interval", "lru_mb",
-                    "eval_cache_shards"},
+                   {"delta", "async_encode", "anchor_interval", "lru_mb", "eval_cache_shards"},
                    "store");
   store.delta = json.bool_or("delta", store.delta);
   store.async_encode = json.bool_or("async_encode", store.async_encode);
-  store.encode_threads =
-      static_cast<std::size_t>(json.uint_or("encode_threads", store.encode_threads));
   store.anchor_interval =
       static_cast<std::size_t>(json.uint_or("anchor_interval", store.anchor_interval));
   store.lru_bytes =
@@ -232,7 +229,6 @@ Json store_to_json(const store::StoreConfig& store) {
   Json json = Json::make_object();
   json.set("delta", store.delta);
   json.set("async_encode", store.async_encode);
-  json.set("encode_threads", store.encode_threads);
   json.set("anchor_interval", store.anchor_interval);
   json.set("lru_mb", store.lru_bytes >> 20);
   json.set("eval_cache_shards", store.eval_cache_shards);

@@ -36,8 +36,7 @@
 //     },
 //     "store": {            // model payload store (src/store)
 //       "delta": true,      // delta-encode payloads (false = full vectors)
-//       "async_encode": false,  // encode deltas on background workers
-//       "encode_threads": 1,    // encode pool size (0 = hardware threads)
+//       "async_encode": false,  // encode deltas on one background worker
 //       "anchor_interval": 8, "lru_mb": 64, "eval_cache_shards": 16
 //     },
 //     "algorithm": "dag" | "fedavg" | "fedprox" | "gossip",

@@ -101,7 +101,7 @@ void Access::save_store(Writer& w, const store::ModelStore& store) {
   std::shared_lock lock(store.entries_mutex_);
   w.u64(store.entries_.size());
   for (const auto& entry : store.entries_) {
-    if (entry.state == EntryState::kEncoding) {
+    if (entry.state == EntryState::kPending) {
       throw SnapshotError(
           "snapshot: store has unsettled async encodes — drain() before checkpointing");
     }
@@ -123,21 +123,13 @@ void Access::save_store(Writer& w, const store::ModelStore& store) {
   w.u64(store.resident_payload_bytes_);
   w.u64(store.dedup_hits_);
   w.u64(store.anchor_count_);
-  w.u64(store.async_encoded_);
-  {
-    std::lock_guard encode_lock(store.encode_mutex_);
-    w.u64(store.peak_pending_);
-  }
 }
 
 void Access::restore_store(Reader& r, store::ModelStore& store) {
   using EntryState = store::ModelStore::EntryState;
   std::unique_lock lock(store.entries_mutex_);
-  {
-    std::lock_guard encode_lock(store.encode_mutex_);
-    if (!store.unsettled_.empty()) {
-      throw SnapshotError("snapshot: cannot restore into a store with pending encodes");
-    }
+  if (store.pending_ != 0) {
+    throw SnapshotError("snapshot: cannot restore into a store with pending encodes");
   }
   store.entries_.clear();
   store.by_hash_.clear();
@@ -180,11 +172,6 @@ void Access::restore_store(Reader& r, store::ModelStore& store) {
   store.resident_payload_bytes_ = static_cast<std::size_t>(r.u64());
   store.dedup_hits_ = static_cast<std::size_t>(r.u64());
   store.anchor_count_ = static_cast<std::size_t>(r.u64());
-  store.async_encoded_ = static_cast<std::size_t>(r.u64());
-  {
-    std::lock_guard encode_lock(store.encode_mutex_);
-    store.peak_pending_ = static_cast<std::size_t>(r.u64());
-  }
   // Deterministic-rebuild rule: the materialization LRU restarts empty (it
   // only holds decoded copies), and its hit/miss/decode counters restart.
   {

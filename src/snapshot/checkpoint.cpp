@@ -79,14 +79,6 @@ scenario::ScenarioPoint load_point(Reader& r) {
 void save_partial(Writer& w, const scenario::ScenarioResult& result) {
   w.u64(result.series.size());
   for (const scenario::ScenarioPoint& point : result.series) save_point(w, point);
-  w.u64(result.store_series.size());
-  for (const scenario::StoreResidencyPoint& sample : result.store_series) {
-    w.u64(sample.round);
-    w.u64(sample.pending_encodes);
-    w.u64(sample.raw_payloads);
-    w.u64(sample.delta_payloads);
-    w.u64(sample.resident_bytes);
-  }
   w.u64(result.poisoned_clients);
 }
 
@@ -94,17 +86,6 @@ void load_partial(Reader& r, scenario::ScenarioResult& result) {
   const std::uint64_t num_points = r.u64();
   result.series.reserve(static_cast<std::size_t>(num_points));
   for (std::uint64_t i = 0; i < num_points; ++i) result.series.push_back(load_point(r));
-  const std::uint64_t num_samples = r.u64();
-  result.store_series.reserve(static_cast<std::size_t>(num_samples));
-  for (std::uint64_t i = 0; i < num_samples; ++i) {
-    scenario::StoreResidencyPoint sample;
-    sample.round = static_cast<std::size_t>(r.u64());
-    sample.pending_encodes = static_cast<std::size_t>(r.u64());
-    sample.raw_payloads = static_cast<std::size_t>(r.u64());
-    sample.delta_payloads = static_cast<std::size_t>(r.u64());
-    sample.resident_bytes = static_cast<std::size_t>(r.u64());
-    result.store_series.push_back(sample);
-  }
   result.poisoned_clients = static_cast<std::size_t>(r.u64());
 }
 

@@ -39,7 +39,7 @@ struct LoadedCheckpoint {
   scenario::ScenarioSpec spec;        // parsed from the embedded canonical JSON
   std::uint8_t sim_kind = kSimRound;  // kSimRound | kSimAsync
   std::size_t completed_units = 0;    // units fully executed before the snapshot
-  scenario::ScenarioResult partial;   // series/store_series/poisoned_clients so far
+  scenario::ScenarioResult partial;   // series/poisoned_clients so far
   std::vector<std::uint8_t> payload;  // the full checkpoint payload
   std::size_t state_offset = 0;       // where the simulator-state section starts
 };

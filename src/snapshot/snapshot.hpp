@@ -30,7 +30,7 @@
 
 namespace specdag::snapshot {
 
-inline constexpr std::uint32_t kFormatVersion = 3;
+inline constexpr std::uint32_t kFormatVersion = 4;
 inline constexpr char kMagic[8] = {'S', 'P', 'D', 'G', 'C', 'K', 'P', 'T'};
 inline constexpr std::uint32_t kEndianMarker = 0x01020304u;
 

@@ -62,7 +62,7 @@ ModelStore::ModelStore(StoreConfig config)
     throw std::invalid_argument("ModelStore: anchor_interval must be > 0");
   }
   if (config_.delta && config_.async_encode) {
-    encode_pool_ = std::make_unique<ThreadPool>(config_.encode_threads, "encode");
+    encode_pool_ = std::make_unique<ThreadPool>(1, "encode");
   }
 }
 
@@ -91,7 +91,10 @@ PayloadId ModelStore::put(WeightsPtr weights, const std::vector<PayloadId>& base
   if (encode_base && encode_base->size() != weights->size()) encode_base = nullptr;
   store_metrics().puts.add();
   const ContentHash hash = hash_weights(*weights);
+  const bool encodable = config_.delta && !bases.empty();
 
+  std::unique_lock<std::mutex> inline_lock(inline_mutex_, std::defer_lock);
+  if (!encode_pool_) inline_lock.lock();
   std::unique_lock lock(entries_mutex_);
   if (auto it = by_hash_.find(hash); it != by_hash_.end()) {
     ++dedup_hits_;
@@ -102,10 +105,7 @@ PayloadId ModelStore::put(WeightsPtr weights, const std::vector<PayloadId>& base
   Entry entry;
   entry.hash = hash;
   entry.num_floats = static_cast<std::uint32_t>(weights->size());
-  const std::size_t raw_bytes = weights->size() * sizeof(float);
-
-  std::uint32_t chain_depth = 0;
-  if (config_.delta && !bases.empty()) {
+  if (encodable) {
     for (PayloadId base : bases) {
       if (base >= entries_.size()) {
         throw std::invalid_argument("ModelStore::put: unknown base payload");
@@ -113,208 +113,113 @@ PayloadId ModelStore::put(WeightsPtr weights, const std::vector<PayloadId>& base
       if (entries_[base].num_floats != entry.num_floats) {
         throw std::invalid_argument("ModelStore::put: base length mismatch");
       }
-      chain_depth = std::max(chain_depth, entries_[base].chain_depth + 1);
     }
-  }
-
-  const auto id = static_cast<PayloadId>(entries_.size());
-  const bool encodable = config_.delta && !bases.empty();
-
-  if (encodable && encode_pool_) {
-    // Async pipeline: commit the raw payload now, encode in the background.
-    // The chain-depth computed above may be provisional (a base could still
-    // be pending and fall back to an anchor); the worker recomputes it from
-    // the bases' settled states, reproducing the synchronous decision.
-    entry.state = EntryState::kEncoding;
+    entry.state = EntryState::kPending;
     entry.bases = bases;
-    entry.raw = std::move(weights);
     entry.encode_base = std::move(encode_base);
-    full_payload_bytes_ += raw_bytes;
-    resident_payload_bytes_ += raw_bytes;  // raw until the delta lands
-    entries_.push_back(std::move(entry));
-    by_hash_.emplace(hash, id);
-    {
-      std::lock_guard encode_lock(encode_mutex_);
-      unsettled_.insert(id);
-      peak_pending_ = std::max(peak_pending_, unsettled_.size());
-      store_metrics().encode_queue_depth.record(unsettled_.size());
-    }
-    // Flow event links this put() to its background encode completion in the
-    // trace viewer (an arrow from the committing thread to the worker).
-    if (obs::tracing_enabled()) obs::trace_detail::flow_start("encode", id);
-    try {
-      encode_pool_->post([this, id] { encode_async(id); });
-    } catch (...) {
-      // Enqueue failed (allocation / pool shutdown): degrade to a raw
-      // anchor exactly like the worker's own fallback — the payload is
-      // already committed raw, and settling here keeps drain() from
-      // waiting forever on an entry no worker will ever pick up.
-      Entry& orphan = entries_[id];
-      orphan.state = EntryState::kAnchor;
-      orphan.bases.clear();
-      orphan.encode_base = nullptr;
-      ++anchor_count_;
-      {
-        std::lock_guard encode_lock(encode_mutex_);
-        unsettled_.erase(id);
-      }
-      encode_cv_.notify_all();
-    }
-    return id;
-  }
-
-  bool stored_as_delta = false;
-  if (encodable && chain_depth <= config_.anchor_interval) {
-    obs::ScopedSpan span(obs::Phase::kEncodeInline, {{"payload", id}});
-    nn::WeightVector base_storage;
-    const nn::WeightVector* base = encode_base.get();
-    if (base == nullptr) {
-      base_storage = base_vector_locked(bases);
-      base = &base_storage;
-    }
-    std::vector<std::uint8_t> encoded =
-        encode_delta(weights->data(), base->data(), weights->size());
-    if (encoded.size() < raw_bytes) {
-      entry.state = EntryState::kDelta;
-      entry.chain_depth = chain_depth;
-      entry.bases = bases;
-      entry.encoded = std::move(encoded);
-      stored_as_delta = true;
-    }
-  }
-  if (!stored_as_delta) entry.raw = weights;
-
-  full_payload_bytes_ += raw_bytes;
-  if (stored_as_delta) {
-    resident_payload_bytes_ += entry.encoded.size();
+    ++pending_;
   } else {
     ++anchor_count_;
-    resident_payload_bytes_ += raw_bytes;
   }
+  const std::size_t raw_bytes = weights->size() * sizeof(float);
+  entry.raw = std::move(weights);
+  full_payload_bytes_ += raw_bytes;
+  resident_payload_bytes_ += raw_bytes;  // raw until a delta lands
+  const auto id = static_cast<PayloadId>(entries_.size());
   entries_.push_back(std::move(entry));
   by_hash_.emplace(hash, id);
-  if (stored_as_delta) {
-    // The publisher and its neighbors will read this payload immediately:
-    // seed the LRU so the first walks do not pay a decode.
-    lru_insert(id, std::move(weights));
+  if (!encodable) return id;
+
+  if (!encode_pool_) {
+    lock.unlock();
+    settle(id);
+    return id;
+  }
+  // Posted under the append lock, so the worker's queue is in put order.
+  peak_pending_ = std::max(peak_pending_, pending_);
+  store_metrics().encode_queue_depth.record(pending_);
+  // Flow event links this put() to its background encode completion in the
+  // trace viewer (an arrow from the committing thread to the worker).
+  if (obs::tracing_enabled()) obs::trace_detail::flow_start("encode", id);
+  try {
+    encode_pool_->post([this, id] { settle(id); });
+  } catch (...) {
+    // Enqueue failed (allocation / pool shutdown): the payload is already
+    // committed raw, so it settles as a raw anchor, like a failed encode.
+    settle_locked(id, 0, {});
   }
   return id;
 }
 
-void ModelStore::encode_async(PayloadId id) {
+void ModelStore::settle(PayloadId id) noexcept {
+  std::uint32_t chain_depth = 0;
+  std::vector<std::uint8_t> encoded;  // stays empty for an anchor
   try {
-    encode_async_impl(id);
-  } catch (...) {
-    // The pool's post() contract forbids escaping exceptions (they would
-    // terminate the worker). An encode that failed — realistically only
-    // bad_alloc from the codec's buffers — degrades the entry to a raw
-    // anchor: its content is already served from `raw`, and settling here
-    // keeps drain() from hanging. (The synchronous path surfaces the same
-    // condition as an exception from put() instead.)
-    std::unique_lock lock(entries_mutex_);
-    Entry& entry = entries_[id];
-    if (entry.state == EntryState::kEncoding) {
-      entry.state = EntryState::kAnchor;
-      entry.bases.clear();
-      ++anchor_count_;
-      ++async_encoded_;
-      std::lock_guard encode_lock(encode_mutex_);
-      unsettled_.erase(id);
+    WeightsPtr raw;
+    {
+      // Closes before the entry flips, so whoever sees it settled sees its
+      // time.
+      obs::ScopedSpan span(encode_pool_ ? obs::Phase::kEncodeAsync : obs::Phase::kEncodeInline,
+                           {{"payload", id}});
+      // Flow end emitted after the span's B event so the 'f' (bp:"e") lands
+      // inside the encode.async slice and the put->encode arrow binds to it.
+      if (encode_pool_ && obs::tracing_enabled()) obs::trace_detail::flow_finish("encode", id);
+      std::vector<PayloadId> bases;
+      WeightsPtr base_hint;
+      {
+        std::shared_lock lock(entries_mutex_);
+        const Entry& entry = entries_[id];
+        bases = entry.bases;
+        raw = entry.raw;
+        base_hint = entry.encode_base;
+        for (PayloadId base : bases) {
+          chain_depth = std::max(chain_depth, entries_[base].chain_depth + 1);
+        }
+      }
+      if (chain_depth <= config_.anchor_interval) {
+        nn::WeightVector base_storage;
+        const nn::WeightVector* base = base_hint.get();
+        if (base == nullptr) {
+          std::shared_lock lock(entries_mutex_);
+          base_storage = base_vector_locked(bases);
+          base = &base_storage;
+        }
+        encoded = encode_delta(raw->data(), base->data(), raw->size());
+        if (encoded.size() >= raw->size() * sizeof(float)) encoded = {};
+      }
     }
-    lock.unlock();
-    encode_cv_.notify_all();
+    // The publisher and its neighbors read the fresh payload at once: seed
+    // the LRU so the first walks after the flip do not pay a decode.
+    if (!encoded.empty()) lru_insert(id, std::move(raw));
+  } catch (...) {
+    encoded = {};
   }
+  std::unique_lock lock(entries_mutex_);
+  settle_locked(id, chain_depth, std::move(encoded));
 }
 
-void ModelStore::encode_async_impl(PayloadId id) {
-  std::vector<PayloadId> bases;
-  WeightsPtr raw;
-  WeightsPtr encode_base;
-  {
-    std::shared_lock lock(entries_mutex_);
-    bases = entries_[id].bases;
-    raw = entries_[id].raw;
-    encode_base = entries_[id].encode_base;
+void ModelStore::settle_locked(PayloadId id, std::uint32_t chain_depth,
+                               std::vector<std::uint8_t> encoded) {
+  Entry& entry = entries_[id];
+  if (encoded.empty()) {
+    entry.state = EntryState::kAnchor;
+    entry.bases.clear();
+    ++anchor_count_;  // residency already counted raw at put()
+  } else {
+    entry.state = EntryState::kDelta;
+    entry.chain_depth = chain_depth;
+    resident_payload_bytes_ -= entry.num_floats * sizeof(float);
+    resident_payload_bytes_ += encoded.size();
+    entry.encoded = std::move(encoded);
+    entry.raw = nullptr;
   }
-
-  // Wait for every base to settle: the delta/anchor decision below must see
-  // the bases' *final* chain depths to reproduce the synchronous outcome.
-  // Bases were enqueued before this entry (FIFO pool), so the wait is
-  // bounded by in-flight work and cannot deadlock.
-  {
-    std::unique_lock encode_lock(encode_mutex_);
-    encode_cv_.wait(encode_lock, [&] {
-      for (PayloadId base : bases) {
-        if (unsettled_.count(base) > 0) return false;
-      }
-      return true;
-    });
-  }
-
-  std::uint32_t chain_depth = 0;
-  std::vector<std::uint8_t> encoded;
-  bool stored_as_delta = false;
-  const std::size_t raw_bytes = raw->size() * sizeof(float);
-  {
-    // Times only the real encode work (not the wait above), and closes
-    // before the entry settles, so whoever sees it settled sees its time.
-    obs::ScopedSpan span(obs::Phase::kEncodeAsync, {{"payload", id}});
-    // Flow end emitted after the span's B event so the 'f' (bp:"e") lands
-    // inside the encode.async slice and the put->encode arrow binds to it.
-    if (obs::tracing_enabled()) obs::trace_detail::flow_finish("encode", id);
-    {
-      std::shared_lock lock(entries_mutex_);
-      for (PayloadId base : bases) {
-        chain_depth = std::max(chain_depth, entries_[base].chain_depth + 1);
-      }
-    }
-    if (chain_depth <= config_.anchor_interval) {
-      nn::WeightVector base_storage;
-      const nn::WeightVector* base = encode_base.get();
-      if (base == nullptr) {
-        std::shared_lock lock(entries_mutex_);
-        base_storage = base_vector_locked(bases);
-        base = &base_storage;
-      }
-      encoded = encode_delta(raw->data(), base->data(), raw->size());
-      stored_as_delta = encoded.size() < raw_bytes;
-    }
-  }
-
-  {
-    std::unique_lock lock(entries_mutex_);
-    Entry& entry = entries_[id];
-    if (stored_as_delta) {
-      entry.state = EntryState::kDelta;
-      entry.chain_depth = chain_depth;
-      entry.encoded = std::move(encoded);
-      entry.raw = nullptr;
-      resident_payload_bytes_ -= raw_bytes;
-      resident_payload_bytes_ += entry.encoded.size();
-    } else {
-      entry.state = EntryState::kAnchor;
-      entry.bases.clear();
-      ++anchor_count_;  // residency already counted raw at put()
-    }
-    entry.encode_base = nullptr;  // hint served its one encode
-    ++async_encoded_;
-    // Settle while still holding the exclusive lock: stats() (shared +
-    // encode_mutex_) then never observes the flip and the queue removal out
-    // of step with each other.
-    std::lock_guard encode_lock(encode_mutex_);
-    unsettled_.erase(id);
-  }
-  encode_cv_.notify_all();
-  if (stored_as_delta) {
-    // Mirror the synchronous path: the fresh payload is about to be read by
-    // the publisher's neighbors, so seed the LRU with the raw vector.
-    lru_insert(id, std::move(raw));
-  }
+  entry.encode_base = nullptr;  // the hint served its one encode
+  --pending_;
 }
 
 void ModelStore::drain() const {
-  // Every unsettled entry has a queued or running encode task, so an idle
-  // pool means a settled store.
+  // Every pending entry has a queued or running settle, so an idle pool
+  // means a settled store.
   if (encode_pool_) encode_pool_->wait_idle();
 }
 
@@ -323,9 +228,9 @@ WeightsPtr ModelStore::materialize_locked(PayloadId id) const {
     throw std::out_of_range("ModelStore: unknown payload " + std::to_string(id));
   }
   const Entry& entry = entries_[id];
-  // The entry's state machine is the authority: anchors and entries still
-  // awaiting their async encode (raw, encoding) serve the retained raw
-  // vector; only settled deltas take the LRU/decode path below.
+  // The entry's state is the authority: anchors and pending entries serve
+  // the retained raw vector; only settled deltas take the LRU/decode path
+  // below.
   if (entry.state != EntryState::kDelta) return entry.raw;
 
   {
@@ -393,15 +298,11 @@ StoreStats ModelStore::stats() const {
   std::shared_lock lock(entries_mutex_);
   out.payloads = entries_.size();
   out.anchors = anchor_count_;
-  out.async_encoded = async_encoded_;
   out.dedup_hits = dedup_hits_;
   out.resident_payload_bytes = resident_payload_bytes_;
   out.full_payload_bytes = full_payload_bytes_;
-  {
-    std::lock_guard encode_lock(encode_mutex_);
-    out.pending_encodes = unsettled_.size();
-    out.peak_pending_encodes = peak_pending_;
-  }
+  out.pending_encodes = pending_;
+  out.peak_pending_encodes = peak_pending_;
   out.deltas = entries_.size() - anchor_count_ - out.pending_encodes;
   out.encode_seconds = static_cast<double>(obs::phase_nanos(*obs_, obs::Phase::kEncodeInline) +
                                            obs::phase_nanos(*obs_, obs::Phase::kEncodeAsync)) *

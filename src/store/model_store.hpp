@@ -15,33 +15,32 @@
 //     encoded delta would not actually shrink (early training, attacker
 //     noise), are stored raw ("anchors") to bound reconstruction cost.
 //
-// Asynchronous encode pipeline: with `async_encode` on, put() commits the
-// raw payload immediately and enqueues the XOR encoding on a background
-// util::ThreadPool. Each entry moves through a small state machine
+// Encode pipeline: put() appends each encodable payload (delta storage on,
+// at least one base) as a *pending* entry holding its raw vector, and one
+// routine, settle(), turns it into its final form:
 //
-//     raw (pending) -> encoding -> delta | anchor
+//     pending (raw) -> delta | anchor
 //
-// and readers materialize from the retained raw vector until the delta
-// lands, so the commit path never waits on the codec. Workers settle
-// entries in put order (FIFO pool + an explicit wait for the bases to
-// settle first), which makes every delta/anchor decision — and therefore
-// the post-drain delta_ratio — bit-identical to synchronous encoding at
-// any worker count. drain() is the barrier the runner (and the tests) use
-// to wait for the queue to empty.
+// With `async_encode` off, put() runs settle() inline before returning;
+// with it on, put() posts settle() to a one-worker FIFO pool and returns at
+// once, and readers materialize from the retained raw vector until the
+// entry settles. The single worker settles entries in put order, so every
+// base is settled before the entry that references it: each delta/anchor
+// decision — and therefore the post-drain delta_ratio — is bit-identical to
+// synchronous encoding. drain() is the barrier the runner (and the tests)
+// use to wait for the queue to empty.
 //
 // The store is internally synchronized; readers share materialized vectors
 // through shared_ptr exactly like the previous Transaction::weights field,
 // so averaging and walks stay copy-free.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <list>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "nn/model.hpp"
@@ -87,15 +86,12 @@ struct StoreConfig {
   // Store payloads as deltas against their bases (false = every payload is
   // a raw anchor — the pre-store behavior, used as the memory baseline).
   bool delta = true;
-  // Encode deltas on background workers instead of inside put(): the commit
-  // path returns as soon as the raw payload is hashed and appended, and the
-  // codec runs off the hot path. Results (payload contents, delta/anchor
-  // decisions, post-drain delta_ratio) are bit-identical to synchronous
-  // encoding at any worker count.
+  // Encode deltas on a background worker instead of inside put(): the
+  // commit path returns as soon as the raw payload is hashed and appended,
+  // and the codec runs off the hot path. Results (payload contents,
+  // delta/anchor decisions, post-drain delta_ratio) are bit-identical to
+  // synchronous encoding.
   bool async_encode = false;
-  // Worker threads of the async encode pool (0 = one per hardware thread).
-  // Ignored when async_encode is off.
-  std::size_t encode_threads = 1;
   // A payload whose delta chain (hops to the nearest anchor) would exceed
   // this becomes an anchor itself. Bounds worst-case reconstruction work.
   std::size_t anchor_interval = 8;
@@ -110,9 +106,8 @@ struct StoreStats {
   std::size_t payloads = 0;
   std::size_t anchors = 0;         // raw entries (incl. codec fallbacks)
   std::size_t deltas = 0;          // delta-encoded entries
-  std::size_t pending_encodes = 0;  // queued/in-flight async encodes (raw until settled)
-  std::size_t peak_pending_encodes = 0;  // high-water mark of the encode queue
-  std::size_t async_encoded = 0;   // entries settled through the background pipeline
+  std::size_t pending_encodes = 0;  // entries not yet settled (raw until then)
+  std::size_t peak_pending_encodes = 0;  // high-water mark of the async encode queue
   std::size_t dedup_hits = 0;      // put() calls answered by an existing entry
   std::size_t resident_payload_bytes = 0;  // raw anchors + pending raws + encoded deltas
   std::size_t full_payload_bytes = 0;      // what full-vector storage would hold
@@ -153,7 +148,7 @@ class ModelStore {
   // against their elementwise average (the exact base the publisher trained
   // from). An empty `bases` forces an anchor. Returns the id of the interned
   // (or pre-existing identical) payload. With async_encode the encoding is
-  // deferred to the background pool and this returns immediately.
+  // deferred to the background worker and this returns immediately.
   // `encode_base`, when given, must be the average of the bases' payloads
   // (what base_vector_locked would compute — decode recomputes that average,
   // so a mismatching hint would corrupt the payload). Publishers already
@@ -171,7 +166,7 @@ class ModelStore {
   ContentHash hash_of(PayloadId id) const;
   std::size_t size() const;
 
-  // Blocks until every queued/in-flight async encode has settled (no-op in
+  // Blocks until every queued async encode has settled (no-op in
   // synchronous mode). The runner calls this at run end; tests use it as
   // the barrier before asserting delta_ratio.
   void drain() const;
@@ -183,9 +178,9 @@ class ModelStore {
  private:
   friend struct snapshot::Access;  // checkpoint serialization (src/snapshot)
 
-  // Lifecycle of an entry's payload representation. Sync puts settle
-  // immediately (kAnchor or kDelta); async puts pass through kEncoding.
-  enum class EntryState : std::uint8_t { kAnchor, kEncoding, kDelta };
+  // Lifecycle of an entry's payload representation: encodable puts enter
+  // kPending and settle() flips them once, to kDelta or kAnchor.
+  enum class EntryState : std::uint8_t { kAnchor, kPending, kDelta };
 
   struct Entry {
     ContentHash hash;
@@ -195,7 +190,7 @@ class ModelStore {
     std::vector<PayloadId> bases;   // empty for anchors
     std::vector<std::uint8_t> encoded;  // delta entries only
     WeightsPtr raw;  // anchors stay materialized; pending entries hold it too
-    WeightsPtr encode_base;  // put()'s base hint, held until the async encode
+    WeightsPtr encode_base;  // put()'s base hint, held until the entry settles
   };
 
   struct LruNode {
@@ -207,28 +202,35 @@ class ModelStore {
   WeightsPtr materialize_locked(PayloadId id) const;
   nn::WeightVector base_vector_locked(const std::vector<PayloadId>& bases) const;
   void lru_insert(PayloadId id, WeightsPtr vector) const;
-  // Background worker: waits for `id`'s bases to settle, encodes, and flips
-  // the entry to its final state (kDelta or kAnchor fallback). The outer
-  // wrapper converts an encode failure into a raw-anchor fallback instead
-  // of letting the exception escape the pool worker.
-  void encode_async(PayloadId id);
-  void encode_async_impl(PayloadId id);
+  // The one delta/anchor decision: encodes pending entry `id` against its
+  // bases (an encode.inline span in put(), encode.async on the worker) and
+  // flips it to kDelta, or to a raw anchor when its chain would pass
+  // anchor_interval, the delta would not shrink it, or the encode fails
+  // (realistically only bad_alloc; the content is already served from
+  // `raw`, and settling keeps drain() from hanging). Requires every base to
+  // be settled. Never throws.
+  void settle(PayloadId id) noexcept;
+  // Flips pending entry `id` to its final state; empty `encoded` means a
+  // raw anchor. Requires entries_mutex_ held exclusively.
+  void settle_locked(PayloadId id, std::uint32_t chain_depth,
+                     std::vector<std::uint8_t> encoded);
 
   const StoreConfig config_;
   // The context the store was built under (it must outlive the store):
   // stats() reads the encode spans' totals from it.
   const obs::Context* obs_;
 
-  // Lock order: entries_mutex_ before encode_mutex_ before lru_mutex_ (each
-  // may be taken alone; never in reverse). Entries are append-only and
-  // immutable once *settled*; pending entries are flipped exactly once by
-  // their encode worker under the exclusive lock. Readers share
-  // entries_mutex_ (raw anchors and pending raws are returned without ever
-  // touching the LRU lock); put() takes it exclusively to append. The LRU
-  // bookkeeping has its own short-lived mutex so concurrent walkers only
-  // serialize on the cache update, not on whole-chain decodes. Two threads
-  // may race to decode the same payload — both produce the bit-identical
-  // vector, one insert wins, the duplicate work is benign.
+  // Lock order: entries_mutex_ before lru_mutex_ (each may be taken alone;
+  // never in reverse). Entries are append-only and immutable once
+  // *settled*; pending entries are flipped exactly once by settle() under
+  // the exclusive lock, which never covers the base materialization or the
+  // codec. Readers share entries_mutex_ (raw anchors and pending raws are
+  // returned without ever touching the LRU lock); put() takes it
+  // exclusively to append. The LRU bookkeeping has its own short-lived
+  // mutex so concurrent walkers only serialize on the cache update, not on
+  // whole-chain decodes. Two threads may race to decode the same payload —
+  // both produce the bit-identical vector, one insert wins, the duplicate
+  // work is benign.
   mutable std::shared_mutex entries_mutex_;
   std::vector<Entry> entries_;
   std::unordered_map<ContentHash, PayloadId, ContentHashHasher> by_hash_;
@@ -236,18 +238,14 @@ class ModelStore {
   std::size_t resident_payload_bytes_ = 0;  // guarded by entries_mutex_
   std::size_t dedup_hits_ = 0;              // guarded by entries_mutex_
   std::size_t anchor_count_ = 0;            // guarded by entries_mutex_
-  std::size_t async_encoded_ = 0;           // guarded by entries_mutex_
+  std::size_t pending_ = 0;                 // guarded by entries_mutex_
+  std::size_t peak_pending_ = 0;            // guarded by entries_mutex_
 
-  // --- async encode pipeline ----------------------------------------------
-  // unsettled_ tracks entries still in flight; workers wait on encode_cv_
-  // for their bases to leave the set. drain() waits for the pool to go
-  // idle, which also covers the workers' accounting. The pool is declared
-  // last so its destructor (which completes every queued
-  // task) runs while the rest of the store is still alive.
-  mutable std::mutex encode_mutex_;
-  mutable std::condition_variable encode_cv_;
-  mutable std::unordered_set<PayloadId> unsettled_;  // guarded by encode_mutex_
-  std::size_t peak_pending_ = 0;                     // guarded by encode_mutex_
+  // Synchronous mode: put() holds this from its dedup lookup through its
+  // inline settle, so no put sees another put's entry pending and every
+  // settle finds its bases settled — the order the async worker's FIFO
+  // gives.
+  std::mutex inline_mutex_;
 
   // Materialized delta payloads, most recently used first.
   mutable std::mutex lru_mutex_;
@@ -258,7 +256,9 @@ class ModelStore {
   mutable std::uint64_t lru_misses_ = 0;
   mutable std::uint64_t decoded_payloads_ = 0;
 
-  std::unique_ptr<ThreadPool> encode_pool_;  // null in synchronous mode
+  // Declared last so its destructor (which completes every queued settle)
+  // runs while the rest of the store is still alive.
+  std::unique_ptr<ThreadPool> encode_pool_;  // one worker; null in synchronous mode
 };
 
 }  // namespace specdag::store

@@ -204,16 +204,15 @@ TEST(Determinism, AsyncEncodePipelineIsBitIdenticalToSynchronous) {
   // A shrunken scale-2k: the async simulator with the delta store — the
   // configuration whose encoding moved off the commit path. The JSONL
   // series, final accuracies, and (post-drain) store decisions must be
-  // bit-identical across encode modes, encode worker counts, and prepare
-  // thread counts. Only wall-clock timing fields may differ.
-  auto run = [](bool async_encode, std::size_t encode_threads, std::size_t threads) {
+  // bit-identical across encode modes and prepare thread counts. Only
+  // wall-clock timing fields may differ.
+  auto run = [](bool async_encode, std::size_t threads) {
     scenario::ScenarioSpec spec = scenario::get_scenario("scale-2k");
     spec.num_clients = 40;
     spec.samples_per_client = 20;
     spec.rounds = 2;
     spec.threads = threads;
     spec.store.async_encode = async_encode;
-    spec.store.encode_threads = encode_threads;
     return scenario::run_scenario(spec);
   };
 
@@ -224,15 +223,13 @@ TEST(Determinism, AsyncEncodePipelineIsBitIdenticalToSynchronous) {
     return out.str();
   };
 
-  const scenario::ScenarioResult sync = run(false, 1, 1);
+  const scenario::ScenarioResult sync = run(false, 1);
   const std::string sync_jsonl = series_jsonl(sync);
   ASSERT_FALSE(sync_jsonl.empty());
 
-  const std::pair<std::size_t, std::size_t> configs[] = {{1, 1}, {4, 1}, {1, 4}, {4, 4}};
-  for (const auto& [encode_threads, threads] : configs) {
-    const scenario::ScenarioResult async = run(true, encode_threads, threads);
-    EXPECT_EQ(series_jsonl(async), sync_jsonl)
-        << "encode_threads " << encode_threads << ", threads " << threads;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    const scenario::ScenarioResult async = run(true, threads);
+    EXPECT_EQ(series_jsonl(async), sync_jsonl) << "threads " << threads;
     EXPECT_EQ(async.final_accuracy, sync.final_accuracy);
     EXPECT_EQ(async.dag_size, sync.dag_size);
     // The runner drains before sampling the final store stats: the async

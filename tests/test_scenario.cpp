@@ -137,10 +137,9 @@ TEST(ScenarioSpec, RejectsUnknownKeys) {
 TEST(ScenarioSpec, ParsesStoreBlock) {
   const scenario::ScenarioSpec spec = scenario::spec_from_json(scenario::Json::parse(
       R"({"store": {"delta": false, "anchor_interval": 4, "lru_mb": 8,
-          "eval_cache_shards": 2, "async_encode": true, "encode_threads": 3}})"));
+          "eval_cache_shards": 2, "async_encode": true}})"));
   EXPECT_FALSE(spec.store.delta);
   EXPECT_TRUE(spec.store.async_encode);
-  EXPECT_EQ(spec.store.encode_threads, 3u);
   EXPECT_EQ(spec.store.anchor_interval, 4u);
   EXPECT_EQ(spec.store.lru_bytes, std::size_t{8} << 20);
   EXPECT_EQ(spec.store.eval_cache_shards, 2u);

@@ -359,19 +359,33 @@ TEST(SnapshotCheckpoint, WriteLoadResumeMatchesUninterrupted) {
 
 // A checkpoint carries no wall clock: two runs of one spec write the same
 // bytes, also when prepared results are serialized — broadcasts still in
-// flight (async) and commits held back by a visibility delay (round). The
-// spec, checkpoint.dir included, is embedded, so both runs use one path.
+// flight (async) and commits held back by a visibility delay (round) — and
+// under async encode, whose queue depth depends on the schedule and so is
+// not checkpointed. The spec, checkpoint.dir included, is embedded, so both
+// runs use one path.
 TEST(SnapshotCheckpoint, CheckpointBytesAreIdenticalAcrossRuns) {
   TempDir dir("ckpt-bytes");
   scenario::ScenarioSpec delayed = tiny_checkpoint_spec(dir.file("round"));
   delayed.visibility_delay_rounds = 1;
-  for (const scenario::ScenarioSpec& spec :
-       {tiny_async_checkpoint_spec(dir.file("async")), delayed}) {
+  std::vector<scenario::ScenarioSpec> specs = {tiny_async_checkpoint_spec(dir.file("async")),
+                                               delayed};
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    scenario::ScenarioSpec encoding = scenario::get_scenario("scale-2k");
+    encoding.name += "-threads-" + std::to_string(threads);
+    encoding.num_clients = 40;
+    encoding.threads = threads;
+    encoding.checkpoint.every_n_rounds = 1;
+    encoding.checkpoint.dir = dir.file(encoding.name);
+    ASSERT_TRUE(encoding.store.async_encode);
+    specs.push_back(encoding);
+  }
+  for (const scenario::ScenarioSpec& spec : specs) {
     SCOPED_TRACE(spec.name);
     const auto checkpoint_bytes = [&] {
       (void)scenario::run_scenario(spec);
       std::string bytes;
-      for (std::size_t unit : {2, 4, 6}) {
+      for (std::size_t unit = spec.checkpoint.every_n_rounds; unit <= spec.rounds;
+           unit += spec.checkpoint.every_n_rounds) {
         std::ifstream in(snapshot::checkpoint_path(spec.checkpoint.dir, unit), std::ios::binary);
         bytes.append(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
       }

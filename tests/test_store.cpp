@@ -339,35 +339,33 @@ TEST(AsyncEncode, DrainedPipelineMatchesSynchronousDecisions) {
   std::vector<nn::WeightVector> originals;
   feed_payload_graph(sync_store, 21, &originals);
 
-  for (const std::size_t workers : {std::size_t{1}, std::size_t{3}}) {
-    StoreConfig config = sync_config;
-    config.async_encode = true;
-    config.encode_threads = workers;
-    ModelStore store(config);
-    const std::vector<PayloadId> ids = feed_payload_graph(store, 21, nullptr);
-    // Reads while encodes are still in flight must already be bit-exact
-    // (they serve the retained raw vector or the settled delta).
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-      EXPECT_EQ(*store.get(ids[i]), originals[i]) << "pre-drain payload " << i;
-    }
-    store.drain();
-    const StoreStats stats = store.stats();
-    const StoreStats expected = sync_store.stats();
-    EXPECT_EQ(stats.pending_encodes, 0u) << workers;
-    EXPECT_GE(stats.peak_pending_encodes, 1u) << workers;
-    EXPECT_EQ(stats.async_encoded, expected.payloads - 1) << workers;  // all but genesis
-    // The delta/anchor split, the encoded bytes, and therefore delta_ratio
-    // must be exactly the synchronous outcome at any worker count.
-    EXPECT_EQ(stats.anchors, expected.anchors) << workers;
-    EXPECT_EQ(stats.deltas, expected.deltas) << workers;
-    EXPECT_EQ(stats.resident_payload_bytes, expected.resident_payload_bytes) << workers;
-    EXPECT_EQ(stats.full_payload_bytes, expected.full_payload_bytes) << workers;
-    EXPECT_DOUBLE_EQ(stats.delta_ratio(), expected.delta_ratio()) << workers;
-    // encode_seconds sums the store's obs encode spans.
-    if (obs::kObsCompiledIn) EXPECT_GT(stats.encode_seconds, 0.0) << workers;
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-      EXPECT_EQ(*store.get(ids[i]), originals[i]) << "post-drain payload " << i;
-    }
+  StoreConfig config = sync_config;
+  config.async_encode = true;
+  ModelStore store(config);
+  const std::vector<PayloadId> ids = feed_payload_graph(store, 21, nullptr);
+  // Reads while encodes are still in flight must already be bit-exact
+  // (they serve the retained raw vector or the settled delta).
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    EXPECT_EQ(*store.get(ids[i]), originals[i]) << "pre-drain payload " << i;
+  }
+  store.drain();
+  const StoreStats stats = store.stats();
+  const StoreStats expected = sync_store.stats();
+  EXPECT_EQ(stats.pending_encodes, 0u);
+  EXPECT_GE(stats.peak_pending_encodes, 1u);
+  EXPECT_EQ(expected.peak_pending_encodes, 0u);  // inline settles never queue
+  EXPECT_EQ(stats.payloads, expected.payloads);
+  // The delta/anchor split, the encoded bytes, and therefore delta_ratio
+  // must be exactly the synchronous outcome.
+  EXPECT_EQ(stats.anchors, expected.anchors);
+  EXPECT_EQ(stats.deltas, expected.deltas);
+  EXPECT_EQ(stats.resident_payload_bytes, expected.resident_payload_bytes);
+  EXPECT_EQ(stats.full_payload_bytes, expected.full_payload_bytes);
+  EXPECT_DOUBLE_EQ(stats.delta_ratio(), expected.delta_ratio());
+  // encode_seconds sums the store's obs encode spans.
+  if (obs::kObsCompiledIn) EXPECT_GT(stats.encode_seconds, 0.0);
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    EXPECT_EQ(*store.get(ids[i]), originals[i]) << "post-drain payload " << i;
   }
 }
 
@@ -450,7 +448,6 @@ TEST(AsyncEncode, ConcurrentInternAndMaterializeStress) {
 
   StoreConfig async_config = sync_config;
   async_config.async_encode = true;
-  async_config.encode_threads = 3;
   const StoreStats async_stats = run(async_config);
 
   EXPECT_EQ(async_stats.pending_encodes, 0u);
@@ -466,7 +463,6 @@ TEST(AsyncEncode, ConcurrentInternAndMaterializeStress) {
 TEST(AsyncEncode, DagWiringDrainsTransparently) {
   StoreConfig config;
   config.async_encode = true;
-  config.encode_threads = 2;
   config.anchor_interval = 4;
   Rng rng(31);
   nn::WeightVector genesis = random_vector(rng, 200);
