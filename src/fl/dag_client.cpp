@@ -27,7 +27,7 @@ DagClient::DagClient(const data::ClientData* client, nn::ReplicaPool& replicas,
 
 double DagClient::evaluate_payload(const nn::WeightVector& weights) {
   const nn::ReplicaPool::Lease model = replicas_->acquire();
-  return evaluate_weights_on_test(*model, weights, *client_).accuracy;
+  return accuracy_on_test(*model, weights, *client_);
 }
 
 std::unique_ptr<tipsel::TipSelector> DagClient::make_selector() {

@@ -95,9 +95,10 @@ struct WalkPhase {
 class DagClient {
  public:
   // `client` and `replicas` must outlive the DagClient. The client owns no
-  // model: it leases a replica from `replicas` for each training or
-  // evaluation and loads the weights into it first, so replicas carry no
-  // client state and many clients share a few. `cache` is the client's view
+  // model: it leases a replica from `replicas` for each training (loading
+  // the weights into it first) or evaluation (which reads the weights in
+  // place, see fl/evaluation.hpp), so replicas carry no client state and
+  // many clients share a few. `cache` is the client's view
   // into the simulation-wide sharded evaluation cache
   // (store::ClientEvalCacheView); it is required when
   // `config.persistent_accuracy_cache` is set and ignored otherwise.

@@ -11,6 +11,11 @@ Tensor ReLU::forward(const Tensor& input, bool train) {
   return out;
 }
 
+void ReLU::infer(const float* /*weights*/, const Tensor& input, Tensor& out) {
+  out.resize(input.shape());
+  lanes::relu_forward(input.raw(), out.raw(), out.numel());
+}
+
 Tensor ReLU::backward(const Tensor& grad_output) {
   if (!cached_input_.same_shape(grad_output)) {
     throw std::logic_error("ReLU::backward: shape mismatch with cached input");

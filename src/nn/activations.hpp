@@ -15,6 +15,7 @@ class ReLU : public Layer {
  public:
   Tensor forward(const Tensor& input, bool train) override;
   Tensor backward(const Tensor& grad_output) override;
+  void infer(const float* weights, const Tensor& input, Tensor& out) override;
   std::string name() const override { return "ReLU"; }
 
  private:

@@ -139,6 +139,13 @@ Tensor Flatten::forward(const Tensor& input, bool train) {
   return input.reshaped({batch, input.numel() / batch});
 }
 
+void Flatten::infer(const float* /*weights*/, const Tensor& input, Tensor& out) {
+  if (input.rank() < 2) throw std::invalid_argument("Flatten: input rank must be >= 2");
+  const std::size_t batch = input.dim(0);
+  out.resize({batch, input.numel() / batch});
+  std::copy(input.data().begin(), input.data().end(), out.data().begin());
+}
+
 Tensor Flatten::backward(const Tensor& grad_output) {
   if (cached_input_shape_.empty()) {
     throw std::logic_error("Flatten::backward: no cached forward activation");

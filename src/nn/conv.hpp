@@ -63,6 +63,7 @@ class Flatten : public Layer {
  public:
   Tensor forward(const Tensor& input, bool train) override;
   Tensor backward(const Tensor& grad_output) override;
+  void infer(const float* weights, const Tensor& input, Tensor& out) override;
   std::string name() const override { return "Flatten"; }
 
  private:

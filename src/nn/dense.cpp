@@ -15,15 +15,28 @@ Dense::Dense(std::size_t in_features, std::size_t out_features)
   if (in_ == 0 || out_ == 0) throw std::invalid_argument("Dense: zero-sized layer");
 }
 
-Tensor Dense::forward(const Tensor& input, bool train) {
+void Dense::check_input(const Tensor& input) const {
   if (input.rank() != 2 || input.dim(1) != in_) {
-    throw std::invalid_argument("Dense::forward: expected [batch, " + std::to_string(in_) +
-                                "], got " + shape_to_string(input.shape()));
+    throw std::invalid_argument("Dense: expected [batch, " + std::to_string(in_) + "], got " +
+                                shape_to_string(input.shape()));
   }
+}
+
+Tensor Dense::forward(const Tensor& input, bool train) {
+  check_input(input);
   if (train) cached_input_ = input;
   Tensor out = matmul(input, weight_);
   add_row_bias(out, bias_);
   return out;
+}
+
+// forward's two kernels, on the weight slice [W (in x out) | b (out)].
+void Dense::infer(const float* weights, const Tensor& input, Tensor& out) {
+  check_input(input);
+  const std::size_t batch = input.dim(0);
+  out.resize({batch, out_});
+  matmul_into(input.raw(), weights, out.raw(), batch, in_, out_);
+  add_row_bias_into(out.raw(), weights + in_ * out_, batch, out_);
 }
 
 Tensor Dense::backward(const Tensor& grad_output) {

@@ -11,6 +11,7 @@ class Dense : public Layer {
 
   Tensor forward(const Tensor& input, bool train) override;
   Tensor backward(const Tensor& grad_output) override;
+  void infer(const float* weights, const Tensor& input, Tensor& out) override;
   std::vector<Param> params() override;
   void init_params(Rng& rng) override;
   std::string name() const override { return "Dense"; }
@@ -19,6 +20,8 @@ class Dense : public Layer {
   std::size_t out_features() const { return out_; }
 
  private:
+  void check_input(const Tensor& input) const;
+
   std::size_t in_;
   std::size_t out_;
   Tensor weight_;       // [in, out]

@@ -7,6 +7,7 @@
 // the federated-averaging code can treat all models uniformly.
 #pragma once
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -35,6 +36,20 @@ class Layer {
   // Given dL/d(output), accumulates parameter gradients and returns
   // dL/d(input). Must be called after a forward() with train == true.
   virtual Tensor backward(const Tensor& grad_output) = 0;
+
+  // Inference with the parameters at `weights` — this layer's slice of a
+  // flat weight vector, in params() order — instead of the layer's own:
+  // writes forward(input, false) into `out`, reusing its storage where the
+  // layer can. The default loads the slice into the layer first; Dense,
+  // ReLU and Flatten override it to read the slice in place and allocate
+  // nothing once `out` has grown to size.
+  virtual void infer(const float* weights, const Tensor& input, Tensor& out) {
+    for (const Param& p : params()) {
+      std::copy(weights, weights + p.value->numel(), p.value->raw());
+      weights += p.value->numel();
+    }
+    out = forward(input, false);
+  }
 
   // Trainable parameters; empty for stateless layers.
   virtual std::vector<Param> params() { return {}; }

@@ -5,8 +5,9 @@
 // leases, never the number of users.
 //
 // A leased object keeps whatever state its last user left in it. Users must
-// load everything they read (e.g. Sequential::set_weights before a forward
-// pass), which every model and executor entry point already does.
+// load everything they read (e.g. Sequential::set_weights before training;
+// Sequential::infer takes its weights as an argument), which every model and
+// executor entry point already does.
 #pragma once
 
 #include <cstddef>

@@ -7,7 +7,7 @@
 namespace specdag::nn {
 namespace {
 
-void check_labels(const Tensor& logits, const std::vector<int>& labels) {
+void check_labels(const Tensor& logits, std::span<const int> labels) {
   if (logits.rank() != 2) throw std::invalid_argument("loss: logits must be [batch, classes]");
   if (logits.dim(0) != labels.size()) {
     throw std::invalid_argument("loss: batch size mismatch");
@@ -54,7 +54,7 @@ LossResult softmax_cross_entropy(const Tensor& logits, const std::vector<int>& l
   return {total / static_cast<double>(batch), std::move(probs)};
 }
 
-double softmax_cross_entropy_loss(const Tensor& logits, const std::vector<int>& labels) {
+double softmax_cross_entropy_loss(const Tensor& logits, std::span<const int> labels) {
   check_labels(logits, labels);
   const std::size_t batch = logits.dim(0), classes = logits.dim(1);
   Tensor probs = softmax(logits);
@@ -67,14 +67,16 @@ double softmax_cross_entropy_loss(const Tensor& logits, const std::vector<int>& 
   return total / static_cast<double>(batch);
 }
 
+int predict_class(const Tensor& logits, std::size_t r) {
+  const std::size_t classes = logits.dim(1);
+  const float* row = logits.raw() + r * classes;
+  return static_cast<int>(std::max_element(row, row + classes) - row);
+}
+
 std::vector<int> predict_classes(const Tensor& logits) {
   if (logits.rank() != 2) throw std::invalid_argument("predict_classes: logits must be rank-2");
-  const std::size_t batch = logits.dim(0), classes = logits.dim(1);
-  std::vector<int> preds(batch);
-  for (std::size_t r = 0; r < batch; ++r) {
-    const float* row = logits.raw() + r * classes;
-    preds[r] = static_cast<int>(std::max_element(row, row + classes) - row);
-  }
+  std::vector<int> preds(logits.dim(0));
+  for (std::size_t r = 0; r < preds.size(); ++r) preds[r] = predict_class(logits, r);
   return preds;
 }
 

@@ -71,6 +71,37 @@ void Sequential::set_weights(const WeightVector& weights) {
   }
 }
 
+const Tensor& Sequential::infer(const WeightVector& weights, const Tensor& input) {
+  if (layers_.empty()) throw std::logic_error("Sequential::infer: no layers");
+  if (layer_weights_.size() != layers_.size()) {
+    layer_weights_.clear();
+    total_weights_ = 0;
+    for (auto& layer : layers_) {
+      std::size_t n = 0;
+      for (const auto& p : layer->params()) n += p.value->numel();
+      layer_weights_.push_back(n);
+      total_weights_ += n;
+    }
+    infer_out_.resize(layers_.size());
+  }
+  if (weights.size() < total_weights_) {
+    throw std::invalid_argument("Sequential::infer: weight vector too short");
+  }
+  if (weights.size() > total_weights_) {
+    throw std::invalid_argument("Sequential::infer: weight vector too long (" +
+                                std::to_string(weights.size()) + " vs " +
+                                std::to_string(total_weights_) + ")");
+  }
+  const float* slice = weights.data();
+  const Tensor* x = &input;
+  for (std::size_t i = 0; i < layers_.size(); ++i) {
+    layers_[i]->infer(slice, *x, infer_out_[i]);
+    slice += layer_weights_[i];
+    x = &infer_out_[i];
+  }
+  return *x;
+}
+
 WeightVector average_weights(const std::vector<const WeightVector*>& weights) {
   if (weights.empty()) throw std::invalid_argument("average_weights: empty input");
   std::vector<double> uniform(weights.size(), 1.0);

@@ -55,8 +55,21 @@ class Sequential {
   WeightVector get_weights();
   void set_weights(const WeightVector& weights);
 
+  // Inference with `weights`: the logits forward(input, false) would give
+  // after set_weights(weights), bit for bit, whatever weights the model
+  // held. Each layer reads its slice through Layer::infer into an output
+  // kept on the model, so the returned reference stays valid until the next
+  // call, and an MLP allocates nothing once the scratch has grown. Throws
+  // like set_weights on a weight vector that is too short or too long.
+  const Tensor& infer(const WeightVector& weights, const Tensor& input);
+
  private:
   std::vector<LayerPtr> layers_;
+  // infer()'s per-layer parameter counts (built on first use, rebuilt if
+  // layers were added since) and per-layer outputs.
+  std::vector<std::size_t> layer_weights_;
+  std::size_t total_weights_ = 0;
+  std::vector<Tensor> infer_out_;
 };
 
 // Constructs a fresh, architecture-identical model; every experiment defines

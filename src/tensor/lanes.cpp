@@ -241,10 +241,139 @@ __attribute__((target("avx2"))) void relu_backward_mask_avx2(const float* x, flo
   }
 }
 
+// ------------------------------------------------------------ AVX-512 ---
+//
+// GCC contracts `add(acc, mul(s, b))` into an FMA wherever the target has
+// one, and avx512f implies it, so every function here also switches FP
+// contraction off for itself: the build's own flags may not (perfbench
+// compiles src/ with its own). Clang's default contracts only within one
+// expression of one function body, which the intrinsics' bodies never form.
+#if defined(__clang__)
+#define SPECDAG_AVX512 __attribute__((target("avx512f")))
+#else
+#define SPECDAG_AVX512 __attribute__((target("avx512f"), optimize("fp-contract=off")))
+#endif
+
+// Mask of the first min(count, 16) lanes.
+SPECDAG_AVX512 inline __mmask16 lane_mask(std::size_t count) {
+  return count >= 16 ? __mmask16{0xFFFF} : static_cast<__mmask16>((1u << count) - 1u);
+}
+
+// A block of R <= 8 rows x V <= 2 zmm vectors of C in R*V accumulators across
+// the whole kk loop (the unroll pragmas let GCC keep all 16 in registers;
+// without them it spills every block above 2 x 2). The last vector of each
+// row loads and stores through `tail`, so a block ends exactly at its last
+// column and nothing is left for the scalar loop.
+template <std::size_t R, std::size_t V>
+SPECDAG_AVX512 inline void gemm_block_avx512(const GemmArgs& g, std::size_t i, std::size_t j,
+                                             __mmask16 tail) {
+  const std::size_t n = g.n, a_row = g.a_row_stride, a_k = g.a_k_stride;
+  float* c = g.c + i * n + j;
+  const auto mask = [tail](std::size_t v) { return v + 1 == V ? tail : __mmask16{0xFFFF}; };
+  __m512 acc[R][V];
+#pragma GCC unroll 8
+  for (std::size_t r = 0; r < R; ++r) {
+    for (std::size_t v = 0; v < V; ++v) {
+      acc[r][v] = g.accumulate ? _mm512_maskz_loadu_ps(mask(v), c + r * n + 16 * v)
+                               : _mm512_setzero_ps();
+    }
+  }
+  for (std::size_t kk = 0; kk < g.k; ++kk) {
+    const float* a = g.a + i * a_row + kk * a_k;
+    const float* b = g.b + kk * n + j;
+    __m512 bv[V];
+    for (std::size_t v = 0; v < V; ++v) bv[v] = _mm512_maskz_loadu_ps(mask(v), b + 16 * v);
+#pragma GCC unroll 8
+    for (std::size_t r = 0; r < R; ++r) {
+      const float s = a[r * a_row];
+      if (s == 0.0f) continue;
+      const __m512 vs = _mm512_set1_ps(s);
+      for (std::size_t v = 0; v < V; ++v) {
+        acc[r][v] = _mm512_add_ps(acc[r][v], _mm512_mul_ps(vs, bv[v]));
+      }
+    }
+  }
+#pragma GCC unroll 8
+  for (std::size_t r = 0; r < R; ++r) {
+    for (std::size_t v = 0; v < V; ++v) {
+      _mm512_mask_storeu_ps(c + r * n + 16 * v, mask(v), acc[r][v]);
+    }
+  }
+}
+
+// Every column of R rows: 32-column blocks, then one block of one or two
+// vectors for the rest, its last vector masked.
+template <std::size_t R>
+SPECDAG_AVX512 inline void gemm_rows_avx512(const GemmArgs& g, std::size_t i) {
+  std::size_t j = 0;
+  for (; j + 32 <= g.n; j += 32) gemm_block_avx512<R, 2>(g, i, j, lane_mask(16));
+  const std::size_t rest = g.n - j;
+  if (rest > 16) {
+    gemm_block_avx512<R, 2>(g, i, j, lane_mask(rest - 16));
+  } else if (rest > 0) {
+    gemm_block_avx512<R, 1>(g, i, j, lane_mask(rest));
+  }
+}
+
+SPECDAG_AVX512 void gemm_avx512(const GemmArgs& g) {
+  std::size_t i = 0;
+  for (; i + 8 <= g.m; i += 8) gemm_rows_avx512<8>(g, i);
+  switch (g.m - i) {
+    case 7: gemm_rows_avx512<7>(g, i); break;
+    case 6: gemm_rows_avx512<6>(g, i); break;
+    case 5: gemm_rows_avx512<5>(g, i); break;
+    case 4: gemm_rows_avx512<4>(g, i); break;
+    case 3: gemm_rows_avx512<3>(g, i); break;
+    case 2: gemm_rows_avx512<2>(g, i); break;
+    case 1: gemm_rows_avx512<1>(g, i); break;
+    default: break;
+  }
+}
+
+// The element kernels: full vectors, then one masked vector for the rest.
+SPECDAG_AVX512 void sgd_step_avx512(float* w, float* g, float lr, std::size_t n) {
+  const __m512 vlr = _mm512_set1_ps(lr);
+  const __m512 zero = _mm512_setzero_ps();
+  for (std::size_t j = 0; j < n; j += 16) {
+    const __mmask16 m = lane_mask(n - j);
+    const __m512 vw = _mm512_maskz_loadu_ps(m, w + j);
+    const __m512 vg = _mm512_maskz_loadu_ps(m, g + j);
+    _mm512_mask_storeu_ps(w + j, m, _mm512_sub_ps(vw, _mm512_mul_ps(vlr, vg)));
+    _mm512_mask_storeu_ps(g + j, m, zero);
+  }
+}
+
+SPECDAG_AVX512 void relu_forward_avx512(const float* x, float* y, std::size_t n) {
+  const __m512 zero = _mm512_setzero_ps();
+  for (std::size_t j = 0; j < n; j += 16) {
+    const __mmask16 m = lane_mask(n - j);
+    const __m512 v = _mm512_maskz_loadu_ps(m, x + j);
+    // x > 0 ? x : 0 — -0.0 and NaN compare false and become +0.0.
+    const __mmask16 positive = _mm512_cmp_ps_mask(v, zero, _CMP_GT_OQ);
+    _mm512_mask_storeu_ps(y + j, m, _mm512_maskz_mov_ps(positive, v));
+  }
+}
+
+SPECDAG_AVX512 void relu_backward_mask_avx512(const float* x, float* g, std::size_t n) {
+  const __m512 zero = _mm512_setzero_ps();
+  for (std::size_t j = 0; j < n; j += 16) {
+    const __mmask16 m = lane_mask(n - j);
+    const __m512 v = _mm512_maskz_loadu_ps(m, x + j);
+    const __m512 vg = _mm512_maskz_loadu_ps(m, g + j);
+    // Zero g where x <= 0; NaN compares false and keeps its gradient.
+    const __mmask16 dead = _mm512_cmp_ps_mask(v, zero, _CMP_LE_OQ);
+    _mm512_mask_storeu_ps(g + j, m, _mm512_mask_mov_ps(vg, dead, zero));
+  }
+}
+
+#undef SPECDAG_AVX512
+
 constexpr Backend kSse2{"sse2", gemm_sse2, sgd_step_sse2, relu_forward_sse2,
                         relu_backward_mask_sse2};
 constexpr Backend kAvx2{"avx2", gemm_avx2, sgd_step_avx2, relu_forward_avx2,
                         relu_backward_mask_avx2};
+constexpr Backend kAvx512{"avx512", gemm_avx512, sgd_step_avx512, relu_forward_avx512,
+                          relu_backward_mask_avx512};
 
 #endif  // SPECDAG_LANES_X86
 
@@ -258,6 +387,7 @@ const Backend& backend_impl() {
 std::vector<Backend> host_backends() {
   std::vector<Backend> backends;
 #if SPECDAG_LANES_X86
+  if (__builtin_cpu_supports("avx512f")) backends.push_back(kAvx512);
   if (__builtin_cpu_supports("avx2")) backends.push_back(kAvx2);
   backends.push_back(kSse2);
 #endif

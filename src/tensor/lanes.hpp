@@ -1,6 +1,6 @@
 // Float kernels shared by the scalar layers and the SoA batch executor, with
-// runtime SIMD dispatch (AVX2 -> SSE2 -> scalar) in the same style as the
-// delta codec's XOR backends.
+// runtime SIMD dispatch (AVX-512 -> AVX2 -> SSE2 -> scalar) in the same
+// style as the delta codec's XOR backends.
 //
 // Every SIMD backend is bit-identical to the scalar backend, which defines
 // the semantics:
@@ -11,6 +11,14 @@
 //     (never FMA), skipping every term whose A element compares equal to
 //     zero. Backends block over rows and columns of C, never over k, so
 //     vectorizing cannot change any element's rounding.
+//
+// AVX-512 blocks up to 8 rows x 32 columns of C and ends every row with a
+// masked load and store, so no column is left to a scalar tail; AVX2 and
+// SSE2 block 2 rows and hand the last n % 8 or n % 4 columns to the scalar
+// loop. No multiply and add may contract into an FMA: the library builds
+// with -ffp-contract=off, and the AVX-512 functions switch contraction off
+// themselves, since avx512f implies FMA and other builds of src/ (perfbench)
+// bring their own flags.
 #pragma once
 
 #include <cstddef>
@@ -43,7 +51,7 @@ void relu_forward(const float* x, float* y, std::size_t n);
 // scalar `if (x <= 0) g = 0` it replaces).
 void relu_backward_mask(const float* x, float* g, std::size_t n);
 
-// Name of the dispatched backend: "avx2", "sse2", or "scalar".
+// Name of the dispatched backend: "avx512", "avx2", "sse2", or "scalar".
 const char* backend();
 
 // One compiled implementation of every kernel above.

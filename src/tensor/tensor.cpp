@@ -60,9 +60,21 @@ Tensor Tensor::reshaped(Shape new_shape) const {
   return Tensor(std::move(new_shape), data_);
 }
 
-void Tensor::resize(Shape new_shape) {
+void Tensor::resize(const Shape& new_shape) {
   if (new_shape.empty()) throw std::invalid_argument("Tensor::resize: empty shape");
-  shape_ = std::move(new_shape);
+  shape_ = new_shape;
+  data_.resize(shape_numel(shape_));
+}
+
+void Tensor::resize(std::initializer_list<std::size_t> new_shape) {
+  if (new_shape.size() == 0) throw std::invalid_argument("Tensor::resize: empty shape");
+  shape_.assign(new_shape);
+  data_.resize(shape_numel(shape_));
+}
+
+void Tensor::resize_batch(std::size_t batch, const Shape& element_shape) {
+  shape_.assign(1, batch);
+  shape_.insert(shape_.end(), element_shape.begin(), element_shape.end());
   data_.resize(shape_numel(shape_));
 }
 

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstddef>
+#include <initializer_list>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -58,9 +59,13 @@ class Tensor {
   Tensor reshaped(Shape new_shape) const;
 
   // Reshapes in place, growing/shrinking storage as needed. Existing element
-  // values are unspecified afterwards; capacity is retained, so scratch
-  // tensors in hot loops can change batch size without reallocating.
-  void resize(Shape new_shape);
+  // values are unspecified afterwards; the shape's and the data's capacity
+  // are retained, so scratch tensors in hot loops can change batch size
+  // without reallocating.
+  void resize(const Shape& new_shape);
+  void resize(std::initializer_list<std::size_t> new_shape);
+  // The same, to [batch, element_shape...].
+  void resize_batch(std::size_t batch, const Shape& element_shape);
 
   // In-place elementwise operations.
   Tensor& operator+=(const Tensor& other);

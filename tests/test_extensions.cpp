@@ -200,13 +200,15 @@ TEST(PartialTraining, HeadOnlyTrainingStillLearns) {
   model.init_params(rng);
   const auto& client = ds.clients[0];
   const auto before =
-      fl::evaluate_model(model, client.train_x, client.train_y, client.element_shape);
+      fl::evaluate_model(model, model.get_weights(), client.train_x, client.train_y,
+                         client.element_shape);
   fl::TrainConfig config{5, 10, 10, 0.1};
   config.freeze_prefix_params = 2;
   Rng train_rng(8);
   fl::train_local_sgd(model, client, config, train_rng);
   const auto after =
-      fl::evaluate_model(model, client.train_x, client.train_y, client.element_shape);
+      fl::evaluate_model(model, model.get_weights(), client.train_x, client.train_y,
+                         client.element_shape);
   EXPECT_LT(after.loss, before.loss);
 }
 

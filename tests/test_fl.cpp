@@ -43,7 +43,7 @@ TEST(Evaluation, PerfectModelScoresOne) {
   params[1].value->data() = {10.0f, -10.0f};  // always class 0
   const std::vector<float> x = {1, 2, 3, 4};
   const std::vector<int> y = {0, 0};
-  const EvalResult result = evaluate_model(model, x, y, {2});
+  const EvalResult result = evaluate_model(model, model.get_weights(), x, y, {2});
   EXPECT_DOUBLE_EQ(result.accuracy, 1.0);
   EXPECT_LT(result.loss, 1e-6);
   EXPECT_EQ(result.num_examples, 2u);
@@ -55,8 +55,9 @@ TEST(Evaluation, ChunkingMatchesSinglePass) {
   Rng rng(1);
   model.init_params(rng);
   const auto& c = ds.clients[0];
-  const EvalResult big = evaluate_model(model, c.test_x, c.test_y, c.element_shape, 1024);
-  const EvalResult small = evaluate_model(model, c.test_x, c.test_y, c.element_shape, 1);
+  const nn::WeightVector w = model.get_weights();
+  const EvalResult big = evaluate_model(model, w, c.test_x, c.test_y, c.element_shape, 1024);
+  const EvalResult small = evaluate_model(model, w, c.test_x, c.test_y, c.element_shape, 1);
   EXPECT_NEAR(big.accuracy, small.accuracy, 1e-12);
   EXPECT_NEAR(big.loss, small.loss, 1e-9);
 }
@@ -64,10 +65,11 @@ TEST(Evaluation, ChunkingMatchesSinglePass) {
 TEST(Evaluation, EmptyOrZeroChunkThrows) {
   nn::Sequential model;
   model.add<nn::Dense>(2, 2);
-  EXPECT_THROW(evaluate_model(model, {}, {}, {2}), std::invalid_argument);
+  const nn::WeightVector w = model.get_weights();
+  EXPECT_THROW(evaluate_model(model, w, {}, {}, {2}), std::invalid_argument);
   const std::vector<float> x = {1, 2};
   const std::vector<int> y = {0};
-  EXPECT_THROW(evaluate_model(model, x, y, {2}, 0), std::invalid_argument);
+  EXPECT_THROW(evaluate_model(model, w, x, y, {2}, 0), std::invalid_argument);
 }
 
 TEST(Evaluation, WeightsOnTestRequiresTestData) {
@@ -124,12 +126,14 @@ TEST(Trainer, ReducesLossOnClientData) {
   model.init_params(rng);
   const auto& client = ds.clients[0];
   const EvalResult before =
-      evaluate_model(model, client.train_x, client.train_y, client.element_shape);
+      evaluate_model(model, model.get_weights(), client.train_x, client.train_y,
+                     client.element_shape);
   TrainConfig config{/*epochs=*/5, /*batches=*/10, /*batch_size=*/10, /*lr=*/0.1};
   Rng train_rng(5);
   train_local_sgd(model, client, config, train_rng);
   const EvalResult after =
-      evaluate_model(model, client.train_x, client.train_y, client.element_shape);
+      evaluate_model(model, model.get_weights(), client.train_x, client.train_y,
+                     client.element_shape);
   EXPECT_LT(after.loss, before.loss);
   EXPECT_GT(after.accuracy, before.accuracy);
 }

@@ -88,7 +88,7 @@ TEST(LossEdgeCases, HugeLogitsDoNotOverflow) {
 
 TEST(LossEdgeCases, ConfidentlyWrongHasLargeFiniteLoss) {
   Tensor logits({1, 2}, {100.0f, -100.0f});
-  const double loss = nn::softmax_cross_entropy_loss(logits, {1});
+  const double loss = nn::softmax_cross_entropy_loss(logits, std::vector<int>{1});
   EXPECT_TRUE(std::isfinite(loss));
   EXPECT_GT(loss, 10.0);
 }
@@ -96,7 +96,7 @@ TEST(LossEdgeCases, ConfidentlyWrongHasLargeFiniteLoss) {
 TEST(LossEdgeCases, SingleClassDatasetGivesZeroLoss) {
   // Degenerate single-class output head: softmax over one logit is 1.
   Tensor logits({2, 1}, {3.0f, -5.0f});
-  EXPECT_NEAR(nn::softmax_cross_entropy_loss(logits, {0, 0}), 0.0, 1e-6);
+  EXPECT_NEAR(nn::softmax_cross_entropy_loss(logits, std::vector<int>{0, 0}), 0.0, 1e-6);
 }
 
 TEST(LossEdgeCases, GradientSumsToZeroPerRow) {

@@ -259,9 +259,12 @@ std::vector<float> transpose(const std::vector<float>& x, std::size_t rows, std:
   return t;
 }
 
-const std::size_t kMs[] = {1, 2, 3, 8, 30};
+// Row counts and widths around every backend's block edges: the AVX-512
+// kernel blocks 8 rows and 32 columns and masks the last vector of a row,
+// AVX2 and SSE2 block 2 rows and hand n % 8 or n % 4 columns to scalar.
+const std::size_t kMs[] = {1, 2, 3, 4, 8, 9, 16, 30};
 const std::size_t kKs[] = {1, 8, 256};
-const std::size_t kNs[] = {1, 7, 8, 9, 10, 31, 32, 33, 96};
+const std::size_t kNs[] = {1, 7, 8, 9, 10, 15, 16, 17, 31, 32, 33, 48, 96};
 
 TEST(Lanes, ScalarBackendIsAlwaysCompiledAndLast) {
   const auto backends = lanes::host_backends();
