@@ -10,6 +10,7 @@
 #include <iostream>
 #include <map>
 
+#include "metrics/client_graph.hpp"
 #include "metrics/community.hpp"
 #include "sim/experiment.hpp"
 
@@ -22,6 +23,8 @@ int main(int argc, char** argv) {
   preset.sim.client.alpha = alpha;
   const std::vector<int> true_clusters = preset.dataset.true_clusters();
   sim::DagSimulator simulator(std::move(preset.dataset), preset.factory, preset.sim);
+  const std::size_t num_clients = true_clusters.size();
+  Rng louvain_rng = Rng(preset.sim.seed).fork(0x10CA);
 
   std::cout << "Specializing DAG on FMNIST-clustered (alpha = " << alpha << ")\n"
             << "3 ground-truth clusters over digit groups {0-3}, {4-6}, {7-9}\n\n"
@@ -31,7 +34,8 @@ int main(int argc, char** argv) {
     const auto& record = simulator.run_round();
     if (round % 10 != 0) continue;
     const auto pureness = simulator.approval_pureness();
-    const auto louvain = simulator.louvain_communities();
+    const auto louvain =
+        metrics::louvain(metrics::build_client_graph(simulator.dag(), num_clients), louvain_rng);
     const double misclass =
         metrics::misclassification_fraction(louvain.partition, true_clusters);
     std::cout << round << "     " << record.mean_trained_accuracy() << "      "
@@ -40,7 +44,8 @@ int main(int argc, char** argv) {
   }
 
   // Final community table: inferred community vs ground-truth cluster.
-  const auto louvain = simulator.louvain_communities();
+  const auto louvain =
+      metrics::louvain(metrics::build_client_graph(simulator.dag(), num_clients), louvain_rng);
   std::map<int, std::map<int, int>> table;  // community -> true cluster -> count
   for (std::size_t i = 0; i < louvain.partition.size(); ++i) {
     table[louvain.partition[i]][true_clusters[i]]++;

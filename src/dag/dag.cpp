@@ -10,14 +10,10 @@ namespace specdag::dag {
 Dag::Dag(nn::WeightVector initial_weights, store::StoreConfig store_config)
     : store_(store_config) {
   Transaction genesis;
-  genesis.id = kGenesisTx;
   genesis.payload =
       store_.put(std::make_shared<const nn::WeightVector>(std::move(initial_weights)), {});
-  genesis.publisher = -1;
-  genesis.round = 0;
-  transactions_.push_back(std::move(genesis));
-  tips_.insert(kGenesisTx);
-  cum_weights_.push_back(1);
+  std::unique_lock lock(mutex_);
+  reset_locked(std::move(genesis));
 }
 
 const Transaction& Dag::tx_locked(TxId id) const {
@@ -27,42 +23,54 @@ const Transaction& Dag::tx_locked(TxId id) const {
   return transactions_[id];
 }
 
+void Dag::reset_locked(Transaction genesis) {
+  genesis.id = kGenesisTx;
+  transactions_.assign(1, std::move(genesis));
+  children_.assign(1, {});
+  cum_weights_.assign(1, 1);
+  std::lock_guard walk_lock(walk_index_mutex_);
+  walk_index_size_ = 0;  // stale: rebuilt by the next sample_walk_start
+  sweep_parents_.clear();
+  sweep_parents_end_.clear();
+}
+
 TxId Dag::add_transaction(std::vector<TxId> parents, WeightsPtr weights, int publisher,
                           std::size_t round, bool poisoned_publisher,
                           WeightsPtr encode_base) {
-  if (parents.empty()) throw std::invalid_argument("Dag::add_transaction: no parents");
   if (!weights) throw std::invalid_argument("Dag::add_transaction: null weights");
+  Transaction tx;
+  tx.parents = std::move(parents);
+  tx.publisher = publisher;
+  tx.round = round;
+  tx.poisoned_publisher = poisoned_publisher;
+  std::unique_lock lock(mutex_);
+  return append_locked(std::move(tx), std::move(weights), std::move(encode_base));
+}
+
+TxId Dag::append_locked(Transaction tx, WeightsPtr weights, WeightsPtr encode_base) {
+  const std::vector<TxId>& parents = tx.parents;
+  if (parents.empty()) throw std::invalid_argument("Dag::add_transaction: no parents");
   std::vector<TxId> sorted = parents;
   std::sort(sorted.begin(), sorted.end());
   if (std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end()) {
     throw std::invalid_argument("Dag::add_transaction: duplicate parents");
   }
-
-  std::unique_lock lock(mutex_);
-  for (TxId p : parents) {
-    if (p >= transactions_.size()) {
-      throw std::invalid_argument("Dag::add_transaction: unknown parent " + std::to_string(p));
-    }
+  if (sorted.back() >= transactions_.size()) {
+    throw std::invalid_argument("Dag::add_transaction: unknown parent " +
+                                std::to_string(sorted.back()));
   }
-  // Intern the payload, delta-encoded against the average of the parents'
-  // payloads — the exact base the publisher trained from.
-  std::vector<store::PayloadId> bases;
-  bases.reserve(parents.size());
-  for (TxId p : parents) bases.push_back(transactions_[p].payload);
+  if (weights) {
+    // Intern the payload, delta-encoded against the average of the parents'
+    // payloads — the exact base the publisher trained from.
+    std::vector<store::PayloadId> bases;
+    bases.reserve(parents.size());
+    for (TxId p : parents) bases.push_back(transactions_[p].payload);
+    tx.payload = store_.put(std::move(weights), bases, std::move(encode_base));
+  }
   const TxId id = transactions_.size();
-  Transaction tx;
   tx.id = id;
-  tx.parents = parents;
-  tx.payload = store_.put(std::move(weights), bases, std::move(encode_base));
-  tx.publisher = publisher;
-  tx.round = round;
-  tx.poisoned_publisher = poisoned_publisher;
-  transactions_.push_back(std::move(tx));
-  for (TxId p : parents) {
-    children_[p].push_back(id);
-    tips_.erase(p);
-  }
-  tips_.insert(id);
+  for (TxId p : parents) children_[p].push_back(id);
+  children_.emplace_back();
 
   // Incremental weight maintenance: the new transaction is the one and only
   // new descendant of every transaction in its past cone, so each ancestor's
@@ -73,31 +81,20 @@ TxId Dag::add_transaction(std::vector<TxId> parents, WeightsPtr weights, int pub
   // instead of frontier pointer-chasing — the cone is nearly the whole DAG
   // once the graph is dense, so the constant factor dominates.
   cum_weights_.push_back(1);
-  cone_seen_.assign(transactions_.size(), 0);
-  if (!parents.empty()) {
-    TxId max_parent = 0;
-    for (TxId p : parents) {
-      cone_seen_[p] = 1;
-      max_parent = std::max(max_parent, p);
-    }
-    for (TxId cur = max_parent + 1; cur-- > 0;) {
-      if (!cone_seen_[cur]) continue;
-      ++cum_weights_[cur];
-      for (TxId p : transactions_[cur].parents) cone_seen_[p] = 1;
-    }
+  cone_seen_.assign(id, 0);
+  for (TxId p : parents) cone_seen_[p] = 1;
+  for (TxId cur = sorted.back() + 1; cur-- > 0;) {
+    if (!cone_seen_[cur]) continue;
+    ++cum_weights_[cur];
+    for (TxId p : transactions_[cur].parents) cone_seen_[p] = 1;
   }
-  ++version_;
+  transactions_.push_back(std::move(tx));
   return id;
 }
 
 std::size_t Dag::size() const {
   std::shared_lock lock(mutex_);
   return transactions_.size();
-}
-
-std::uint64_t Dag::version() const {
-  std::shared_lock lock(mutex_);
-  return version_;
 }
 
 Transaction Dag::transaction(TxId id) const {
@@ -132,27 +129,21 @@ std::vector<TxId> Dag::parents(TxId id) const {
 std::vector<TxId> Dag::children(TxId id) const {
   std::shared_lock lock(mutex_);
   tx_locked(id);  // bounds check
-  auto it = children_.find(id);
-  return it == children_.end() ? std::vector<TxId>{} : it->second;
+  return children_[id];
 }
 
 void Dag::children_into(TxId id, std::vector<TxId>& out) const {
   std::shared_lock lock(mutex_);
   tx_locked(id);  // bounds check
-  out.clear();
-  auto it = children_.find(id);
-  if (it != children_.end()) out.assign(it->second.begin(), it->second.end());
+  out.assign(children_[id].begin(), children_[id].end());
 }
 
 void Dag::children_with_weights_into(TxId id, std::vector<TxId>& children,
                                      std::vector<std::size_t>& weights) const {
   std::shared_lock lock(mutex_);
   tx_locked(id);  // bounds check
-  children.clear();
+  children.assign(children_[id].begin(), children_[id].end());
   weights.clear();
-  auto it = children_.find(id);
-  if (it == children_.end()) return;
-  children.assign(it->second.begin(), it->second.end());
   for (TxId child : children) weights.push_back(cum_weights_[child]);
 }
 
@@ -169,29 +160,36 @@ std::size_t Dag::round(TxId id) const {
 bool Dag::is_tip(TxId id) const {
   std::shared_lock lock(mutex_);
   tx_locked(id);
-  return tips_.count(id) > 0;
+  return children_[id].empty();
 }
 
 std::vector<TxId> Dag::tips() const {
   std::shared_lock lock(mutex_);
-  return {tips_.begin(), tips_.end()};
+  std::vector<TxId> tips;
+  for (TxId id = 0; id < children_.size(); ++id) {
+    if (children_[id].empty()) tips.push_back(id);
+  }
+  return tips;
 }
 
 std::size_t Dag::cumulative_weight(TxId id) const {
   std::shared_lock lock(mutex_);
   tx_locked(id);
-  std::unordered_set<TxId> visited{id};
+  std::vector<char> visited(transactions_.size(), 0);
+  visited[id] = 1;
+  std::size_t count = 1;
   std::deque<TxId> frontier{id};
   while (!frontier.empty()) {
     const TxId cur = frontier.front();
     frontier.pop_front();
-    auto it = children_.find(cur);
-    if (it == children_.end()) continue;
-    for (TxId child : it->second) {
-      if (visited.insert(child).second) frontier.push_back(child);
+    for (TxId child : children_[cur]) {
+      if (visited[child]) continue;
+      visited[child] = 1;
+      ++count;
+      frontier.push_back(child);
     }
   }
-  return visited.size();
+  return count;
 }
 
 std::vector<std::size_t> Dag::cumulative_weights_all() const {
@@ -284,29 +282,31 @@ void Dag::cumulative_weights_all_into(const std::vector<char>& visible,
 std::vector<TxId> Dag::past_cone(TxId id) const {
   std::shared_lock lock(mutex_);
   tx_locked(id);
-  std::unordered_set<TxId> visited;
+  std::vector<char> visited(transactions_.size(), 0);
   std::deque<TxId> frontier{id};
   std::vector<TxId> cone;
   while (!frontier.empty()) {
     const TxId cur = frontier.front();
     frontier.pop_front();
     for (TxId p : transactions_[cur].parents) {
-      if (visited.insert(p).second) {
-        cone.push_back(p);
-        frontier.push_back(p);
-      }
+      if (visited[p]) continue;
+      visited[p] = 1;
+      cone.push_back(p);
+      frontier.push_back(p);
     }
   }
   return cone;
 }
 
-std::unordered_map<TxId, std::size_t> Dag::depths_from_tips() const {
+std::vector<std::size_t> Dag::depths_from_tips() const {
   std::shared_lock lock(mutex_);
-  std::unordered_map<TxId, std::size_t> depth;
+  constexpr std::size_t kUnset = ~std::size_t{0};
+  std::vector<std::size_t> depth(transactions_.size(), kUnset);
   std::deque<TxId> frontier;
-  for (TxId tip : tips_) {
-    depth[tip] = 0;
-    frontier.push_back(tip);
+  for (TxId id = 0; id < children_.size(); ++id) {
+    if (!children_[id].empty()) continue;
+    depth[id] = 0;
+    frontier.push_back(id);
   }
   // BFS along parent edges assigns each node its minimum distance to a tip.
   while (!frontier.empty()) {
@@ -314,8 +314,7 @@ std::unordered_map<TxId, std::size_t> Dag::depths_from_tips() const {
     frontier.pop_front();
     const std::size_t d = depth[cur];
     for (TxId p : transactions_[cur].parents) {
-      auto it = depth.find(p);
-      if (it == depth.end() || it->second > d + 1) {
+      if (depth[p] > d + 1) {
         depth[p] = d + 1;
         frontier.push_back(p);
       }
@@ -325,7 +324,7 @@ std::unordered_map<TxId, std::size_t> Dag::depths_from_tips() const {
 }
 
 void Dag::refresh_walk_index_locked() const {
-  if (walk_index_version_ == version_) return;
+  if (walk_index_size_ == transactions_.size()) return;
   // Extend the flat parent lists by the transactions appended since the
   // last rebuild: the sweep then reads one contiguous array instead of
   // chasing a heap-allocated parents vector per transaction.
@@ -341,7 +340,7 @@ void Dag::refresh_walk_index_locked() const {
   // the sweep reaches it: a transaction still unset there has no children
   // (a tip, depth 0), and any other holds 1 + min over its children — the
   // same minimum tip distance depths_from_tips() computes, without
-  // touching the tip set.
+  // listing the tips.
   for (TxId cur = depth_index_.size(); cur-- > 0;) {
     if (depth_index_[cur] == kUnset) depth_index_[cur] = 0;
     const std::size_t d = depth_index_[cur] + 1;
@@ -351,7 +350,7 @@ void Dag::refresh_walk_index_locked() const {
     }
   }
   start_candidates_.clear();
-  walk_index_version_ = version_;
+  walk_index_size_ = transactions_.size();
 }
 
 TxId Dag::sample_walk_start(Rng& rng, std::size_t min_depth, std::size_t max_depth) const {

@@ -2,18 +2,22 @@
 //
 // The DAG starts from a genesis transaction holding the initial model
 // weights. New transactions approve >= 1 previous transactions (2 in the
-// paper). The structure maintains a children index (approvals in reverse,
-// the direction the random walk travels), the current tip set, and helpers
-// for depth-based walk starts and past-cone queries used by the evaluation.
+// paper). The transaction records are the only primary state; everything
+// else is derived from their approvals by the one private append routine
+// (append_locked) that add_transaction and checkpoint restore both call:
+// the id-indexed children lists (approvals in reverse, the direction the
+// random walk travels) and the cumulative-weight index. A tip is a
+// transaction without children. Helpers cover depth-based walk starts and
+// past-cone queries used by the evaluation.
 //
 // Weight index: cumulative weights are maintained *incrementally* — each
 // append adds exactly one new descendant (the appended transaction) to
-// every transaction in its past cone, so add_transaction bumps those
-// entries by one and the full table is always current. Walks read it live,
-// a step's children at a time (children_with_weights_into). The historical
-// bit-parallel sweep is retained as the masked-visibility path (per-client
-// partition views cannot be maintained incrementally) and as the reference
-// oracle for tests.
+// every transaction in its past cone, so the append bumps those entries by
+// one and the full table is always current. Walks read it live, a step's
+// children at a time (children_with_weights_into). The bit-parallel sweep
+// is retained as the masked-visibility path (per-client partition views
+// cannot be maintained incrementally) and as the reference oracle for
+// tests.
 //
 // Thread safety: reads and writes are internally synchronized with a
 // shared_mutex; the simulator trains the active clients of a round in
@@ -21,10 +25,7 @@
 #pragma once
 
 #include <mutex>
-#include <optional>
 #include <shared_mutex>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "dag/transaction.hpp"
 #include "util/rng.hpp"
@@ -53,11 +54,9 @@ class Dag {
                        std::size_t round, bool poisoned_publisher = false,
                        WeightsPtr encode_base = nullptr);
 
+  // Number of transactions, genesis included. Grows by one per append; the
+  // walk-start depth index is keyed on it.
   std::size_t size() const;
-
-  // Structure version: starts at 0 (genesis only) and increments by one per
-  // append. The walk-start depth index is keyed on this counter.
-  std::uint64_t version() const;
 
   // Copy of the transaction record. Throws on unknown id.
   Transaction transaction(TxId id) const;
@@ -90,7 +89,7 @@ class Dag {
   int publisher(TxId id) const;
   std::size_t round(TxId id) const;
 
-  // Current tips (transactions without approvals), unordered.
+  // Current tips (transactions without approvals), in ascending id order.
   std::vector<TxId> tips() const;
 
   // Number of transactions that directly or indirectly approve `id`,
@@ -127,14 +126,16 @@ class Dag {
   // `id` itself. Used to count approved poisoned transactions (Figure 13).
   std::vector<TxId> past_cone(TxId id) const;
 
-  // Depth of every transaction measured from the tip set: tips have depth 0
-  // and depth(x) = 1 + min over children. Genesis-only DAG: genesis depth 0.
-  std::unordered_map<TxId, std::size_t> depths_from_tips() const;
+  // Depth of every transaction measured from the tip set, indexed by id:
+  // tips have depth 0 and depth(x) = 1 + min over children. Genesis-only
+  // DAG: genesis depth 0. A BFS from the tips, independent of the walk-start
+  // index — kept as its oracle.
+  std::vector<std::size_t> depths_from_tips() const;
 
   // Samples a walk-start transaction uniformly among those at depth in
   // [min_depth, max_depth] from the tips (paper §5.3.5 / Popov: 15-25).
   // Falls back to genesis when the DAG is shallower than min_depth.
-  // Backed by a version-checked depth index: one descending-id sweep and the
+  // Backed by a size-checked depth index: one descending-id sweep and the
   // sorted candidate list are rebuilt at most once per append instead of
   // once per walk, so concurrent per-walk calls cost O(1) on an unchanged DAG.
   TxId sample_walk_start(Rng& rng, std::size_t min_depth, std::size_t max_depth) const;
@@ -146,18 +147,25 @@ class Dag {
   friend struct snapshot::Access;  // checkpoint serialization (src/snapshot)
 
   const Transaction& tx_locked(TxId id) const;
+  // Drops every transaction and derived index and records `genesis` as id 0
+  // (construction and checkpoint restore). Caller holds mutex_ exclusively.
+  void reset_locked(Transaction genesis);
+  // The one append path. Rejects an empty parent list, a parent listed
+  // twice or an unknown parent (std::invalid_argument), then interns
+  // `weights` as the payload (restore passes null and keeps tx.payload),
+  // records `tx` under the next id and derives its children entries and
+  // weight-index bumps. Caller holds mutex_ exclusively.
+  TxId append_locked(Transaction tx, WeightsPtr weights, WeightsPtr encode_base);
   // Rebuilds depth_index_ / start candidates when stale. Caller must hold
   // mutex_ (shared suffices) and walk_index_mutex_.
   void refresh_walk_index_locked() const;
 
   store::ModelStore store_;  // owns every payload (internally synchronized)
   mutable std::shared_mutex mutex_;
-  std::vector<Transaction> transactions_;  // id == index
-  std::unordered_map<TxId, std::vector<TxId>> children_;
-  std::unordered_set<TxId> tips_;
+  std::vector<Transaction> transactions_;  // id == index; the primary state
 
-  // --- incremental weight index (guarded by mutex_) -----------------------
-  std::uint64_t version_ = 0;
+  // --- derived by append_locked (guarded by mutex_) -----------------------
+  std::vector<std::vector<TxId>> children_;  // id -> approvers, ascending
   std::vector<std::size_t> cum_weights_;  // exact, unmasked, id-indexed
   std::vector<char> cone_seen_;  // scratch for the append-time cone sweep
 
@@ -166,14 +174,14 @@ class Dag {
   // shared hold of mutex_ (rebuilds read transactions_). The critical
   // section is O(1) between appends.
   mutable std::mutex walk_index_mutex_;
-  mutable std::uint64_t walk_index_version_ = ~std::uint64_t{0};
+  mutable std::size_t walk_index_size_ = 0;  // size() the index was built at
   mutable std::vector<std::size_t> depth_index_;  // id -> depth from tips
   // Every transaction's parents in id order, flattened for the sweep:
   // transaction id's parents are sweep_parents_[end[id - 1], end[id]).
   mutable std::vector<TxId> sweep_parents_;
   mutable std::vector<std::size_t> sweep_parents_end_;
   // Sorted candidate ids per (min_depth, max_depth) window, valid at
-  // walk_index_version_. A handful of distinct windows exist per run.
+  // walk_index_size_. A handful of distinct windows exist per run.
   mutable std::vector<std::pair<std::pair<std::size_t, std::size_t>, std::vector<TxId>>>
       start_candidates_;
 };

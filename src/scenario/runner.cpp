@@ -33,40 +33,17 @@ constexpr std::uint64_t kStragglerTag = 0x57A6;
 
 sim::ExperimentPreset build_preset(const ScenarioSpec& spec) {
   obs::ScopedSpan span(obs::Phase::kSetup);
-  const sim::PresetOptions options{spec.seed, spec.paper_scale};
-  sim::ExperimentPreset preset;
+  const sim::PresetOptions options{spec.seed, spec.paper_scale, spec.num_clients,
+                                   spec.samples_per_client};
   switch (spec.dataset) {
-    case DatasetPreset::kFmnistClustered: preset = sim::fmnist_clustered_preset(options); break;
-    case DatasetPreset::kFmnistRelaxed: preset = sim::fmnist_relaxed_preset(options); break;
-    case DatasetPreset::kFmnistByAuthor: preset = sim::fmnist_by_author_preset(options); break;
-    case DatasetPreset::kPoets: preset = sim::poets_preset(options); break;
-    case DatasetPreset::kCifar: preset = sim::cifar_preset(options); break;
-    case DatasetPreset::kFedproxSynthetic: preset = sim::fedprox_synthetic_preset(options); break;
+    case DatasetPreset::kFmnistClustered: return sim::fmnist_clustered_preset(options);
+    case DatasetPreset::kFmnistRelaxed: return sim::fmnist_relaxed_preset(options);
+    case DatasetPreset::kFmnistByAuthor: return sim::fmnist_by_author_preset(options);
+    case DatasetPreset::kPoets: return sim::poets_preset(options);
+    case DatasetPreset::kCifar: return sim::cifar_preset(options);
+    case DatasetPreset::kFedproxSynthetic: return sim::fedprox_synthetic_preset(options);
   }
-
-  // Dataset-size overrides regenerate the shards with the same element
-  // shape, so the preset's model factory stays valid.
-  if (spec.num_clients > 0 || spec.samples_per_client > 0) {
-    if (spec.dataset == DatasetPreset::kFedproxSynthetic) {
-      data::FedProxSyntheticConfig config;
-      config.seed = spec.seed;
-      if (spec.num_clients > 0) config.num_clients = spec.num_clients;
-      preset.dataset = data::make_fedprox_synthetic(config);
-    } else {
-      data::SyntheticDigitsConfig config;
-      config.seed = spec.seed;
-      if (spec.dataset == DatasetPreset::kFmnistRelaxed) {
-        config.relax_min = 0.15;
-        config.relax_max = 0.20;
-      }
-      if (spec.num_clients > 0) config.num_clients = spec.num_clients;
-      if (spec.samples_per_client > 0) config.samples_per_client = spec.samples_per_client;
-      preset.dataset = spec.dataset == DatasetPreset::kFmnistByAuthor
-                           ? data::make_fmnist_by_author(config)
-                           : data::make_fmnist_clustered(config);
-    }
-  }
-  return preset;
+  throw std::invalid_argument("scenario: unknown dataset preset");
 }
 
 // The seed-derived set of clients that churns out of the network.

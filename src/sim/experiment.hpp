@@ -33,8 +33,15 @@ struct ExperimentPreset {
 
 struct PresetOptions {
   std::uint64_t seed = 42;
-  // Scale factor kept for future growth; presets are hand-tuned for CPU.
+  // The paper's data sizes and models instead of the CPU-sized defaults.
   bool paper_scale = false;
+  // Dataset-size overrides, applied on top of the preset's own sizes (its
+  // paper-scale sizes included); 0 keeps the preset's size. The dataset is
+  // generated once, so element shape and model always match.
+  // fedprox-synthetic draws per-client sample counts from a lognormal and
+  // ignores samples_per_client.
+  std::size_t num_clients = 0;
+  std::size_t samples_per_client = 0;
 };
 
 // FMNIST-clustered (paper §5.1.1): 3 class-group clusters.

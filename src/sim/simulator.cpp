@@ -34,8 +34,7 @@ DagSimulator::DagSimulator(data::FederatedDataset dataset, nn::ModelFactory fact
     : ClientPopulation(std::move(dataset), std::move(factory), config.client, config.seed,
                        config.store),
       config_(config),
-      round_rng_(Rng(config.seed).fork(0x520D)),
-      louvain_rng_(Rng(config.seed).fork(0x10CA)) {
+      round_rng_(Rng(config.seed).fork(0x520D)) {
   if (config_.clients_per_round == 0 || config_.clients_per_round > dataset_.clients.size()) {
     throw std::invalid_argument("DagSimulator: bad clients_per_round");
   }
@@ -126,12 +125,6 @@ const RoundRecord& DagSimulator::run_round() {
 
 void DagSimulator::run_rounds(std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) run_round();
-}
-
-metrics::LouvainResult DagSimulator::louvain_communities() {
-  const metrics::ClientGraph graph =
-      metrics::build_client_graph(net_.dag(), dataset_.clients.size());
-  return metrics::louvain(graph, louvain_rng_);
 }
 
 }  // namespace specdag::sim

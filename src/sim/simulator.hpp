@@ -10,7 +10,6 @@
 
 #include <optional>
 
-#include "metrics/community.hpp"
 #include "sim/population.hpp"
 #include "util/thread_pool.hpp"
 
@@ -77,14 +76,6 @@ class DagSimulator : public ClientPopulation {
   // per client. heal_partition() restores full visibility for everyone.
   void begin_partition(std::vector<int> group_of_client);
 
-  // --- evaluation helpers -------------------------------------------------
-
-  metrics::LouvainResult louvain_communities();
-
-  // Evaluates each client's *consensus* model on its local test data (the
-  // personalized model a participant would use for inference).
-  std::vector<fl::EvalResult> evaluate_consensus_all() { return net_.evaluate_consensus_all(); }
-
   const std::vector<RoundRecord>& history() const { return history_; }
   std::size_t current_round() const { return round_; }
 
@@ -108,7 +99,6 @@ class DagSimulator : public ClientPopulation {
 
   SimulatorConfig config_;
   Rng round_rng_;
-  Rng louvain_rng_;
   std::optional<ThreadPool> pool_;
   std::vector<RoundRecord> history_;
   std::vector<PendingCommit> pending_;

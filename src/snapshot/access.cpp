@@ -16,19 +16,6 @@
 namespace specdag::snapshot {
 namespace {
 
-void save_sizes(Writer& w, const std::vector<std::size_t>& v) {
-  w.u64(v.size());
-  for (std::size_t x : v) w.u64(x);
-}
-
-std::vector<std::size_t> load_sizes(Reader& r) {
-  const std::uint64_t n = r.u64();
-  std::vector<std::size_t> v;
-  v.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) v.push_back(static_cast<std::size_t>(r.u64()));
-  return v;
-}
-
 void save_chars(Writer& w, const std::vector<char>& v) {
   w.u64(v.size());
   for (char c : v) w.u8(static_cast<std::uint8_t>(c));
@@ -109,7 +96,6 @@ void Access::save_store(Writer& w, const store::ModelStore& store) {
     w.u64(entry.hash.lo);
     w.u8(static_cast<std::uint8_t>(entry.state));
     w.u32(entry.num_floats);
-    w.u32(entry.chain_depth);
     w.u64(entry.bases.size());
     for (store::PayloadId base : entry.bases) w.u32(base);
     if (entry.state == EntryState::kDelta) {
@@ -119,10 +105,7 @@ void Access::save_store(Writer& w, const store::ModelStore& store) {
       w.vec_f32(*entry.raw);
     }
   }
-  w.u64(store.full_payload_bytes_);
-  w.u64(store.resident_payload_bytes_);
   w.u64(store.dedup_hits_);
-  w.u64(store.anchor_count_);
 }
 
 void Access::restore_store(Reader& r, store::ModelStore& store) {
@@ -133,8 +116,10 @@ void Access::restore_store(Reader& r, store::ModelStore& store) {
   }
   store.entries_.clear();
   store.by_hash_.clear();
+  store.full_payload_bytes_ = 0;
+  store.resident_payload_bytes_ = 0;
+  store.anchor_count_ = 0;
   const std::uint64_t num_entries = r.u64();
-  store.entries_.reserve(static_cast<std::size_t>(num_entries));
   for (std::uint64_t id = 0; id < num_entries; ++id) {
     store::ModelStore::Entry entry;
     entry.hash.hi = r.u64();
@@ -146,32 +131,38 @@ void Access::restore_store(Reader& r, store::ModelStore& store) {
     }
     entry.state = static_cast<EntryState>(state);
     entry.num_floats = r.u32();
-    entry.chain_depth = r.u32();
     const std::uint64_t num_bases = r.u64();
-    entry.bases.reserve(static_cast<std::size_t>(num_bases));
     for (std::uint64_t i = 0; i < num_bases; ++i) {
       const store::PayloadId base = r.u32();
       if (base >= id) throw SnapshotError("snapshot: store entry base out of order");
+      if (store.entries_[base].num_floats != entry.num_floats) {
+        throw SnapshotError("snapshot: store entry base length mismatch");
+      }
+      // A delta's chain depth is one more than its deepest base's.
+      entry.chain_depth = std::max(entry.chain_depth, store.entries_[base].chain_depth + 1);
       entry.bases.push_back(base);
     }
     if (entry.state == EntryState::kDelta) {
+      if (entry.bases.empty()) throw SnapshotError("snapshot: delta store entry without bases");
       entry.encoded = r.bytes();
+      store.resident_payload_bytes_ += entry.encoded.size();
     } else {
+      if (!entry.bases.empty()) throw SnapshotError("snapshot: anchor store entry with bases");
       auto raw = std::make_shared<nn::WeightVector>(r.vec_f32());
       if (raw->size() != entry.num_floats) {
         throw SnapshotError("snapshot: store entry payload length mismatch");
       }
       entry.raw = std::move(raw);
+      store.resident_payload_bytes_ += entry.num_floats * sizeof(float);
+      ++store.anchor_count_;
     }
+    store.full_payload_bytes_ += entry.num_floats * sizeof(float);
     // by_hash_ is populated in id order — the same insertion history the
     // original store built up, so re-serialization is byte-identical.
     store.by_hash_.emplace(entry.hash, static_cast<store::PayloadId>(id));
     store.entries_.push_back(std::move(entry));
   }
-  store.full_payload_bytes_ = static_cast<std::size_t>(r.u64());
-  store.resident_payload_bytes_ = static_cast<std::size_t>(r.u64());
   store.dedup_hits_ = static_cast<std::size_t>(r.u64());
-  store.anchor_count_ = static_cast<std::size_t>(r.u64());
   // Deterministic-rebuild rule: the materialization LRU restarts empty (it
   // only holds decoded copies), and its hit/miss/decode counters restart.
   {
@@ -199,33 +190,20 @@ void Access::save_dag(Writer& w, const dag::Dag& dag) {
     w.u64(tx.round);
     w.u8(tx.poisoned_publisher ? 1 : 0);
   }
-  save_sizes(w, dag.cum_weights_);
-  w.u64(dag.version_);
 }
 
 void Access::restore_dag(Reader& r, dag::Dag& dag) {
   restore_store(r, dag.store_);
   std::unique_lock lock(dag.mutex_);
-  dag.transactions_.clear();
-  dag.children_.clear();
-  dag.tips_.clear();
   const std::uint64_t num_txs = r.u64();
   if (num_txs == 0) throw SnapshotError("snapshot: checkpoint DAG has no genesis");
-  dag.transactions_.reserve(static_cast<std::size_t>(num_txs));
-  // Replay the append-time container mutations in id order so the
-  // unordered children/tips containers end up with the same layout the
-  // original run built — re-serialization and any iteration-order-sensitive
-  // consumer see an identical DAG.
+  // Replay the records through the DAG's own append path: children and the
+  // weight index are derived exactly as the original run derived them, and
+  // each record passes add_transaction's validation.
   for (std::uint64_t id = 0; id < num_txs; ++id) {
     dag::Transaction tx;
-    tx.id = id;
     const std::uint64_t num_parents = r.u64();
-    tx.parents.reserve(static_cast<std::size_t>(num_parents));
-    for (std::uint64_t i = 0; i < num_parents; ++i) {
-      const dag::TxId p = r.u64();
-      if (p >= id) throw SnapshotError("snapshot: DAG parent out of order");
-      tx.parents.push_back(p);
-    }
+    for (std::uint64_t i = 0; i < num_parents; ++i) tx.parents.push_back(r.u64());
     tx.payload = r.u32();
     if (tx.payload >= dag.store_.size()) {
       throw SnapshotError("snapshot: DAG payload handle out of range");
@@ -235,31 +213,15 @@ void Access::restore_dag(Reader& r, dag::Dag& dag) {
     tx.poisoned_publisher = r.u8() != 0;
     if (id == 0) {
       if (num_parents != 0) throw SnapshotError("snapshot: genesis with parents");
-      dag.transactions_.push_back(std::move(tx));
-      dag.tips_.insert(dag::kGenesisTx);
+      dag.reset_locked(std::move(tx));
       continue;
     }
-    if (num_parents == 0) throw SnapshotError("snapshot: non-genesis transaction without parents");
-    dag.transactions_.push_back(std::move(tx));
-    for (dag::TxId p : dag.transactions_.back().parents) {
-      dag.children_[p].push_back(id);
-      dag.tips_.erase(p);
+    try {
+      dag.append_locked(std::move(tx), nullptr, nullptr);
+    } catch (const std::invalid_argument& e) {
+      throw SnapshotError(std::string("snapshot: transaction ") + std::to_string(id) + ": " +
+                          e.what());
     }
-    dag.tips_.insert(id);
-  }
-  dag.cum_weights_ = load_sizes(r);
-  if (dag.cum_weights_.size() != dag.transactions_.size()) {
-    throw SnapshotError("snapshot: weight index size mismatch");
-  }
-  dag.version_ = r.u64();
-  dag.cone_seen_.clear();
-  {
-    std::lock_guard walk_lock(dag.walk_index_mutex_);
-    dag.walk_index_version_ = ~std::uint64_t{0};  // stale — lazily rebuilt
-    dag.depth_index_.clear();
-    dag.sweep_parents_.clear();
-    dag.sweep_parents_end_.clear();
-    dag.start_candidates_.clear();
   }
 }
 
@@ -377,7 +339,6 @@ void Access::restore_population(Reader& r, sim::ClientPopulation& population) {
 
 void Access::save_sim(Writer& w, const sim::DagSimulator& sim) {
   save_rng(w, sim.round_rng_);
-  save_rng(w, sim.louvain_rng_);
   w.u64(sim.round_);
   save_chars(w, sim.active_);
   save_population(w, sim);
@@ -392,7 +353,6 @@ void Access::save_sim(Writer& w, const sim::DagSimulator& sim) {
 
 void Access::restore_sim(Reader& r, sim::DagSimulator& sim) {
   sim.round_rng_ = load_rng(r);
-  sim.louvain_rng_ = load_rng(r);
   sim.round_ = static_cast<std::size_t>(r.u64());
   load_chars_into(r, sim.active_, "client");
   restore_population(r, sim);

@@ -1,13 +1,20 @@
 // Per-subsystem state capture/restore for checkpoints.
 //
 // snapshot::Access is the single friend the stateful classes grant: it
-// serializes exactly the state that drives future results — the DAG's
-// transactions and incremental weight index, the model store's settled
-// entries and counters, the sharded eval cache (its hits feed the per-round
-// walk statistics), every RNG stream, the simulators' schedules (event
-// queue / pending commits / churn + partition state), and the attack
-// controller — and restores it into freshly constructed objects so a
-// resumed run continues bit-exactly.
+// serializes exactly the primary state that drives future results — the
+// DAG's transaction records, the model store's settled entries and its
+// dedup counter, the sharded eval cache (its hits feed the per-round walk
+// statistics), every RNG stream, the simulators' schedules (event queue /
+// pending commits / churn + partition state), and the attack controller —
+// and restores it into freshly constructed objects so a resumed run
+// continues bit-exactly.
+//
+// Derived state is never written; restore recomputes it from the records:
+//   * the DAG replays each transaction through its own append path, which
+//     derives children and the cumulative-weight index and applies
+//     add_transaction's validation (a bad record is a SnapshotError);
+//   * the store recomputes its byte and anchor counters and each delta's
+//     chain depth (1 + its deepest base's; anchors 0) from the entries.
 //
 // Invariants the callers must uphold:
 //   * Quiescence: save only with the async encode pipeline drained and no

@@ -17,7 +17,9 @@
 // Format versioning policy: kFormatVersion bumps on any layout change; a
 // reader rejects files whose version it does not know (no silent migration
 // — checkpoints are tied to the code that wrote them, the golden-replay
-// fixture under tests/golden/ is regenerated on a bump).
+// fixture under tests/golden/ is regenerated on a bump). Format 5 stores
+// primary state only: indices, counters and chain depths that follow from
+// the stored records are recomputed on restore (snapshot/access.hpp).
 #pragma once
 
 #include <cstdint>
@@ -30,7 +32,7 @@
 
 namespace specdag::snapshot {
 
-inline constexpr std::uint32_t kFormatVersion = 4;
+inline constexpr std::uint32_t kFormatVersion = 5;
 inline constexpr char kMagic[8] = {'S', 'P', 'D', 'G', 'C', 'K', 'P', 'T'};
 inline constexpr std::uint32_t kEndianMarker = 0x01020304u;
 

@@ -4,8 +4,8 @@
 // thread count — with dynamics (churn/stragglers) and both attack kinds
 // active across the interruption point. Also the committed golden-replay
 // regression: `specdag replay` over the fixture under tests/golden/ must
-// match the committed window byte for byte (wall-clock walk timing zeroed on
-// both sides at generation and comparison).
+// match the committed window byte for byte (the series carries no wall
+// clock, so the comparison needs no normalization).
 //
 // Regenerating the golden fixture after a deliberate format bump:
 //   SPECDAG_REGEN_GOLDEN=1 ./specdag_slow_tests --gtest_filter='GoldenReplay*'

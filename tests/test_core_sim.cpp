@@ -4,6 +4,8 @@
 
 #include "core/specializing_dag.hpp"
 #include "data/synthetic_digits.hpp"
+#include "metrics/client_graph.hpp"
+#include "metrics/community.hpp"
 #include "sim/async_simulator.hpp"
 #include "sim/experiment.hpp"
 #include "sim/models.hpp"
@@ -236,9 +238,11 @@ TEST(DagSimulator, MetricsRunOnHistory) {
   const auto pureness = simulator.approval_pureness();
   EXPECT_GE(pureness.pureness, 0.0);
   EXPECT_LE(pureness.pureness, 1.0);
-  const auto louvain = simulator.louvain_communities();
+  Rng louvain_rng = Rng(23).fork(0x10CA);
+  const auto louvain =
+      metrics::louvain(metrics::build_client_graph(simulator.dag(), 9), louvain_rng);
   EXPECT_EQ(louvain.partition.size(), 9u);
-  const auto evals = simulator.evaluate_consensus_all();
+  const auto evals = simulator.network().evaluate_consensus_all();
   EXPECT_EQ(evals.size(), 9u);
   EXPECT_EQ(simulator.true_clusters().size(), 9u);
 }
@@ -313,6 +317,37 @@ TEST(Presets, CifarHasPaperClientStructure) {
   EXPECT_EQ(preset.dataset.clients.size(), 94u);  // paper §5.1.3
   EXPECT_EQ(preset.dataset.num_clusters, 20u);
   EXPECT_EQ(preset.dataset.num_classes, 100u);
+}
+
+// Size overrides apply to the preset's own config: a paper-scale preset
+// keeps its 28x28 images (and the paper CNN accepts them) when only the
+// client count changes.
+TEST(Presets, SizeOverridesKeepThePaperScaleShape) {
+  for (const auto& make : {sim::fmnist_clustered_preset, sim::fmnist_relaxed_preset,
+                           sim::fmnist_by_author_preset}) {
+    const auto preset = make({42, true, 6, 0});
+    SCOPED_TRACE(preset.name);
+    EXPECT_EQ(preset.dataset.element_shape, (Shape{1, 28, 28}));
+    ASSERT_EQ(preset.dataset.clients.size(), 6u);
+    const auto& client = preset.dataset.clients[0];
+    EXPECT_EQ(client.num_train() + client.num_test(), 120u);  // the paper-scale size
+    nn::Sequential model = preset.factory();
+    const data::Batch batch =
+        data::full_batch(client.test_x, client.test_y, client.element_shape);
+    EXPECT_EQ(model.forward(batch.inputs, false).dim(1), preset.dataset.num_classes);
+  }
+}
+
+// "0 = preset default": overriding one size keeps the preset's other one.
+TEST(Presets, SizeOverridesKeepThePresetsOtherSize) {
+  const auto by_author = sim::fmnist_by_author_preset({42, false, 12, 0});
+  ASSERT_EQ(by_author.dataset.clients.size(), 12u);
+  const auto& client = by_author.dataset.clients[0];
+  EXPECT_EQ(client.num_train() + client.num_test(), 80u);
+  const auto resized = sim::fmnist_clustered_preset({42, false, 0, 40});
+  EXPECT_EQ(resized.dataset.clients.size(),
+            sim::fmnist_clustered_preset({}).dataset.clients.size());
+  EXPECT_EQ(resized.dataset.clients[0].num_train() + resized.dataset.clients[0].num_test(), 40u);
 }
 
 // --------------------------------------------------------- async simulator --

@@ -257,7 +257,7 @@ TEST(AttackerIntegration, AccuracyWalkRoutesAroundRandomWeights) {
   // forced through a junk tip (the attacker "shades" an honest tip by being
   // its only approver), the publish gate compares against it and wins, so
   // junk never propagates into trained lineages.
-  const auto evals = simulator.evaluate_consensus_all();
+  const auto evals = simulator.network().evaluate_consensus_all();
   double mean = 0.0;
   for (const auto& e : evals) mean += e.accuracy;
   mean /= static_cast<double>(evals.size());

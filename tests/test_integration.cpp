@@ -6,6 +6,7 @@
 
 #include "data/synthetic_digits.hpp"
 #include "fl/fed_server.hpp"
+#include "metrics/client_graph.hpp"
 #include "metrics/community.hpp"
 #include "sim/experiment.hpp"
 #include "sim/models.hpp"
@@ -53,7 +54,10 @@ TEST(Integration, LowAlphaStaysNearBasePureness) {
 TEST(Integration, LouvainRecoversTheThreeClusters) {
   auto simulator = make_simulator(10.0);
   simulator.run_rounds(50);
-  auto louvain = simulator.louvain_communities();
+  Rng louvain_rng = Rng(42).fork(0x10CA);
+  auto louvain = metrics::louvain(
+      metrics::build_client_graph(simulator.dag(), simulator.dataset().clients.size()),
+      louvain_rng);
   EXPECT_GE(louvain.num_communities, 2u);
   EXPECT_LE(louvain.num_communities, 5u);
   EXPECT_GT(louvain.modularity, 0.3);
@@ -78,7 +82,7 @@ TEST(Integration, AccuracyImprovesOverRounds) {
 TEST(Integration, ConsensusModelsAreSpecialized) {
   auto simulator = make_simulator(10.0);
   simulator.run_rounds(50);
-  const auto evals = simulator.evaluate_consensus_all();
+  const auto evals = simulator.network().evaluate_consensus_all();
   double mean = 0.0;
   for (const auto& e : evals) mean += e.accuracy;
   mean /= static_cast<double>(evals.size());
@@ -206,7 +210,7 @@ TEST(Integration, DagMatchesFedAvgOnIidData) {
   dag_config.seed = 3;
   sim::DagSimulator simulator(std::move(ds_copy), factory, dag_config);
   simulator.run_rounds(25);
-  const auto dag_evals = simulator.evaluate_consensus_all();
+  const auto dag_evals = simulator.network().evaluate_consensus_all();
   double dag_mean = 0.0;
   for (const auto& e : dag_evals) dag_mean += e.accuracy;
   dag_mean /= static_cast<double>(dag_evals.size());

@@ -234,12 +234,22 @@ TEST(SnapshotState, RandomizedDagRoundTripReserializesByteIdentically) {
     const std::vector<std::uint8_t> second = save_state(restored);
     EXPECT_EQ(first, second) << "seed " << seed;
 
-    // The incremental weight index and the store's encode decisions survive
-    // the round-trip exactly.
-    EXPECT_EQ(original.dag().version(), restored.dag().version());
-    EXPECT_EQ(original.dag().cumulative_weights_all(), restored.dag().cumulative_weights_all());
-    EXPECT_DOUBLE_EQ(original.dag().store().stats().delta_ratio(),
-                     restored.dag().store().stats().delta_ratio());
+    // Children, tips, the incremental weight index and the store's encode
+    // decisions and counters are re-derived exactly.
+    const dag::Dag& a = original.dag();
+    const dag::Dag& b = restored.dag();
+    EXPECT_EQ(a.tips(), b.tips());
+    for (dag::TxId id : a.all_ids()) EXPECT_EQ(a.children(id), b.children(id)) << "id " << id;
+    EXPECT_EQ(a.cumulative_weights_all(), b.cumulative_weights_all());
+    const store::StoreStats sa = a.store().stats();
+    const store::StoreStats sb = b.store().stats();
+    EXPECT_EQ(sa.payloads, sb.payloads);
+    EXPECT_EQ(sa.anchors, sb.anchors);
+    EXPECT_EQ(sa.deltas, sb.deltas);
+    EXPECT_EQ(sa.dedup_hits, sb.dedup_hits);
+    EXPECT_EQ(sa.resident_payload_bytes, sb.resident_payload_bytes);
+    EXPECT_EQ(sa.full_payload_bytes, sb.full_payload_bytes);
+    EXPECT_DOUBLE_EQ(sa.delta_ratio(), sb.delta_ratio());
   }
 }
 
@@ -266,6 +276,81 @@ TEST(SnapshotState, RestoredSimulatorContinuesIdentically) {
     EXPECT_EQ(a.results[i].walk_stats.evaluations, b.results[i].walk_stats.evaluations);
   }
   EXPECT_EQ(original.dag().size(), restored.dag().size());
+}
+
+// Chain depths are recomputed on restore, not read: with a short
+// anchor_interval the delta/anchor decision of every later append depends
+// on them, so a restored DAG must settle the next appends exactly like the
+// original.
+TEST(SnapshotState, RestoredStoreRecomputesChainDepths) {
+  store::StoreConfig config;
+  config.anchor_interval = 2;
+  const auto payload = [](std::size_t i) {
+    nn::WeightVector weights(256, 0.5f);
+    weights[i % weights.size()] += 1e-3f * static_cast<float>(i + 1);
+    return std::make_shared<const nn::WeightVector>(std::move(weights));
+  };
+  dag::Dag original(nn::WeightVector(256, 0.5f), config);
+  dag::TxId tip = dag::kGenesisTx;
+  for (std::size_t i = 0; i < 7; ++i) tip = original.add_transaction({tip}, payload(i), 0, i);
+  snapshot::Writer w;
+  snapshot::Access::save_dag(w, original);
+
+  dag::Dag restored(nn::WeightVector(256, 0.5f), config);
+  snapshot::Reader r(w.buffer());
+  snapshot::Access::restore_dag(r, restored);
+  ASSERT_TRUE(r.done());
+  for (std::size_t i = 7; i < 12; ++i) {
+    original.add_transaction({tip}, payload(i), 0, i);
+    tip = restored.add_transaction({tip}, payload(i), 0, i);
+  }
+  const store::StoreStats a = original.store().stats();
+  const store::StoreStats b = restored.store().stats();
+  EXPECT_GT(a.anchors, 1u) << "the chain never reached anchor_interval";
+  EXPECT_EQ(a.anchors, b.anchors);
+  EXPECT_EQ(a.deltas, b.deltas);
+  EXPECT_EQ(a.resident_payload_bytes, b.resident_payload_bytes);
+}
+
+// Store entries no store could have written are rejected, before any
+// decode reads them: a delta without bases, an anchor with bases, and a
+// delta whose base holds a different number of floats. Each store is
+// followed by a valid genesis-only DAG, so only the entry checks can throw.
+TEST(SnapshotState, MalformedStoreEntriesAreRejected) {
+  struct Entry {
+    std::uint8_t state;  // 0 anchor, 2 delta
+    std::uint32_t floats;
+    std::vector<std::uint32_t> bases;
+  };
+  const std::vector<std::vector<Entry>> stores = {
+      {{0, 4, {}}, {2, 4, {}}}, {{0, 4, {}}, {0, 4, {0}}}, {{0, 4, {}}, {2, 8, {0}}}};
+  for (const auto& entries : stores) {
+    snapshot::Writer w;
+    w.u64(entries.size());
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+      w.u64(i);
+      w.u64(0);  // content hash
+      w.u8(entries[i].state);
+      w.u32(entries[i].floats);
+      w.u64(entries[i].bases.size());
+      for (std::uint32_t base : entries[i].bases) w.u32(base);
+      if (entries[i].state == 2) {
+        w.bytes({1, 2, 3});
+      } else {
+        w.vec_f32(std::vector<float>(entries[i].floats, 0.0f));
+      }
+    }
+    w.u64(0);  // dedup hits
+    w.u64(1);  // genesis only: no parents, payload 0, publisher -1, round 0
+    w.u64(0);
+    w.u32(0);
+    w.i64(-1);
+    w.u64(0);
+    w.u8(0);
+    dag::Dag dag({0.0f});
+    snapshot::Reader r(w.buffer());
+    EXPECT_THROW(snapshot::Access::restore_dag(r, dag), snapshot::SnapshotError);
+  }
 }
 
 TEST(SnapshotState, TruncatedStateIsACleanError) {
@@ -394,6 +479,48 @@ TEST(SnapshotCheckpoint, CheckpointBytesAreIdenticalAcrossRuns) {
     const std::string first = checkpoint_bytes();
     ASSERT_GT(first.size(), 1000u);
     EXPECT_TRUE(first == checkpoint_bytes());
+  }
+}
+
+// A well-framed checkpoint (valid checksum) whose DAG section lists one
+// parent twice is rejected on restore, exactly as add_transaction rejects it.
+TEST(SnapshotCheckpoint, DuplicateParentIsRejectedOnRestore) {
+  TempDir dir("dup-parent");
+  const scenario::ScenarioSpec spec = tiny_checkpoint_spec(dir.file("ckpts"));
+  snapshot::Writer w;
+  w.str(scenario::spec_to_json(spec).dump());
+  w.u8(snapshot::kSimRound);
+  w.u64(0);  // completed units
+  w.u64(0);  // series points
+  w.u64(0);  // poisoned clients
+  // Store: one anchor entry, no dedup hits.
+  w.u64(1);
+  w.u64(1);
+  w.u64(2);  // content hash
+  w.u8(0);   // anchor
+  w.u32(4);  // floats
+  w.u64(0);  // bases
+  w.vec_f32({0.0f, 1.0f, 2.0f, 3.0f});
+  w.u64(0);
+  // DAG: genesis <- 1 <- 2, where transaction 2 approves 1 twice.
+  const std::vector<std::vector<std::uint64_t>> parents = {{}, {0}, {1, 1}};
+  w.u64(parents.size());
+  for (const auto& list : parents) {
+    w.u64(list.size());
+    for (std::uint64_t p : list) w.u64(p);
+    w.u32(0);   // payload
+    w.i64(-1);  // publisher
+    w.u64(0);   // round
+    w.u8(0);    // poisoned publisher
+  }
+  const std::string path = dir.file("duplicate-parent.ckpt");
+  snapshot::save_file(path, w.buffer());
+  ASSERT_NO_THROW((void)snapshot::load_checkpoint(path));
+  try {
+    (void)scenario::resume_scenario(path);
+    ADD_FAILURE() << "restore accepted a duplicate parent";
+  } catch (const snapshot::SnapshotError& e) {
+    EXPECT_NE(std::string(e.what()).find("duplicate parents"), std::string::npos) << e.what();
   }
 }
 

@@ -49,13 +49,13 @@ TEST(WeightIndex, MatchesSweepOracleDuringRandomizedGrowth) {
   EXPECT_EQ(index[kGenesisTx], dag.size());
 }
 
-TEST(WeightIndex, VersionCountsAppendsAndSnapshotIsConsistent) {
+TEST(WeightIndex, SizeCountsAppendsAndIndexCoversEveryTransaction) {
   Dag dag({0.0f});
-  EXPECT_EQ(dag.version(), 0u);
+  EXPECT_EQ(dag.size(), 1u);
   Rng rng(102);
   for (std::size_t i = 1; i <= 50; ++i) {
     grow(dag, rng, i);
-    EXPECT_EQ(dag.version(), i);
+    EXPECT_EQ(dag.size(), i + 1);
     EXPECT_EQ(dag.cumulative_weights_all().size(), dag.size());
   }
 }
@@ -133,9 +133,9 @@ TEST(WeightIndex, ConcurrentAppendsKeepSnapshotsCoherent) {
 }
 
 TEST(WeightIndex, SampleWalkStartMatchesDepthsFromTipsReference) {
-  // The version-checked depth index must sample exactly what the historical
-  // per-walk depths_from_tips + sort implementation sampled: identical
-  // candidate sets in identical (sorted) order, one rng draw per call.
+  // The size-checked depth index must sample exactly what the historical
+  // per-walk depths_from_tips implementation sampled: identical candidate
+  // sets in identical (ascending id) order, one rng draw per call.
   Dag dag({0.0f});
   Rng grow_rng(106);
   Rng sample_rng(55);
@@ -146,12 +146,11 @@ TEST(WeightIndex, SampleWalkStartMatchesDepthsFromTipsReference) {
 
     const auto depth = dag.depths_from_tips();
     std::vector<TxId> candidates;
-    for (const auto& [id, d] : depth) {
-      if (d >= 2 && d <= 5) candidates.push_back(id);
+    for (TxId id = 0; id < depth.size(); ++id) {
+      if (depth[id] >= 2 && depth[id] <= 5) candidates.push_back(id);
     }
     TxId expected = kGenesisTx;
     if (!candidates.empty()) {
-      std::sort(candidates.begin(), candidates.end());
       expected = candidates[reference_rng.index(candidates.size())];
     }
     EXPECT_EQ(sampled, expected) << "size " << dag.size();
@@ -164,17 +163,16 @@ const std::vector<std::pair<std::size_t, std::size_t>> kWindows = {
     {0, 0}, {1, 1}, {1, 3}, {2, 5}, {15, 25}};
 
 // Samples one start per window from `dag` and from the depths_from_tips()
-// reference (sorted candidates, one rng draw each, genesis when empty) and
+// reference (ascending candidates, one rng draw each, genesis when empty) and
 // expects the same transaction.
 void expect_starts_match_reference(const Dag& dag, Rng& sample_rng, Rng& reference_rng) {
   const auto depth = dag.depths_from_tips();
   ASSERT_EQ(depth.size(), dag.size());
   for (const auto& [min_depth, max_depth] : kWindows) {
     std::vector<TxId> candidates;
-    for (const auto& [id, d] : depth) {
-      if (d >= min_depth && d <= max_depth) candidates.push_back(id);
+    for (TxId id = 0; id < depth.size(); ++id) {
+      if (depth[id] >= min_depth && depth[id] <= max_depth) candidates.push_back(id);
     }
-    std::sort(candidates.begin(), candidates.end());
     const TxId expected =
         candidates.empty() ? kGenesisTx : candidates[reference_rng.index(candidates.size())];
     ASSERT_EQ(dag.sample_walk_start(sample_rng, min_depth, max_depth), expected)
@@ -331,7 +329,7 @@ TEST(WeightIndex, SelectorSnapshotSurvivesMaskTransitions) {
             always_unmasked.select_tips(dag, 3, walk_rng_e));
 }
 
-// Equal-sized DAGs share a version value; a selector reused across them
+// Equal-sized DAGs share a size; a selector reused across them
 // must walk DAG B with DAG B's weights, never weights kept from DAG A.
 TEST(WeightIndex, SelectorSnapshotNotReusedAcrossDags) {
   Rng rng_a(201), rng_b(202);
@@ -340,7 +338,7 @@ TEST(WeightIndex, SelectorSnapshotNotReusedAcrossDags) {
     grow(dag_a, rng_a, i);
     grow(dag_b, rng_b, i);
   }
-  ASSERT_EQ(dag_a.version(), dag_b.version());
+  ASSERT_EQ(dag_a.size(), dag_b.size());
 
   tipsel::WeightedTipSelector reused(2.0);
   tipsel::WeightedTipSelector fresh(2.0);
