@@ -458,6 +458,38 @@ void BM_DecodeDeltaScalar(benchmark::State& state) {
 }
 BENCHMARK(BM_DecodeDeltaScalar)->Arg(100'000);
 
+// --------------------------------------------------------------- normals ---
+
+// One synthetic-digits image's pixel noise (256 draws at its noise stddev)
+// in one bulk fill; BM_NormalLoop draws the same values one
+// std::normal_distribution at a time, as Rng::normal does.
+void BM_NormalFill(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  Rng rng(7);
+  std::vector<double> out(n);
+  for (auto _ : state) {
+    rng.fill_normal(out.data(), n, 0.0, 0.25);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0));
+  state.SetLabel(normal_fill::backend());
+}
+BENCHMARK(BM_NormalFill)->Arg(256);
+
+void BM_NormalLoop(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  Rng rng(7);
+  std::vector<double> out(n);
+  for (auto _ : state) {
+    for (double& v : out) v = rng.normal(0.0, 0.25);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0));
+}
+BENCHMARK(BM_NormalLoop)->Arg(256);
+
 // ------------------------------------------------------------------- obs ---
 
 // One registered-counter increment: the marginal cost of leaving metrics on

@@ -83,13 +83,14 @@ FederatedDataset make_cifar_like(const CifarLikeConfig& config) {
   // Per-subclass sample pools (drawn without replacement during allocation).
   Rng pool_rng = root.fork(0x9001);
   std::vector<std::vector<std::vector<float>>> pools(config.num_fine_classes());
+  std::vector<double> noise(elem);
   for (std::size_t f = 0; f < config.num_fine_classes(); ++f) {
     pools[f].reserve(config.pool_per_subclass);
     for (std::size_t s = 0; s < config.pool_per_subclass; ++s) {
       std::vector<float> img = fine_prototypes[f];
-      for (auto& v : img) {
-        v = std::clamp(v + static_cast<float>(pool_rng.normal(0.0, config.noise_stddev)),
-                       0.0f, 1.0f);
+      pool_rng.fill_normal(noise.data(), elem, 0.0, config.noise_stddev);
+      for (std::size_t i = 0; i < elem; ++i) {
+        img[i] = std::clamp(img[i] + static_cast<float>(noise[i]), 0.0f, 1.0f);
       }
       pools[f].push_back(std::move(img));
     }

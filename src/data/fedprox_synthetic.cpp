@@ -48,13 +48,13 @@ FederatedDataset make_fedprox_synthetic(const FedProxSyntheticConfig& config) {
     const double b_shift = rng.normal(0.0, std::sqrt(std::max(config.beta, 1e-12)));
 
     std::vector<double> v(config.dimension);
-    for (auto& vj : v) vj = rng.normal(b_shift, 1.0);
+    rng.fill_normal(v.data(), v.size(), b_shift, 1.0);
 
     // Client-local ground-truth model.
     std::vector<double> w(config.dimension * config.num_classes);
     std::vector<double> b(config.num_classes);
-    for (auto& wi : w) wi = rng.normal(u_k, 1.0);
-    for (auto& bi : b) bi = rng.normal(u_k, 1.0);
+    rng.fill_normal(w.data(), w.size(), u_k, 1.0);
+    rng.fill_normal(b.data(), b.size(), u_k, 1.0);
 
     // Lognormal sample count, clamped to the configured range.
     const double raw = std::exp(rng.normal(std::log(static_cast<double>(config.min_samples) * 2),

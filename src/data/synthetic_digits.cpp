@@ -47,10 +47,10 @@ void normalize_unit(std::vector<float>& img) {
   for (auto& v : img) v = (v - *mn) / range;
 }
 
-// Renders one sample: prototype shifted by (dy, dx) plus pixel noise.
-std::vector<float> render_sample(const std::vector<float>& prototype, std::size_t size,
-                                 int dy, int dx, double noise_stddev, Rng& rng) {
-  std::vector<float> img(size * size, 0.0f);
+// Renders one sample into out[0, size * size): the prototype shifted by
+// (dy, dx) plus pixel noise, clamped to [0, 1]. noise[i] is pixel i's draw.
+void render_sample(const std::vector<float>& prototype, std::size_t size, int dy, int dx,
+                   const double* noise, float* out) {
   for (std::size_t y = 0; y < size; ++y) {
     for (std::size_t x = 0; x < size; ++x) {
       const std::ptrdiff_t sy = static_cast<std::ptrdiff_t>(y) - dy;
@@ -60,11 +60,9 @@ std::vector<float> render_sample(const std::vector<float>& prototype, std::size_
           sx < static_cast<std::ptrdiff_t>(size)) {
         v = prototype[static_cast<std::size_t>(sy) * size + static_cast<std::size_t>(sx)];
       }
-      img[y * size + x] =
-          std::clamp(v + static_cast<float>(rng.normal(0.0, noise_stddev)), 0.0f, 1.0f);
+      out[y * size + x] = std::clamp(v + static_cast<float>(noise[y * size + x]), 0.0f, 1.0f);
     }
   }
-  return img;
 }
 
 int cluster_of_class(int cls) {
@@ -75,15 +73,31 @@ int cluster_of_class(int cls) {
   throw std::invalid_argument("cluster_of_class: class outside 0-9");
 }
 
+// Draws a shift and one normal per pixel (in pixel order, after the shift)
+// and renders the sample straight onto the end of client.train_x. `noise`
+// is scratch that every sample of a dataset reuses.
 void append_sample(ClientData& client, const std::vector<std::vector<float>>& prototypes,
-                   int cls, const SyntheticDigitsConfig& config, Rng& rng) {
+                   int cls, const SyntheticDigitsConfig& config, Rng& rng,
+                   std::vector<double>& noise) {
   const int shift_range = static_cast<int>(config.max_shift);
   const int dy = static_cast<int>(rng.uniform_int(-shift_range, shift_range));
   const int dx = static_cast<int>(rng.uniform_int(-shift_range, shift_range));
-  std::vector<float> img = render_sample(prototypes[static_cast<std::size_t>(cls)],
-                                         config.image_size, dy, dx, config.noise_stddev, rng);
-  client.train_x.insert(client.train_x.end(), img.begin(), img.end());
+  const std::size_t pixels = config.image_size * config.image_size;
+  noise.resize(pixels);
+  rng.fill_normal(noise.data(), pixels, 0.0, config.noise_stddev);
+  const std::size_t offset = client.train_x.size();
+  client.train_x.resize(offset + pixels);
+  render_sample(prototypes[static_cast<std::size_t>(cls)], config.image_size, dy, dx,
+                noise.data(), client.train_x.data() + offset);
   client.train_y.push_back(cls);
+}
+
+// A client's sample buffers, sized for all its samples up front.
+ClientData reserved_client(const SyntheticDigitsConfig& config) {
+  ClientData client;
+  client.train_x.reserve(config.samples_per_client * config.image_size * config.image_size);
+  client.train_y.reserve(config.samples_per_client);
+  return client;
 }
 
 void check_config(const SyntheticDigitsConfig& config) {
@@ -128,9 +142,10 @@ FederatedDataset make_fmnist_clustered(const SyntheticDigitsConfig& config) {
   ds.element_shape = {1, config.image_size, config.image_size};
 
   Rng root(config.seed);
+  std::vector<double> noise;
   for (std::size_t i = 0; i < config.num_clients; ++i) {
     Rng rng = root.fork(0xC11E0000ULL + i);
-    ClientData client;
+    ClientData client = reserved_client(config);
     client.client_id = static_cast<int>(i);
     client.true_cluster = static_cast<int>(i % ds.num_clusters);
     client.element_shape = ds.element_shape;
@@ -149,7 +164,7 @@ FederatedDataset make_fmnist_clustered(const SyntheticDigitsConfig& config) {
       } else {
         cls = own_classes[rng.index(own_classes.size())];
       }
-      append_sample(client, prototypes, cls, config, rng);
+      append_sample(client, prototypes, cls, config, rng, noise);
     }
     train_test_split(client, config.test_fraction, rng);
     ds.clients.push_back(std::move(client));
@@ -172,9 +187,10 @@ FederatedDataset make_fmnist_by_author(const SyntheticDigitsConfig& config,
   ds.element_shape = {1, config.image_size, config.image_size};
 
   Rng root(config.seed);
+  std::vector<double> noise;
   for (std::size_t i = 0; i < config.num_clients; ++i) {
     Rng rng = root.fork(0xA0700000ULL + i);
-    ClientData client;
+    ClientData client = reserved_client(config);
     client.client_id = static_cast<int>(i);
     client.true_cluster = 0;
     client.element_shape = ds.element_shape;
@@ -182,7 +198,7 @@ FederatedDataset make_fmnist_by_author(const SyntheticDigitsConfig& config,
                                                           class_concentration);
     for (std::size_t s = 0; s < config.samples_per_client; ++s) {
       const int cls = static_cast<int>(rng.weighted_index(class_probs));
-      append_sample(client, prototypes, cls, config, rng);
+      append_sample(client, prototypes, cls, config, rng, noise);
     }
     train_test_split(client, config.test_fraction, rng);
     ds.clients.push_back(std::move(client));

@@ -22,10 +22,9 @@ std::vector<dag::TxId> RandomWeightAttacker::attack(dag::Dag& dag, std::size_t r
   for (std::size_t t = 0; t < config_.transactions_per_round; ++t) {
     const std::vector<dag::TxId> parents =
         selector_.select_tips(dag, config_.num_parents, rng_);
-    nn::WeightVector weights(model_size_);
-    for (auto& w : weights) {
-      w = static_cast<float>(rng_.normal(0.0, config_.weight_stddev));
-    }
+    std::vector<double> draws(model_size_);
+    rng_.fill_normal(draws.data(), draws.size(), 0.0, config_.weight_stddev);
+    nn::WeightVector weights(draws.begin(), draws.end());
     published.push_back(dag.add_transaction(
         parents, std::make_shared<const nn::WeightVector>(std::move(weights)),
         publisher_id_, round, /*poisoned_publisher=*/true));

@@ -1,6 +1,8 @@
 #include "nn/init.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 namespace specdag::nn {
 
@@ -11,7 +13,9 @@ void glorot_uniform(Tensor& t, std::size_t fan_in, std::size_t fan_out, Rng& rng
 }
 
 void normal_init(Tensor& t, double stddev, Rng& rng) {
-  for (auto& v : t.data()) v = static_cast<float>(rng.normal(0.0, stddev));
+  std::vector<double> draws(t.numel());
+  rng.fill_normal(draws.data(), draws.size(), 0.0, stddev);
+  std::copy(draws.begin(), draws.end(), t.data().begin());
 }
 
 void zero_init(Tensor& t) { t.fill(0.0f); }

@@ -106,9 +106,8 @@ std::vector<std::uint8_t> load_file(const std::string& path) {
 
 void save_rng(Writer& w, const Rng& rng) {
   w.u64(rng.seed());
-  Rng copy = rng;  // engine() is non-const; the copy is bit-identical
   std::ostringstream state;
-  state << copy.engine();
+  state << rng.engine();
   w.str(state.str());
 }
 

@@ -189,8 +189,9 @@ void save_file(const std::string& path, const std::vector<std::uint8_t>& payload
 // SnapshotError on any framing, version, endian, size, or checksum problem.
 std::vector<std::uint8_t> load_file(const std::string& path);
 
-// Rng codec: seed plus the full mt19937_64 engine state (via the standard
-// stream operators), so a restored stream continues bit-exactly.
+// Rng codec: seed plus the full engine state as std::mt19937_64's stream
+// text (312 words and the read index), which the in-tree Mt19937_64 writes
+// and reads byte for byte, so a restored stream continues bit-exactly.
 void save_rng(Writer& w, const Rng& rng);
 Rng load_rng(Reader& r);
 

@@ -29,12 +29,22 @@ void matmul_transposed_b_into(const float* a, const float* b, float* c, std::siz
                               std::size_t k, std::size_t n) {
   // Transposing b (n x k -> k x n) makes the columns of C contiguous for the
   // SIMD kernel while each c[i,j] still receives its kk-terms one at a time
-  // in kk order, exactly as a scalar running-sum dot would.
+  // in kk order, exactly as a scalar running-sum dot would. The transpose
+  // goes tile by tile: a 16 x 16 tile reads 16 rows of b and writes 16 rows
+  // of bt, one cache line each, where a whole-row scatter would touch a new
+  // line of bt (n floats apart) on every store.
+  constexpr std::size_t kTile = 16;
   thread_local std::vector<float> bt;
   bt.resize(k * n);
-  for (std::size_t j = 0; j < n; ++j) {
-    const float* brow = b + j * k;
-    for (std::size_t kk = 0; kk < k; ++kk) bt[kk * n + j] = brow[kk];
+  for (std::size_t j0 = 0; j0 < n; j0 += kTile) {
+    const std::size_t j1 = std::min(j0 + kTile, n);
+    for (std::size_t k0 = 0; k0 < k; k0 += kTile) {
+      const std::size_t k1 = std::min(k0 + kTile, k);
+      for (std::size_t kk = k0; kk < k1; ++kk) {
+        float* btrow = bt.data() + kk * n;
+        for (std::size_t j = j0; j < j1; ++j) btrow[j] = b[j * k + kk];
+      }
+    }
   }
   matmul_into(a, bt.data(), c, m, k, n);
 }
