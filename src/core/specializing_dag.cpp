@@ -6,7 +6,6 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "store/eval_cache_view.hpp"
 #include "util/thread_pool.hpp"
 
 namespace specdag::core {
@@ -47,10 +46,8 @@ int SpecializingDag::register_client(const data::ClientData* client_data,
                                      const fl::DagClientConfig& config) {
   const int handle = static_cast<int>(clients_.size());
   Rng client_rng = root_rng_.fork(0xC0DE0000ULL + static_cast<std::uint64_t>(handle));
-  auto cache_view = std::make_shared<store::ClientEvalCacheView>(
-      eval_cache_, client_data != nullptr ? client_data->client_id : handle);
-  clients_.push_back(std::make_unique<fl::DagClient>(client_data, replicas_, config,
-                                                     client_rng, std::move(cache_view)));
+  clients_.push_back(
+      std::make_unique<fl::DagClient>(client_data, replicas_, config, client_rng, eval_cache_));
   return handle;
 }
 
@@ -64,8 +61,6 @@ fl::DagClient& SpecializingDag::client(int handle) {
 fl::DagRoundResult SpecializingDag::client_step(int handle, std::size_t round) {
   return client(handle).run_round(dag_, round);
 }
-
-fl::DagRoundResult SpecializingDag::prepare(int handle) { return client(handle).prepare_round(dag_); }
 
 dag::TxId SpecializingDag::commit(int handle, const fl::DagRoundResult& result,
                                   std::size_t round) {

@@ -49,29 +49,30 @@ class SpecializingDag {
   // publish-if-better. Thread-safe across distinct handles.
   fl::DagRoundResult client_step(int handle, std::size_t round);
 
-  // Split-phase API for simulators that model transaction visibility:
-  // all prepares of a round may run concurrently; commits are serialized.
-  fl::DagRoundResult prepare(int handle);
-  dag::TxId commit(int handle, const fl::DagRoundResult& result, std::size_t round);
-
   // True when fused multi-client execution applies: the default train config
   // enables it (train.batch > 0) and the model architecture is supported by
   // nn::BatchExecutor. Clients whose train config deviates from the default
   // fall back to the scalar path individually inside prepare_batch.
   bool batch_exec_enabled() const;
 
-  // How both simulators prepare a group of steps: the batched counterpart of
-  // prepare() over per-client step chains. chains[i] is a sequence of client
-  // handles whose steps run in order against the current DAG snapshot (the
-  // same handle may repeat within a chain — an async step batch). Walk
-  // phases run per chain (parallel across chains on `pool` when given).
-  // When batch_exec_enabled(), local training is fused across chains into
-  // SoA groups of at most `train.batch` lanes, and each group then runs its
+  // Split-phase API for simulators that model transaction visibility: the
+  // prepares of a group of steps may run concurrently; commits are
+  // serialized.
+  //
+  // prepare_batch is how both simulators prepare a group of steps over
+  // per-client step chains. chains[i] is a sequence of client handles whose
+  // steps run in order against the current DAG snapshot (the same handle
+  // may repeat within a chain — an async step batch). Walk phases run per
+  // chain (parallel across chains on `pool` when given). When
+  // batch_exec_enabled(), local training is fused across chains into SoA
+  // groups of at most `train.batch` lanes, and each group then runs its
   // lanes' scalar gate evaluations on the same pool worker; otherwise each
-  // step runs prepare() whole. results[i][j] receives chains[i][j]'s round
-  // result, bit-identical to calling prepare() in chain order.
+  // step runs fl::DagClient::prepare_round whole. results[i][j] receives
+  // chains[i][j]'s round result, bit-identical to calling prepare_round in
+  // chain order.
   void prepare_batch(const std::vector<std::vector<int>>& chains,
                      std::vector<std::vector<fl::DagRoundResult>>& results, ThreadPool* pool);
+  dag::TxId commit(int handle, const fl::DagRoundResult& result, std::size_t round);
 
   // The client's personalized consensus model: the tip its biased walk
   // converges to.

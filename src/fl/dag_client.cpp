@@ -8,7 +8,7 @@ namespace specdag::fl {
 
 DagClient::DagClient(const data::ClientData* client, nn::ReplicaPool& replicas,
                      DagClientConfig config, Rng rng,
-                     std::shared_ptr<tipsel::AccuracyCache> cache)
+                     std::shared_ptr<store::ShardedEvalCache> cache)
     : client_(client),
       replicas_(&replicas),
       config_(config),
@@ -36,7 +36,8 @@ std::unique_ptr<tipsel::TipSelector> DagClient::make_selector() {
     case SelectorKind::kAccuracy:
       selector = std::make_unique<tipsel::AccuracyTipSelector>(
           config_.alpha, config_.normalization,
-          [this](const nn::WeightVector& w) { return evaluate_payload(w); }, cache_);
+          [this](const nn::WeightVector& w) { return evaluate_payload(w); }, cache_,
+          client_->client_id);
       break;
     case SelectorKind::kRandom:
       selector = std::make_unique<tipsel::RandomTipSelector>();
@@ -51,7 +52,7 @@ std::unique_ptr<tipsel::TipSelector> DagClient::make_selector() {
 }
 
 void DagClient::invalidate_cache() {
-  if (cache_) cache_->clear();
+  if (cache_) cache_->invalidate_client(client_->client_id);
 }
 
 void DagClient::set_visibility_mask(tipsel::VisibilityMask mask) {

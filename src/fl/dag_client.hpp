@@ -98,12 +98,12 @@ class DagClient {
   // model: it leases a replica from `replicas` for each training (loading
   // the weights into it first) or evaluation (which reads the weights in
   // place, see fl/evaluation.hpp), so replicas carry no client state and
-  // many clients share a few. `cache` is the client's view
-  // into the simulation-wide sharded evaluation cache
-  // (store::ClientEvalCacheView); it is required when
+  // many clients share a few. `cache` is the simulation-wide evaluation
+  // cache; the client reads and fills the entries of its own
+  // `client->client_id`. It is required when
   // `config.persistent_accuracy_cache` is set and ignored otherwise.
   DagClient(const data::ClientData* client, nn::ReplicaPool& replicas, DagClientConfig config,
-            Rng rng, std::shared_ptr<tipsel::AccuracyCache> cache);
+            Rng rng, std::shared_ptr<store::ShardedEvalCache> cache);
 
   // Executes steps 1-4. Mutates only the client's own state; `publish` on
   // the DAG happens through the returned result when the caller commits it
@@ -159,7 +159,7 @@ class DagClient {
   nn::ReplicaPool* replicas_;
   DagClientConfig config_;
   Rng rng_;
-  std::shared_ptr<tipsel::AccuracyCache> cache_;
+  std::shared_ptr<store::ShardedEvalCache> cache_;
   std::unique_ptr<tipsel::TipSelector> selector_;
 };
 

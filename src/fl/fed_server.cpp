@@ -49,9 +49,8 @@ FedRoundResult FedServer::run_round(const data::FederatedDataset& dataset,
       train_local_sgd(model_, client, config_.train, train_rng);
     }
     updates.push_back(model_.get_weights());
-    coefficients.push_back(config_.weight_by_samples
-                               ? static_cast<double>(client.num_train())
-                               : 1.0);
+    // FedAvg weights each update by its client's sample count.
+    coefficients.push_back(static_cast<double>(client.num_train()));
   }
 
   std::vector<const nn::WeightVector*> update_ptrs;

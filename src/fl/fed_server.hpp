@@ -13,9 +13,6 @@ namespace specdag::fl {
 struct FedServerConfig {
   TrainConfig train;
   double proximal_mu = 0.0;  // 0 = FedAvg; > 0 = FedProx
-  // FedAvg aggregation weighted by client sample counts (standard). Uniform
-  // averaging is available for ablations.
-  bool weight_by_samples = true;
 };
 
 struct FedRoundResult {

@@ -25,42 +25,4 @@ Tensor ReLU::backward(const Tensor& grad_output) {
   return grad;
 }
 
-Tensor Tanh::forward(const Tensor& input, bool train) {
-  Tensor out = input;
-  for (auto& v : out.data()) v = tanhf_(v);
-  if (train) cached_output_ = out;
-  return out;
-}
-
-Tensor Tanh::backward(const Tensor& grad_output) {
-  if (!cached_output_.same_shape(grad_output)) {
-    throw std::logic_error("Tanh::backward: shape mismatch with cached output");
-  }
-  Tensor grad = grad_output;
-  for (std::size_t i = 0; i < grad.numel(); ++i) {
-    const float y = cached_output_[i];
-    grad[i] *= 1.0f - y * y;
-  }
-  return grad;
-}
-
-Tensor Sigmoid::forward(const Tensor& input, bool train) {
-  Tensor out = input;
-  for (auto& v : out.data()) v = sigmoidf(v);
-  if (train) cached_output_ = out;
-  return out;
-}
-
-Tensor Sigmoid::backward(const Tensor& grad_output) {
-  if (!cached_output_.same_shape(grad_output)) {
-    throw std::logic_error("Sigmoid::backward: shape mismatch with cached output");
-  }
-  Tensor grad = grad_output;
-  for (std::size_t i = 0; i < grad.numel(); ++i) {
-    const float y = cached_output_[i];
-    grad[i] *= y * (1.0f - y);
-  }
-  return grad;
-}
-
 }  // namespace specdag::nn

@@ -1,5 +1,4 @@
-// Elementwise activation layers and the scalar nonlinearities shared with the
-// LSTM cell.
+// The ReLU layer and the scalar gate nonlinearities of the LSTM cell.
 #pragma once
 
 #include <cmath>
@@ -20,26 +19,6 @@ class ReLU : public Layer {
 
  private:
   Tensor cached_input_;
-};
-
-class Tanh : public Layer {
- public:
-  Tensor forward(const Tensor& input, bool train) override;
-  Tensor backward(const Tensor& grad_output) override;
-  std::string name() const override { return "Tanh"; }
-
- private:
-  Tensor cached_output_;
-};
-
-class Sigmoid : public Layer {
- public:
-  Tensor forward(const Tensor& input, bool train) override;
-  Tensor backward(const Tensor& grad_output) override;
-  std::string name() const override { return "Sigmoid"; }
-
- private:
-  Tensor cached_output_;
 };
 
 }  // namespace specdag::nn

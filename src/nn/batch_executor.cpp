@@ -154,11 +154,8 @@ class BDense final : public BatchedLayer {
 
 // --------------------------------------------------- elementwise layers ---
 
-class BActivation final : public BatchedLayer {
+class BRelu final : public BatchedLayer {
  public:
-  enum class Kind { kRelu, kTanh, kSigmoid };
-  explicit BActivation(Kind kind) : kind_(kind) {}
-
   Shape infer(const Shape& in) const override { return in; }
 
   void forward(const Block& in, const Shape& in_shape, std::size_t nlanes) override {
@@ -166,19 +163,7 @@ class BActivation final : public BatchedLayer {
     x_ = &in;
     out_.own(nlanes, numel_);
     for (std::size_t l = 0; l < nlanes; ++l) {
-      const float* src = in.lane(l);
-      float* dst = out_.mlane(l);
-      switch (kind_) {
-        case Kind::kRelu:
-          lanes::relu_forward(src, dst, numel_);
-          break;
-        case Kind::kTanh:
-          for (std::size_t i = 0; i < numel_; ++i) dst[i] = tanhf_(src[i]);
-          break;
-        case Kind::kSigmoid:
-          for (std::size_t i = 0; i < numel_; ++i) dst[i] = sigmoidf(src[i]);
-          break;
-      }
+      lanes::relu_forward(in.lane(l), out_.mlane(l), numel_);
     }
   }
 
@@ -188,28 +173,13 @@ class BActivation final : public BatchedLayer {
     for (std::size_t l = 0; l < nlanes; ++l) {
       float* g = gin_.mlane(l);
       std::memcpy(g, grad_out.lane(l), numel_ * sizeof(float));
-      switch (kind_) {
-        case Kind::kRelu:
-          lanes::relu_backward_mask(x_->lane(l), g, numel_);
-          break;
-        case Kind::kTanh: {
-          const float* y = out_.lane(l);
-          for (std::size_t i = 0; i < numel_; ++i) g[i] *= 1.0f - y[i] * y[i];
-          break;
-        }
-        case Kind::kSigmoid: {
-          const float* y = out_.lane(l);
-          for (std::size_t i = 0; i < numel_; ++i) g[i] *= y[i] * (1.0f - y[i]);
-          break;
-        }
-      }
+      lanes::relu_backward_mask(x_->lane(l), g, numel_);
     }
   }
 
  private:
-  Kind kind_;
   std::size_t numel_ = 0;
-  const Block* x_ = nullptr;  // cached input (ReLU mask)
+  const Block* x_ = nullptr;  // cached input (the backward mask)
 };
 
 class BFlatten final : public BatchedLayer {
@@ -401,12 +371,7 @@ BatchExecutor::BatchExecutor(const ModelFactory& factory)
     if (auto* d = dynamic_cast<Dense*>(&layer)) {
       layers_.push_back(std::make_unique<soa::BDense>(d->in_features(), d->out_features()));
     } else if (dynamic_cast<ReLU*>(&layer)) {
-      layers_.push_back(std::make_unique<soa::BActivation>(soa::BActivation::Kind::kRelu));
-    } else if (dynamic_cast<Tanh*>(&layer)) {
-      layers_.push_back(std::make_unique<soa::BActivation>(soa::BActivation::Kind::kTanh));
-    } else if (dynamic_cast<Sigmoid*>(&layer)) {
-      layers_.push_back(
-          std::make_unique<soa::BActivation>(soa::BActivation::Kind::kSigmoid));
+      layers_.push_back(std::make_unique<soa::BRelu>());
     } else if (dynamic_cast<Flatten*>(&layer)) {
       layers_.push_back(std::make_unique<soa::BFlatten>());
     } else if (auto* cv = dynamic_cast<Conv2D*>(&layer)) {

@@ -18,7 +18,7 @@
 // happens ACROSS lanes (independent computations); each lane's reduction
 // orders are untouched. Tests pin this per layer and end-to-end.
 //
-// Supported layers: Dense, ReLU, Tanh, Sigmoid, Flatten, Conv2D, MaxPool2D
+// Supported layers: Dense, ReLU, Flatten, Conv2D, MaxPool2D
 // (everything the bundled MLP/CNN factories emit). Architectures using other
 // layers (LSTM, Embedding) report `supported() == false` and callers fall
 // back to the scalar path.

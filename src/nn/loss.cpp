@@ -80,14 +80,4 @@ std::vector<int> predict_classes(const Tensor& logits) {
   return preds;
 }
 
-double accuracy(const Tensor& logits, const std::vector<int>& labels) {
-  check_labels(logits, labels);
-  const std::vector<int> preds = predict_classes(logits);
-  std::size_t correct = 0;
-  for (std::size_t i = 0; i < labels.size(); ++i) {
-    if (preds[i] == labels[i]) ++correct;
-  }
-  return static_cast<double>(correct) / static_cast<double>(labels.size());
-}
-
 }  // namespace specdag::nn

@@ -30,7 +30,4 @@ int predict_class(const Tensor& logits, std::size_t r);
 // argmax per row.
 std::vector<int> predict_classes(const Tensor& logits);
 
-// Fraction of rows whose argmax equals the label.
-double accuracy(const Tensor& logits, const std::vector<int>& labels);
-
 }  // namespace specdag::nn

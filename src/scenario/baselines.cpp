@@ -30,8 +30,7 @@ FedAvgBackend::FedAvgBackend(data::FederatedDataset dataset, const nn::ModelFact
                              fl::TrainConfig train, double proximal_mu,
                              std::size_t clients_per_round, std::uint64_t seed)
     : BaselineBackend(std::move(dataset), seed),
-      server_(factory, fl::FedServerConfig{train, proximal_mu, /*weight_by_samples=*/true},
-              Rng(seed)),
+      server_(factory, fl::FedServerConfig{train, proximal_mu}, Rng(seed)),
       probe_(factory()),
       clients_per_round_(clients_per_round) {
   if (clients_per_round_ == 0 || clients_per_round_ > dataset_.clients.size()) {

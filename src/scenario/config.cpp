@@ -55,8 +55,15 @@ class Parser {
     skip_whitespace();
     const char c = peek();
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        if (++depth_ > Json::kMaxDepth) {
+          fail("nesting deeper than " + std::to_string(Json::kMaxDepth) + " levels");
+        }
+        Json value = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return value;
+      }
       case '"': return Json(parse_string());
       case 't':
         if (consume_literal("true")) return Json(true);
@@ -210,6 +217,7 @@ class Parser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  // open arrays and objects around pos_
 };
 
 void dump_string(std::string& out, const std::string& s) {

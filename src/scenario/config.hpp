@@ -48,8 +48,14 @@ class Json {
   static Json make_object() { return Json(Object{}); }
   static Json make_array() { return Json(Array{}); }
 
+  // Arrays and objects nest at most this deep in a parsed document. The
+  // parser recurses once per level, so the cap bounds its stack; no spec,
+  // grid or manifest nests deeper than about 8.
+  static constexpr std::size_t kMaxDepth = 256;
+
   // Parses a complete document; trailing non-whitespace is an error.
-  // Throws JsonError with a byte offset on malformed input.
+  // Throws JsonError with a byte offset on malformed input, including
+  // nesting deeper than kMaxDepth.
   static Json parse(const std::string& text);
   static Json parse_file(const std::string& path);
 

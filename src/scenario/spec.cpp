@@ -351,6 +351,9 @@ DatasetPreset dataset_preset_from_string(const std::string& name) {
 
 void ScenarioSpec::validate() const {
   if (rounds == 0) throw std::invalid_argument("scenario: rounds must be > 0");
+  if (threads > kMaxThreads) {
+    throw std::invalid_argument("scenario: threads must be <= " + std::to_string(kMaxThreads));
+  }
   if (seed > (std::uint64_t{1} << 53)) {
     throw std::invalid_argument(
         "scenario: seed must be <= 2^53 so it round-trips exactly through JSON");

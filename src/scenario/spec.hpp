@@ -156,6 +156,10 @@ struct CheckpointSpec {
   bool enabled() const { return every_n_rounds > 0; }
 };
 
+// Upper bound on `threads` in a spec, on `--threads` and on a sweep grid's
+// `threads`: each is a pool of that many OS threads.
+constexpr std::size_t kMaxThreads = 1024;
+
 struct ScenarioSpec {
   std::string name = "unnamed";
   std::string description;
@@ -176,8 +180,9 @@ struct ScenarioSpec {
   bool parallel_prepare = true;
   // Worker threads for the simulators' parallel prepare phase (round: the
   // per-round client batch; async: serially-equivalent step batches).
-  // 0 = one per hardware thread, 1 = serial. Bit-identical results across
-  // values — this is a wall-clock knob, not a semantic one.
+  // 0 = one per hardware thread, 1 = serial, at most kMaxThreads.
+  // Bit-identical results across values — this is a wall-clock knob, not a
+  // semantic one.
   std::size_t threads = 0;
   // Evaluate every client's personalized consensus model at the end (one
   // biased walk + test-set evaluation per client — the expensive metric).

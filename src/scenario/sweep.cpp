@@ -207,6 +207,10 @@ std::size_t read_manifest(const std::string& manifest_path,
 }  // namespace
 
 std::vector<SweepRun> run_sweep(const SweepSpec& sweep, std::ostream* progress) {
+  // Checked here rather than in sweep_from_json so that `--threads` is too.
+  if (sweep.threads > kMaxThreads) {
+    throw std::invalid_argument("sweep threads must be <= " + std::to_string(kMaxThreads));
+  }
   const std::vector<std::pair<Json, std::uint64_t>> grid = expand_grid(sweep);
   std::size_t threads = sweep.threads > 0 ? sweep.threads : std::thread::hardware_concurrency();
   threads = std::max<std::size_t>(1, std::min(threads, grid.size()));

@@ -79,8 +79,9 @@ struct SweepRun {
 // prints): per run the resolved params and derived seed.
 std::vector<std::pair<Json, std::uint64_t>> expand_grid(const SweepSpec& sweep);
 
-// Runs the whole grid. Every point is validated before the first file is
-// touched, so a rejected grid leaves nothing behind. Completed runs stream
+// Runs the whole grid. `threads` (at most kMaxThreads) and every point are
+// validated before the first file is touched or thread started, so a
+// rejected grid leaves nothing behind. Completed runs stream
 // to `<out_path>.partial` (one JSON object per line, flushed per run — the
 // crash-safe manifest `resume` reads); on success the final `out_path` is
 // written in run-index order and the manifest is removed. The returned

@@ -14,13 +14,6 @@ double RoundRecord::mean_trained_accuracy() const {
   return sum / static_cast<double>(results.size());
 }
 
-double RoundRecord::mean_trained_loss() const {
-  if (results.empty()) return 0.0;
-  double sum = 0.0;
-  for (const auto& r : results) sum += r.trained_eval.loss;
-  return sum / static_cast<double>(results.size());
-}
-
 std::size_t RoundRecord::publish_count() const {
   std::size_t count = 0;
   for (const auto& r : results) {

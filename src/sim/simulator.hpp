@@ -47,7 +47,6 @@ struct RoundRecord {
   std::vector<fl::DagRoundResult> results;  // one per active client
 
   double mean_trained_accuracy() const;
-  double mean_trained_loss() const;
   std::size_t publish_count() const;
 };
 

@@ -74,16 +74,6 @@ void ShardedEvalCache::invalidate_client(int client) {
   invalidations_.fetch_add(dropped, std::memory_order_relaxed);
 }
 
-void ShardedEvalCache::clear() {
-  std::uint64_t dropped = 0;
-  for (auto& shard : shards_) {
-    std::unique_lock lock(shard->mutex);
-    dropped += shard->map.size();
-    shard->map.clear();
-  }
-  invalidations_.fetch_add(dropped, std::memory_order_relaxed);
-}
-
 std::size_t ShardedEvalCache::size() const {
   std::size_t total = 0;
   for (const auto& shard : shards_) {

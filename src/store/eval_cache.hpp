@@ -29,7 +29,7 @@ struct EvalCacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   std::size_t entries = 0;
-  std::uint64_t invalidations = 0;  // entries dropped by invalidate_client/clear
+  std::uint64_t invalidations = 0;  // entries dropped by invalidate_client
 
   double hit_rate() const {
     const double total = static_cast<double>(hits + misses);
@@ -50,7 +50,6 @@ class ShardedEvalCache {
   // Drops every entry of one client (its local data changed, e.g. a
   // poisoning attack flipped its labels).
   void invalidate_client(int client);
-  void clear();
 
   std::size_t size() const;
   std::size_t num_shards() const { return shards_.size(); }

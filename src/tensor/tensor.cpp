@@ -46,12 +46,6 @@ std::size_t Tensor::dim(std::size_t axis) const {
   return shape_[axis];
 }
 
-float& Tensor::at2(std::size_t r, std::size_t c) {
-  if (rank() != 2) throw std::out_of_range("Tensor::at2: not a matrix");
-  if (r >= shape_[0] || c >= shape_[1]) throw std::out_of_range("Tensor::at2: index out of range");
-  return data_[r * shape_[1] + c];
-}
-
 Tensor Tensor::reshaped(Shape new_shape) const {
   if (shape_numel(new_shape) != numel()) {
     throw std::invalid_argument("Tensor::reshaped: numel mismatch " + shape_to_string(shape_) +
@@ -78,45 +72,15 @@ void Tensor::resize_batch(std::size_t batch, const Shape& element_shape) {
   data_.resize(shape_numel(shape_));
 }
 
-void Tensor::check_same_shape(const Tensor& other, const char* op) const {
-  if (shape_ != other.shape_) {
-    throw std::invalid_argument(std::string("Tensor::") + op + ": shape mismatch " +
-                                shape_to_string(shape_) + " vs " + shape_to_string(other.shape_));
-  }
-}
-
 Tensor& Tensor::operator+=(const Tensor& other) {
-  check_same_shape(other, "operator+=");
+  if (shape_ != other.shape_) {
+    throw std::invalid_argument("Tensor::operator+=: shape mismatch " + shape_to_string(shape_) +
+                                " vs " + shape_to_string(other.shape_));
+  }
   for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += other.data_[i];
   return *this;
 }
 
-Tensor& Tensor::operator-=(const Tensor& other) {
-  check_same_shape(other, "operator-=");
-  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] -= other.data_[i];
-  return *this;
-}
-
-Tensor& Tensor::operator*=(float scalar) {
-  for (auto& v : data_) v *= scalar;
-  return *this;
-}
-
 void Tensor::fill(float value) { std::fill(data_.begin(), data_.end(), value); }
-
-Tensor operator+(Tensor lhs, const Tensor& rhs) {
-  lhs += rhs;
-  return lhs;
-}
-
-Tensor operator-(Tensor lhs, const Tensor& rhs) {
-  lhs -= rhs;
-  return lhs;
-}
-
-Tensor operator*(Tensor lhs, float scalar) {
-  lhs *= scalar;
-  return lhs;
-}
 
 }  // namespace specdag

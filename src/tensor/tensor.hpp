@@ -1,8 +1,8 @@
 // Minimal dense float tensor: row-major storage plus a shape vector.
 //
 // This is the numeric substrate for the NN library. It deliberately supports
-// only what the paper's models need: construction, reshaping, elementwise
-// arithmetic, and accessors. Heavier kernels (matmul, conv, pooling) live in
+// only what the paper's models need: construction, reshaping, an in-place
+// sum, and accessors. Heavier kernels (matmul, conv, pooling) live in
 // tensor/ops.hpp so they can be tested and benchmarked in isolation.
 #pragma once
 
@@ -46,13 +46,9 @@ class Tensor {
   float& operator[](std::size_t i) { return data_[i]; }
   float operator[](std::size_t i) const { return data_[i]; }
 
-  // 2-D accessor (matrix layout [rows, cols]); bounds-checked in debug builds
-  // via at2 below for tests; this one is unchecked for speed.
+  // 2-D accessor (matrix layout [rows, cols]); unchecked for speed.
   float& at(std::size_t r, std::size_t c) { return data_[r * shape_[1] + c]; }
   float at(std::size_t r, std::size_t c) const { return data_[r * shape_[1] + c]; }
-
-  // Bounds-checked variant; throws std::out_of_range.
-  float& at2(std::size_t r, std::size_t c);
 
   // Returns a tensor with the same data but a different shape (numel must
   // match).
@@ -67,24 +63,16 @@ class Tensor {
   // The same, to [batch, element_shape...].
   void resize_batch(std::size_t batch, const Shape& element_shape);
 
-  // In-place elementwise operations.
+  // In-place elementwise sum.
   Tensor& operator+=(const Tensor& other);
-  Tensor& operator-=(const Tensor& other);
-  Tensor& operator*=(float scalar);
 
   void fill(float value);
 
   bool same_shape(const Tensor& other) const { return shape_ == other.shape_; }
 
  private:
-  void check_same_shape(const Tensor& other, const char* op) const;
-
   Shape shape_;
   std::vector<float> data_;
 };
-
-Tensor operator+(Tensor lhs, const Tensor& rhs);
-Tensor operator-(Tensor lhs, const Tensor& rhs);
-Tensor operator*(Tensor lhs, float scalar);
 
 }  // namespace specdag

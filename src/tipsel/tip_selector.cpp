@@ -169,19 +169,27 @@ dag::TxId WeightedTipSelector::walk(const dag::Dag& dag, dag::TxId start, Rng& r
 }
 
 AccuracyTipSelector::AccuracyTipSelector(double alpha, Normalization normalization,
+                                         ModelEvaluator evaluator)
+    : AccuracyTipSelector(alpha, normalization, std::move(evaluator), nullptr, 0) {}
+
+AccuracyTipSelector::AccuracyTipSelector(double alpha, Normalization normalization,
                                          ModelEvaluator evaluator,
-                                         std::shared_ptr<AccuracyCache> persistent_cache)
+                                         std::shared_ptr<store::ShardedEvalCache> cache,
+                                         int client)
     : alpha_(alpha),
       normalization_(normalization),
       evaluator_(std::move(evaluator)),
-      cache_(std::move(persistent_cache)) {
+      cache_(std::move(cache)),
+      client_(client) {
   if (alpha < 0.0) throw std::invalid_argument("AccuracyTipSelector: negative alpha");
   if (!evaluator_) throw std::invalid_argument("AccuracyTipSelector: null evaluator");
 }
 
 double AccuracyTipSelector::evaluate(const dag::Dag& dag, dag::TxId id) {
   if (cache_) {
-    if (const std::optional<double> cached = cache_->lookup(dag, id)) return *cached;
+    if (const std::optional<double> cached = cache_->lookup(client_, dag.payload_hash(id))) {
+      return *cached;
+    }
   } else if (auto it = local_cache_.find(id); it != local_cache_.end()) {
     return it->second;
   }
@@ -192,7 +200,7 @@ double AccuracyTipSelector::evaluate(const dag::Dag& dag, dag::TxId id) {
   }
   ++stats_.evaluations;
   if (cache_) {
-    cache_->store(dag, id, acc);
+    cache_->insert(client_, dag.payload_hash(id), acc);
   } else {
     local_cache_.emplace(id, acc);
   }

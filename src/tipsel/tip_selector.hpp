@@ -21,10 +21,10 @@
 
 #include <functional>
 #include <memory>
-#include <optional>
 #include <unordered_map>
 
 #include "dag/dag.hpp"
+#include "store/eval_cache.hpp"
 #include "util/rng.hpp"
 
 namespace specdag::tipsel {
@@ -173,30 +173,17 @@ enum class Normalization {
 // returns its accuracy in [0, 1].
 using ModelEvaluator = std::function<double(const nn::WeightVector&)>;
 
-// Accuracy cache interface: transaction payloads are immutable, so a
-// model's accuracy on a fixed local dataset never changes. A client may
-// hold a persistent cache across rounds (fast path) or give the selector
-// none, in which case evaluations are only memoized within a single walk
-// (matches the paper's cost model for the Figure 15 timing).
-//
-// Implementation: store::ClientEvalCacheView (a client-scoped view of the
-// simulation-wide sharded cache keyed by payload content).
-class AccuracyCache {
- public:
-  virtual ~AccuracyCache() = default;
-
-  virtual std::optional<double> lookup(const dag::Dag& dag, dag::TxId id) = 0;
-  virtual void store(const dag::Dag& dag, dag::TxId id, double accuracy) = 0;
-  // Invalidates the cached view (the owning client's data changed).
-  virtual void clear() = 0;
-};
-
 class AccuracyTipSelector final : public TipSelector {
  public:
-  // If `persistent_cache` is null, a fresh cache is used per select_tips
-  // call (every walk step evaluates uncached candidates).
+  // Transaction payloads are immutable, so a model's accuracy on a fixed
+  // local dataset never changes. With a `cache`, the selector reads and
+  // fills `client`'s entries of the simulation-wide evaluation cache, keyed
+  // by payload content, across rounds (the fast path). Without one,
+  // evaluations are only memoized within a single walk (the paper's cost
+  // model for the Figure 15 timing).
+  AccuracyTipSelector(double alpha, Normalization normalization, ModelEvaluator evaluator);
   AccuracyTipSelector(double alpha, Normalization normalization, ModelEvaluator evaluator,
-                      std::shared_ptr<AccuracyCache> persistent_cache = nullptr);
+                      std::shared_ptr<store::ShardedEvalCache> cache, int client);
 
   dag::TxId walk(const dag::Dag& dag, dag::TxId start, Rng& rng) override;
 
@@ -218,7 +205,8 @@ class AccuracyTipSelector final : public TipSelector {
   double alpha_;
   Normalization normalization_;
   ModelEvaluator evaluator_;
-  std::shared_ptr<AccuracyCache> cache_;
+  std::shared_ptr<store::ShardedEvalCache> cache_;
+  int client_;
   std::unordered_map<dag::TxId, double> local_cache_;  // per-walk, when no cache was given
   // Per-step scratch: candidate children, accuracies, walk weights.
   std::vector<dag::TxId> children_;

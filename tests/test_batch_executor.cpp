@@ -231,19 +231,6 @@ TEST(BatchExecTest, GradcheckDenseRelu) {
                            random_input({5, 12}, 11), {0, 1, 2, 3, 0});
 }
 
-TEST(BatchExecTest, GradcheckTanhSigmoid) {
-  const nn::ModelFactory factory = [] {
-    nn::Sequential model;
-    model.add<nn::Dense>(10, 8);
-    model.add<nn::Tanh>();
-    model.add<nn::Dense>(8, 6);
-    model.add<nn::Sigmoid>();
-    model.add<nn::Dense>(6, 3);
-    return model;
-  };
-  check_executor_gradients(factory, random_input({4, 10}, 12), {0, 1, 2, 1});
-}
-
 TEST(BatchExecTest, GradcheckConvPool) {
   // Conv2D + ReLU + MaxPool2D + Flatten + Dense: the CNN family.
   check_executor_gradients(sim::make_cnn_factory(1, 8, 2, 3, 10, 4),
@@ -308,10 +295,11 @@ TEST(BatchExecSim, AsyncTraceInvariantToBatchConfig) {
 }
 
 TEST(BatchExecSim, PrepareBatchMatchesScalarPrepareWithMixedConfigs) {
-  // One network runs prepare_batch (chains of one step each), a twin runs
-  // scalar prepare in the same order. Client 2 overrides the default train
-  // config, so prepare_batch must route it through the scalar fallback —
-  // results still identical.
+  // One network runs prepare_batch (chains of one step each) with fused
+  // training, a twin at train.batch = 0 prepares each client alone on the
+  // scalar path (DagClient::prepare_round), in the same order. Client 2
+  // overrides the default train config, so the fused run must route it
+  // through the scalar fallback — results still identical.
   const auto ds = small_dataset(4);
   const nn::ModelFactory factory = mlp_factory(ds);
   fl::DagClientConfig config;
@@ -348,8 +336,9 @@ TEST(BatchExecSim, PrepareBatchMatchesScalarPrepareWithMixedConfigs) {
   std::ostringstream batched_out, scalar_out;
   for (int handle = 0; handle < 4; ++handle) {
     serialize_result(batched_out, batched[static_cast<std::size_t>(handle)][0]);
-    const fl::DagRoundResult scalar = scalar_net->prepare(handle);
-    serialize_result(scalar_out, scalar);
+    std::vector<std::vector<fl::DagRoundResult>> scalar;
+    scalar_net->prepare_batch({{handle}}, scalar, nullptr);
+    serialize_result(scalar_out, scalar[0][0]);
   }
   EXPECT_EQ(batched_out.str(), scalar_out.str());
 }

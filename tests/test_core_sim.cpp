@@ -146,11 +146,11 @@ TEST(SpecializingDag, SplitPhasePrepareCommit) {
   core::SpecializingDag net(tiny_factory(ds), tiny_config(), 7);
   const int h0 = net.register_client(&ds.clients[0]);
   const int h1 = net.register_client(&ds.clients[1]);
-  fl::DagRoundResult r0 = net.prepare(h0);
-  fl::DagRoundResult r1 = net.prepare(h1);
+  std::vector<std::vector<fl::DagRoundResult>> results;
+  net.prepare_batch({{h0}, {h1}}, results, nullptr);
   EXPECT_EQ(net.dag().size(), 1u);  // nothing committed yet
-  net.commit(h0, r0, 1);
-  net.commit(h1, r1, 1);
+  net.commit(h0, results[0][0], 1);
+  net.commit(h1, results[1][0], 1);
   EXPECT_EQ(net.dag().size(), 3u);
 }
 
@@ -259,13 +259,10 @@ TEST(RoundRecord, Aggregations) {
   sim::RoundRecord record;
   fl::DagRoundResult a, b;
   a.trained_eval.accuracy = 0.4;
-  a.trained_eval.loss = 1.0;
   a.published = 5;
   b.trained_eval.accuracy = 0.8;
-  b.trained_eval.loss = 3.0;
   record.results = {a, b};
   EXPECT_DOUBLE_EQ(record.mean_trained_accuracy(), 0.6);
-  EXPECT_DOUBLE_EQ(record.mean_trained_loss(), 2.0);
   EXPECT_EQ(record.publish_count(), 1u);
 }
 

@@ -8,7 +8,7 @@
 #include "fl/trainer.hpp"
 #include "nn/dense.hpp"
 #include "sim/models.hpp"
-#include "store/eval_cache_view.hpp"
+#include "store/eval_cache.hpp"
 
 namespace specdag::fl {
 namespace {
@@ -25,11 +25,10 @@ nn::ModelFactory tiny_factory(const data::FederatedDataset& ds) {
   return sim::make_mlp_factory(shape_numel(ds.element_shape), 16, ds.num_classes);
 }
 
-// The client's view into a fresh simulation-wide evaluation cache, the kind
+// A fresh simulation-wide evaluation cache, the kind
 // core::SpecializingDag::register_client hands every client.
-std::shared_ptr<tipsel::AccuracyCache> eval_cache(const data::ClientData& client) {
-  return std::make_shared<store::ClientEvalCacheView>(
-      std::make_shared<store::ShardedEvalCache>(), client.client_id);
+std::shared_ptr<store::ShardedEvalCache> eval_cache() {
+  return std::make_shared<store::ShardedEvalCache>();
 }
 
 // ------------------------------------------------------------ evaluation ---
@@ -233,9 +232,11 @@ TEST(FedServer, RejectsBadArgs) {
   EXPECT_THROW(FedServer(tiny_factory(ds), bad, Rng(13)), std::invalid_argument);
 }
 
-TEST(FedServer, SampleWeightingDiffersFromUniform) {
+// FedAvg weights each client's update by its training-set size: a round's
+// global model is the num_train()-weighted average of the updates, which
+// differs from their plain mean once the clients differ in size.
+TEST(FedServer, AggregationWeightsUpdatesBySampleCount) {
   auto ds = tiny_dataset();
-  // Make client 0 much larger so weighting matters.
   const auto& donor = ds.clients[1];
   for (int copy = 0; copy < 5; ++copy) {
     ds.clients[0].train_x.insert(ds.clients[0].train_x.end(), donor.train_x.begin(),
@@ -243,15 +244,32 @@ TEST(FedServer, SampleWeightingDiffersFromUniform) {
     ds.clients[0].train_y.insert(ds.clients[0].train_y.end(), donor.train_y.begin(),
                                  donor.train_y.end());
   }
-  FedServerConfig weighted_config;
-  weighted_config.train = {1, 5, 5, 0.1};
-  FedServerConfig uniform_config = weighted_config;
-  uniform_config.weight_by_samples = false;
-  FedServer weighted(tiny_factory(ds), weighted_config, Rng(14));
-  FedServer uniform(tiny_factory(ds), uniform_config, Rng(14));
-  weighted.run_round(ds, {0, 1});
-  uniform.run_round(ds, {0, 1});
-  EXPECT_NE(weighted.global_weights(), uniform.global_weights());
+  ASSERT_EQ(ds.clients[0].num_train(), 6 * ds.clients[1].num_train());
+
+  FedServerConfig config;
+  config.train = {1, 5, 5, 0.1};
+  FedServer server(tiny_factory(ds), config, Rng(14));
+  const nn::WeightVector start = server.global_weights();
+  server.run_round(ds, {0, 1});
+
+  // Each client's update, trained as run_round trains it: from the global
+  // model, on the stream the server forks for that client and slot.
+  nn::Sequential model = tiny_factory(ds)();
+  std::vector<nn::WeightVector> updates;
+  for (std::size_t slot = 0; slot < 2; ++slot) {
+    const data::ClientData& client = ds.clients[slot];
+    model.set_weights(start);
+    Rng train_rng = Rng(14).fork(0x7E000000ULL +
+                                 static_cast<std::uint64_t>(client.client_id) * 1000003ULL + slot);
+    train_local_sgd(model, client, config.train, train_rng);
+    updates.push_back(model.get_weights());
+  }
+  const std::vector<const nn::WeightVector*> update_ptrs{&updates[0], &updates[1]};
+  EXPECT_EQ(server.global_weights(),
+            nn::weighted_average_weights(
+                update_ptrs, {static_cast<double>(ds.clients[0].num_train()),
+                              static_cast<double>(ds.clients[1].num_train())}));
+  EXPECT_NE(server.global_weights(), nn::weighted_average_weights(update_ptrs, {1.0, 1.0}));
 }
 
 // -------------------------------------------------------------- DagClient --
@@ -267,7 +285,7 @@ TEST(DagClient, RunRoundPublishesWhenImproving) {
 
   DagClientConfig config;
   config.train = {1, 10, 10, 0.1};
-  DagClient client(&ds.clients[0], replicas, config, Rng(16), eval_cache(ds.clients[0]));
+  DagClient client(&ds.clients[0], replicas, config, Rng(16), eval_cache());
   const DagRoundResult result = client.run_round(dag, 1);
   // Training from random genesis weights practically always improves.
   EXPECT_TRUE(result.did_publish());
@@ -288,7 +306,7 @@ TEST(DagClient, GateBlocksWorseModels) {
   DagClientConfig config;
   config.train = {1, 1, 2, 1e-6};  // training barely changes anything
   config.publish_if_equal = false;
-  DagClient client(&ds.clients[0], replicas, config, Rng(18), eval_cache(ds.clients[0]));
+  DagClient client(&ds.clients[0], replicas, config, Rng(18), eval_cache());
   const DagRoundResult result = client.run_round(dag, 1);
   // Equal accuracy with strict gate -> no publish.
   if (result.trained_eval.accuracy == result.reference_eval.accuracy) {
@@ -309,7 +327,7 @@ TEST(DagClient, GateDisabledAlwaysPublishes) {
   DagClientConfig config;
   config.train = {1, 1, 2, 1e-9};
   config.publish_gate = false;
-  DagClient client(&ds.clients[0], replicas, config, Rng(20), eval_cache(ds.clients[0]));
+  DagClient client(&ds.clients[0], replicas, config, Rng(20), eval_cache());
   const DagRoundResult result = client.run_round(dag, 1);
   EXPECT_TRUE(result.did_publish());
 }
@@ -322,9 +340,9 @@ TEST(DagClient, RequiresTestData) {
   no_test.test_x.clear();
   no_test.test_y.clear();
   DagClientConfig config;
-  EXPECT_THROW(DagClient(&no_test, replicas, config, Rng(21), eval_cache(no_test)),
+  EXPECT_THROW(DagClient(&no_test, replicas, config, Rng(21), eval_cache()),
                std::invalid_argument);
-  EXPECT_THROW(DagClient(nullptr, replicas, config, Rng(22), eval_cache(no_test)),
+  EXPECT_THROW(DagClient(nullptr, replicas, config, Rng(22), eval_cache()),
                std::invalid_argument);
 }
 
@@ -347,7 +365,7 @@ TEST(DagClient, CommitWithoutPrepareThrows) {
   model.init_params(rng);
   dag::Dag dag(model.get_weights());
   DagClientConfig config;
-  DagClient client(&ds.clients[0], replicas, config, Rng(24), eval_cache(ds.clients[0]));
+  DagClient client(&ds.clients[0], replicas, config, Rng(24), eval_cache());
   DagRoundResult empty;
   EXPECT_THROW(client.commit_round(dag, empty, 0), std::logic_error);
 }
@@ -361,7 +379,7 @@ TEST(DagClient, WalkStatsPopulated) {
   model.init_params(rng);
   dag::Dag dag(model.get_weights());
   DagClientConfig config;
-  DagClient client(&ds.clients[0], replicas, config, Rng(26), eval_cache(ds.clients[0]));
+  DagClient client(&ds.clients[0], replicas, config, Rng(26), eval_cache());
   client.run_round(dag, 1);
   const DagRoundResult second = client.run_round(dag, 2);
   EXPECT_GT(second.walk_stats.steps, 0u);
@@ -378,7 +396,7 @@ TEST(DagClient, RandomSelectorIgnoresAccuracy) {
   dag::Dag dag(model.get_weights());
   DagClientConfig config;
   config.selector = SelectorKind::kRandom;
-  DagClient client(&ds.clients[0], replicas, config, Rng(28), eval_cache(ds.clients[0]));
+  DagClient client(&ds.clients[0], replicas, config, Rng(28), eval_cache());
   const DagRoundResult result = client.run_round(dag, 1);
   EXPECT_EQ(result.walk_stats.evaluations, 0u);  // random walk never evaluates
 }

@@ -20,7 +20,7 @@
 #include "scenario/registry.hpp"
 #include "scenario/runner.hpp"
 #include "sim/models.hpp"
-#include "store/eval_cache_view.hpp"
+#include "store/eval_cache.hpp"
 
 namespace specdag {
 namespace {
@@ -121,19 +121,16 @@ void check_lease_carries_no_state(const nn::ModelFactory& factory,
   config.train = {1, 3, 8, 0.1};
 
   // Every client gets its own evaluation cache: only the replicas are shared.
-  const auto cache = [](const data::ClientData& client) {
-    return std::make_shared<store::ClientEvalCacheView>(
-        std::make_shared<store::ShardedEvalCache>(), client.client_id);
-  };
+  const auto cache = [] { return std::make_shared<store::ShardedEvalCache>(); };
   nn::ReplicaPool shared = nn::make_replica_pool(factory);
-  fl::DagClient b(&ds.clients[1], shared, config, Rng(11), cache(ds.clients[1]));
-  fl::DagClient a(&ds.clients[0], shared, config, Rng(12), cache(ds.clients[0]));
+  fl::DagClient b(&ds.clients[1], shared, config, Rng(11), cache());
+  fl::DagClient a(&ds.clients[0], shared, config, Rng(12), cache());
   b.prepare_round(dag);
   const fl::DagRoundResult reused = a.prepare_round(dag);
   EXPECT_EQ(shared.built(), 1u);
 
   nn::ReplicaPool fresh = nn::make_replica_pool(factory);
-  fl::DagClient a_fresh(&ds.clients[0], fresh, config, Rng(12), cache(ds.clients[0]));
+  fl::DagClient a_fresh(&ds.clients[0], fresh, config, Rng(12), cache());
   expect_same_round(reused, a_fresh.prepare_round(dag));
 }
 

@@ -97,28 +97,6 @@ TEST(ReLU, BackwardMasksGradient) {
   EXPECT_FLOAT_EQ(gin[2], 10.0f);
 }
 
-TEST(Tanh, GradCheckInput) {
-  Rng rng(4);
-  Tanh layer;
-  testing::check_input_gradients(layer, random_tensor({2, 5}, rng), 1e-2, 1e-3f);
-}
-
-TEST(Sigmoid, GradCheckInput) {
-  Rng rng(5);
-  Sigmoid layer;
-  testing::check_input_gradients(layer, random_tensor({2, 5}, rng), 1e-2, 1e-3f);
-}
-
-TEST(Sigmoid, OutputsInUnitInterval) {
-  Rng rng(6);
-  Sigmoid layer;
-  Tensor out = layer.forward(random_tensor({10}, rng, 5.0), false);
-  for (std::size_t i = 0; i < out.numel(); ++i) {
-    EXPECT_GT(out[i], 0.0f);
-    EXPECT_LT(out[i], 1.0f);
-  }
-}
-
 // --------------------------------------------------------------- Conv2D ----
 
 TEST(Conv2D, SamePaddingPreservesSpatialDims) {

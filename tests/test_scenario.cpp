@@ -61,6 +61,42 @@ TEST(Json, RejectsMalformedInput) {
   EXPECT_THROW(scenario::Json::parse("\"unterminated"), scenario::JsonError);
 }
 
+// The parser recurses once per nesting level; past Json::kMaxDepth it fails
+// with the offset of the first bracket too deep, so no input nests deep
+// enough to overflow the stack (200,000 levels would, on a Release build).
+TEST(Json, RejectsNestingDeeperThanTheCap) {
+  constexpr std::size_t kCap = scenario::Json::kMaxDepth;
+  const auto deep_array = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  const auto deep_object = [](std::size_t depth) {
+    std::string text;
+    for (std::size_t i = 0; i < depth; ++i) text += "{\"a\":";
+    return text + "1" + std::string(depth, '}');
+  };
+  const auto error_of = [](const std::string& text) -> std::string {
+    try {
+      scenario::Json::parse(text);
+    } catch (const scenario::JsonError& e) {
+      return e.what();
+    }
+    return "";
+  };
+  for (const std::size_t depth : {kCap + 1, std::size_t{200000}}) {
+    EXPECT_NE(error_of(deep_array(depth)).find("offset " + std::to_string(kCap) + ":"),
+              std::string::npos)
+        << depth;
+    EXPECT_NE(error_of(deep_object(depth)).find("offset " + std::to_string(5 * kCap) + ":"),
+              std::string::npos)
+        << depth;
+  }
+  EXPECT_TRUE(scenario::Json::parse(deep_array(kCap)).is_array());
+  EXPECT_TRUE(scenario::Json::parse(deep_object(kCap)).is_object());
+  // A registry spec, pretty-printed, still round-trips.
+  const scenario::Json spec = scenario::spec_to_json(scenario::get_scenario("churn"));
+  EXPECT_EQ(scenario::Json::parse(spec.dump(2)), spec);
+}
+
 TEST(Json, SetPathCreatesIntermediateObjects) {
   auto doc = scenario::Json::make_object();
   doc.set_path("client.train.batch_size", scenario::Json(20));
@@ -167,6 +203,30 @@ TEST(ScenarioSpec, ValidatesDynamicsCombinations) {
   scenario::ScenarioSpec party;
   party.dynamics.partition = {2, false, 10, 5};  // heal before start
   EXPECT_THROW(party.validate(), std::invalid_argument);
+}
+
+// `threads` sizes a pool of OS threads; a typo must fail validation, not
+// start a million threads. Checked without building any pool.
+TEST(ScenarioSpec, RejectsThreadsAboveTheCeiling) {
+  scenario::ScenarioSpec spec;
+  spec.threads = scenario::kMaxThreads;
+  EXPECT_NO_THROW(spec.validate());
+  spec.threads = scenario::kMaxThreads + 1;
+  EXPECT_THROW(spec.validate(), std::invalid_argument);
+  EXPECT_THROW(scenario::spec_from_json(scenario::Json::parse(R"({"threads": 1000000})")),
+               std::invalid_argument);
+
+  // A grid's `threads` (from its JSON or from `--threads`) is checked when
+  // the sweep starts, before the first file or thread.
+  scenario::SweepSpec sweep =
+      scenario::sweep_from_json(scenario::Json::parse(R"({"base": "churn", "threads": 1025})"));
+  EXPECT_THROW(scenario::run_sweep(sweep), std::invalid_argument);
+  sweep.threads = 1000000;
+  EXPECT_THROW(scenario::run_sweep(sweep), std::invalid_argument);
+  // A grid point's own spec goes through validate as well.
+  EXPECT_THROW(scenario::sweep_from_json(scenario::Json::parse(
+                   R"({"base": "churn", "axes": {"threads": [1, 1000000]}})")),
+               std::invalid_argument);
 }
 
 TEST(ScenarioSpec, RejectsSeedsThatCannotRoundTripThroughJson) {

@@ -13,8 +13,8 @@
 #include "obs/context.hpp"
 #include "store/delta_codec.hpp"
 #include "store/eval_cache.hpp"
-#include "store/eval_cache_view.hpp"
 #include "store/model_store.hpp"
+#include "tipsel/tip_selector.hpp"
 #include "util/rng.hpp"
 
 namespace specdag::store {
@@ -518,17 +518,32 @@ TEST(DagStore, TransactionsRoundTripThroughStore) {
   EXPECT_LT(stats.resident_payload_bytes, stats.full_payload_bytes);
 }
 
-TEST(DagStore, ClientEvalCacheViewScopesInvalidation) {
+TEST(DagStore, SelectorCacheIsKeyedByClientAndPayloadContent) {
+  // Two transactions publish the same payload: one cached accuracy per
+  // client serves both, and dropping one client's entries keeps the other's.
   dag::Dag graph(nn::WeightVector{1.0f, 2.0f});
+  const dag::TxId a = graph.add_transaction({dag::kGenesisTx}, share({0.5f, 0.5f}), 0, 1);
+  const dag::TxId b = graph.add_transaction({dag::kGenesisTx}, share({0.5f, 0.5f}), 1, 1);
   auto cache = std::make_shared<ShardedEvalCache>(2);
-  ClientEvalCacheView view0(cache, 0);
-  ClientEvalCacheView view1(cache, 1);
-  view0.store(graph, dag::kGenesisTx, 0.3);
-  view1.store(graph, dag::kGenesisTx, 0.6);
-  EXPECT_EQ(view0.lookup(graph, dag::kGenesisTx).value(), 0.3);
-  view0.clear();
-  EXPECT_FALSE(view0.lookup(graph, dag::kGenesisTx).has_value());
-  EXPECT_EQ(view1.lookup(graph, dag::kGenesisTx).value(), 0.6);
+  int evaluations = 0;
+  const auto evaluator = [&evaluations](const nn::WeightVector& w) {
+    ++evaluations;
+    return static_cast<double>(w[0]) / 2.0;
+  };
+  tipsel::AccuracyTipSelector client0(1.0, tipsel::Normalization::kStandard, evaluator, cache, 0);
+  tipsel::AccuracyTipSelector client1(1.0, tipsel::Normalization::kStandard, evaluator, cache, 1);
+  EXPECT_EQ(client0.evaluate(graph, a), 0.25);
+  EXPECT_EQ(client0.evaluate(graph, b), 0.25);
+  EXPECT_EQ(evaluations, 1);
+  EXPECT_EQ(client1.evaluate(graph, b), 0.25);
+  EXPECT_EQ(evaluations, 2);
+  cache->invalidate_client(0);
+  EXPECT_FALSE(cache->lookup(0, graph.payload_hash(a)).has_value());
+  EXPECT_EQ(cache->lookup(1, graph.payload_hash(a)).value(), 0.25);
+  client1.evaluate(graph, a);
+  EXPECT_EQ(evaluations, 2);
+  client0.evaluate(graph, a);
+  EXPECT_EQ(evaluations, 3);
 }
 
 }  // namespace

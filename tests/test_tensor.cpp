@@ -43,14 +43,6 @@ TEST(Tensor, DimAccess) {
   EXPECT_THROW(t.dim(3), std::out_of_range);
 }
 
-TEST(Tensor, At2BoundsChecked) {
-  Tensor t({2, 2});
-  EXPECT_NO_THROW(t.at2(1, 1));
-  EXPECT_THROW(t.at2(2, 0), std::out_of_range);
-  Tensor vec({4});
-  EXPECT_THROW(vec.at2(0, 0), std::out_of_range);
-}
-
 TEST(Tensor, Reshape) {
   Tensor t({2, 6}, std::vector<float>(12, 1.0f));
   Tensor r = t.reshaped({3, 4});
@@ -59,29 +51,10 @@ TEST(Tensor, Reshape) {
   EXPECT_THROW(t.reshaped({5, 5}), std::invalid_argument);
 }
 
-TEST(Tensor, ElementwiseAddSub) {
-  Tensor a({2}, {1.0f, 2.0f});
-  Tensor b({2}, {10.0f, 20.0f});
-  Tensor sum = a + b;
-  EXPECT_FLOAT_EQ(sum[0], 11.0f);
-  EXPECT_FLOAT_EQ(sum[1], 22.0f);
-  Tensor diff = b - a;
-  EXPECT_FLOAT_EQ(diff[0], 9.0f);
-  EXPECT_FLOAT_EQ(diff[1], 18.0f);
-}
-
 TEST(Tensor, ShapeMismatchThrows) {
   Tensor a({2});
   Tensor b({3});
   EXPECT_THROW(a += b, std::invalid_argument);
-  EXPECT_THROW(a -= b, std::invalid_argument);
-}
-
-TEST(Tensor, ScalarMultiply) {
-  Tensor a({2}, {1.0f, -2.0f});
-  Tensor scaled = a * 3.0f;
-  EXPECT_FLOAT_EQ(scaled[0], 3.0f);
-  EXPECT_FLOAT_EQ(scaled[1], -6.0f);
 }
 
 TEST(Tensor, FillOverwrites) {

@@ -6,7 +6,6 @@
 #include <map>
 #include <set>
 
-#include "store/eval_cache_view.hpp"
 
 namespace specdag::tipsel {
 namespace {
@@ -187,9 +186,8 @@ TEST(AccuracyTipSelector, CachesEvaluations) {
     ++evaluations;
     return static_cast<double>(w[0]);
   };
-  auto cache = std::make_shared<store::ClientEvalCacheView>(
-      std::make_shared<store::ShardedEvalCache>(), /*client=*/0);
-  AccuracyTipSelector selector(1.0, Normalization::kStandard, counting_evaluator, cache);
+  AccuracyTipSelector selector(1.0, Normalization::kStandard, counting_evaluator,
+                               std::make_shared<store::ShardedEvalCache>(), /*client=*/0);
   Rng rng(8);
   selector.walk(dag, kGenesisTx, rng);
   EXPECT_EQ(evaluations, 2);
