@@ -24,8 +24,6 @@ struct Access;
 namespace specdag::fl {
 
 struct RandomWeightAttackerConfig {
-  // Transactions injected per attack step.
-  std::size_t transactions_per_round = 1;
   // Random weights are drawn from N(0, stddev), matching typical init scale
   // so they are not trivially filtered by magnitude.
   double weight_stddev = 0.1;
@@ -39,9 +37,9 @@ class RandomWeightAttacker {
   RandomWeightAttacker(int publisher_id, std::size_t model_size,
                        RandomWeightAttackerConfig config, Rng rng);
 
-  // Publishes the configured number of random-weight transactions,
-  // approving tips chosen by a uniformly random walk. Returns the new ids.
-  std::vector<dag::TxId> attack(dag::Dag& dag, std::size_t round);
+  // Publishes one random-weight transaction approving tips chosen by a
+  // uniformly random walk. Returns its id.
+  dag::TxId attack(dag::Dag& dag, std::size_t round);
 
   int publisher_id() const { return publisher_id_; }
 

@@ -16,9 +16,7 @@
 // returned handle in a local static exactly as before; the handle is now one
 // integer, and a mutation is: one thread-local load, one relaxed enabled
 // check, one indexed cell lookup, one sharded relaxed fetch_add. Disabled
-// runs pay the thread-local load and the flag check (~1 ns, same budget as
-// PR 6); SPECDAG_OBS_DISABLED still compiles every mutation into an empty
-// inline function.
+// runs pay the thread-local load and the flag check (~1 ns).
 //
 // Contexts are also the unit of lifecycle policing: close() marks a context
 // defunct at run end, and any task that still records into it afterwards is
@@ -35,12 +33,6 @@
 #include <string>
 
 namespace specdag::obs {
-
-#ifdef SPECDAG_OBS_DISABLED
-inline constexpr bool kObsCompiledIn = false;
-#else
-inline constexpr bool kObsCompiledIn = true;
-#endif
 
 // Nanoseconds on the steady clock since the first call of the process —
 // the shared timebase of the pool accounting and the trace-span layer.
@@ -142,13 +134,7 @@ class Context {
   // whole process (intentionally leaked, like the registry tables).
   static Context& process_default();
 
-  bool metrics_on() const {
-#ifdef SPECDAG_OBS_DISABLED
-    return false;
-#else
-    return metrics_on_.load(std::memory_order_relaxed);
-#endif
-  }
+  bool metrics_on() const { return metrics_on_.load(std::memory_order_relaxed); }
   void set_metrics_on(bool on) { metrics_on_.store(on, std::memory_order_relaxed); }
 
   // Marks the context defunct (run finished, its snapshots are taken):
@@ -195,13 +181,7 @@ class Context {
   }
 
   // --- tracing (implemented in trace.cpp) ------------------------------
-  bool tracing() const {
-#ifdef SPECDAG_OBS_DISABLED
-    return false;
-#else
-    return tracing_.load(std::memory_order_acquire);
-#endif
-  }
+  bool tracing() const { return tracing_.load(std::memory_order_acquire); }
   // Starts buffering events in this context; stop_trace() writes them to
   // the path given here and clears the buffer. One session per context at a
   // time (start while active restarts the buffer).

@@ -17,13 +17,7 @@ std::chrono::steady_clock::time_point process_epoch() {
 
 }  // namespace
 
-bool metrics_enabled() {
-#ifdef SPECDAG_OBS_DISABLED
-  return false;
-#else
-  return Context::current().metrics_on();
-#endif
-}
+bool metrics_enabled() { return Context::current().metrics_on(); }
 
 void set_metrics_enabled(bool enabled) {
   Context::current().set_metrics_on(enabled);

@@ -12,10 +12,7 @@
 //     workers), guarded by one relaxed flag load;
 //   * attributable: storage lives in the active obs::Context (see
 //     context.hpp), so concurrent scenario runs in a parallel sweep each
-//     see only their own increments;
-//   * removable: compiling with SPECDAG_OBS_DISABLED (CMake
-//     -DSPECDAG_ENABLE_OBS=OFF) turns every mutation into an empty inline
-//     function the optimizer deletes, for a 0-overhead baseline build.
+//     see only their own increments.
 //
 // Counter/Histogram are *handles*: a small id assigned once per name by the
 // process-global Registry, resolving to per-context cells at record time.
@@ -53,16 +50,12 @@ class Counter {
   Counter();
 
   void add(std::uint64_t n = 1) {
-#ifndef SPECDAG_OBS_DISABLED
     Context& ctx = Context::current();
     if (!ctx.metrics_on()) {
       ctx.note_disabled_record();
       return;
     }
     ctx.counter_cell(id_).add(n);
-#else
-    (void)n;
-#endif
   }
 
   // Total recorded into the calling thread's active context.
@@ -98,16 +91,12 @@ class Histogram {
   Histogram();
 
   void record(std::uint64_t value) {
-#ifndef SPECDAG_OBS_DISABLED
     Context& ctx = Context::current();
     if (!ctx.metrics_on()) {
       ctx.note_disabled_record();
       return;
     }
     ctx.histogram_cell(id_).record(value);
-#else
-    (void)value;
-#endif
   }
 
   std::uint64_t count() const;

@@ -19,12 +19,11 @@ namespace {
 // One buffered trace event. Args are stored inline (the instrumentation
 // never needs more than four); string keys are literals, stored by pointer.
 struct Event {
-  char phase;             // 'B','E','s','f','i','C'
+  char phase;             // 'B','E','s','f','i'
   const char* name;
   std::uint64_t ts_ns;
   std::uint32_t tid;
   std::uint64_t id = 0;   // flow id for 's'/'f'
-  std::uint64_t counter_value = 0;  // for 'C'
   trace_detail::TraceArg args[4];
   std::size_t num_args = 0;
 };
@@ -112,10 +111,6 @@ void append_event_json(std::string& out, const Event& event) {
   out += event.name;
   out += "\",\"cat\":\"specdag\"";
   if (event.phase == 'i') out += ",\"s\":\"t\"";
-  if (event.phase == 'C') {
-    out += ",\"args\":{\"value\":" + std::to_string(event.counter_value) + "}}";
-    return;
-  }
   out += ',';
   append_args_json(out, event);
   out += '}';
@@ -269,22 +264,9 @@ void instant(const char* name, std::initializer_list<TraceArg> args) {
   });
 }
 
-void counter_event(const char* name, std::uint64_t value) {
-  append_event(Context::current(), now_ns(), 0, [&](Event& event) {
-    event.phase = 'C';
-    event.name = name;
-    event.counter_value = value;
-  });
-}
-
 }  // namespace trace_detail
 
 void Context::start_trace(const std::string& path) {
-#ifdef SPECDAG_OBS_DISABLED
-  (void)path;
-  SPECDAG_LOG(Warn) << "trace requested but obs is compiled out "
-                       "(SPECDAG_ENABLE_OBS=OFF); no trace will be written";
-#else
   {
     // The buffer is created once and never destroyed before the context:
     // emitters that pass the tracing_ acquire-load can use it lock-free.
@@ -299,13 +281,9 @@ void Context::start_trace(const std::string& path) {
     trace_->active = true;
   }
   tracing_.store(true, std::memory_order_release);
-#endif
 }
 
 bool Context::stop_trace() {
-#ifdef SPECDAG_OBS_DISABLED
-  return false;
-#else
   TraceBuffer* buffer = trace_buffer();
   if (buffer == nullptr) return false;
   std::vector<Event> events;
@@ -325,7 +303,6 @@ bool Context::stop_trace() {
   }
   SPECDAG_LOG(Info) << "wrote " << events.size() << " trace events to " << path;
   return true;
-#endif
 }
 
 namespace {

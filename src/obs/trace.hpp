@@ -20,7 +20,7 @@
 // under its mutex, stamped before the lock (each thread stamps and appends
 // in program order, so ts is monotonic per thread). Like the metrics half,
 // tracing never touches RNG streams or scheduling, so traced runs stay
-// bit-identical with untraced ones; SPECDAG_OBS_DISABLED compiles it out.
+// bit-identical with untraced ones.
 //
 // Phase spans are the run's only clock for its phases: a span opened with
 // an obs::Phase also adds its duration (the stamps of its B/E pair) to the
@@ -68,18 +68,11 @@ void end_span(Context& ctx, const char* name, std::uint64_t epoch, std::uint64_t
 void flow_start(const char* name, std::uint64_t flow_id);
 void flow_finish(const char* name, std::uint64_t flow_id);
 void instant(const char* name, std::initializer_list<TraceArg> args);
-void counter_event(const char* name, std::uint64_t value);
 
 }  // namespace trace_detail
 
 // True when the calling thread's active context has a trace session.
-inline bool tracing_enabled() {
-#ifdef SPECDAG_OBS_DISABLED
-  return false;
-#else
-  return Context::current().tracing();
-#endif
-}
+inline bool tracing_enabled() { return Context::current().tracing(); }
 
 // Session control on the calling thread's active context — the convenience
 // spelling of Context::current().start_trace()/stop_trace() used by tests
@@ -126,14 +119,12 @@ class ScopedSpan {
   static constexpr Phase kUntimed = static_cast<Phase>(0xFF);
   static constexpr std::size_t kMaxEndArgs = 3;
 
-  // With obs compiled out both flags are constant false and the span is
-  // optimized away.
   ScopedSpan(const char* name, Phase phase, std::initializer_list<Arg> args)
       : name_(name),
-        ctx_(kObsCompiledIn ? &Context::current() : nullptr),
+        ctx_(&Context::current()),
         phase_(phase),
-        tracing_(kObsCompiledIn && ctx_->tracing()),
-        timing_(kObsCompiledIn && phase != kUntimed && ctx_->metrics_on()) {
+        tracing_(ctx_->tracing()),
+        timing_(phase != kUntimed && ctx_->metrics_on()) {
     if (tracing_ || timing_) open(args);
   }
 

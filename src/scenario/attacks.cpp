@@ -23,14 +23,7 @@ AttackController::AttackController(const AttackSpec& spec, std::uint64_t seed,
 std::size_t AttackController::run_random_weights(std::size_t unit, dag::Dag& dag) {
   const RandomWeightsAttackSpec& attack = spec_.random_weights;
   if (!attack.active_at(unit)) return 0;
-  if (!attacker_) {
-    fl::RandomWeightAttackerConfig config;
-    config.transactions_per_round = 1;  // the budget loop controls the rate
-    config.weight_stddev = attack.weight_stddev;
-    config.num_parents = attack.num_parents;
-    attacker_ = std::make_unique<fl::RandomWeightAttacker>(
-        attacker_id_, dag.weights(dag::kGenesisTx)->size(), config, attacker_rng_);
-  }
+  if (!attacker_) create_attacker(dag);
   budget_ += attack.rate;
   std::size_t published = 0;
   while (budget_ >= 1.0) {
@@ -40,6 +33,14 @@ std::size_t AttackController::run_random_weights(std::size_t unit, dag::Dag& dag
   }
   total_published_ += published;
   return published;
+}
+
+void AttackController::create_attacker(const dag::Dag& dag) {
+  fl::RandomWeightAttackerConfig config;
+  config.weight_stddev = spec_.random_weights.weight_stddev;
+  config.num_parents = spec_.random_weights.num_parents;
+  attacker_ = std::make_unique<fl::RandomWeightAttacker>(
+      attacker_id_, dag.weights(dag::kGenesisTx)->size(), config, attacker_rng_);
 }
 
 bool AttackController::measure_at(std::size_t unit) const { return spec_.measure_at(unit); }

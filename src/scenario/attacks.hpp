@@ -137,6 +137,13 @@ class AttackController {
  private:
   friend struct snapshot::Access;  // checkpoint serialization (src/snapshot)
 
+  // Creates the attacker, sized to the genesis payload, on the controller's
+  // stream. The one construction both the first in-window unit and a
+  // checkpoint restore use, so a resumed run attacks like an uninterrupted
+  // one. Each attack() publishes one transaction: the budget loop sets the
+  // rate.
+  void create_attacker(const dag::Dag& dag);
+
   AttackSpec spec_;
   int attacker_id_;
   Rng attacker_rng_;

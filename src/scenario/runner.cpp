@@ -4,14 +4,15 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <memory>
 #include <stdexcept>
 
 #include "dag/export.hpp"
+#include "fl/baselines.hpp"
 #include "obs/prom.hpp"
 #include "obs/trace.hpp"
-#include "scenario/baselines.hpp"
 #include "metrics/client_graph.hpp"
 #include "metrics/community.hpp"
 #include "metrics/dag_metrics.hpp"
@@ -118,7 +119,7 @@ void apply_dynamics_at(const ScenarioSpec& spec, const std::vector<int>& churned
 }
 
 // Fires the label-flip schedule for `unit`. `target` is either simulator or
-// a BaselineBackend — all three expose the same poisoning hooks.
+// an fl::Baseline — all three expose the same poisoning hooks.
 template <typename Target>
 void apply_label_flip_at(const ScenarioSpec& spec, std::size_t unit, Target& target,
                          ScenarioResult& result) {
@@ -239,6 +240,26 @@ double tail_mean_accuracy(const std::vector<ScenarioPoint>& series) {
     ++counted;
   }
   return counted > 0 ? sum / static_cast<double>(counted) : 0.0;
+}
+
+// The accuracy fields of one series point, from the evaluations of the
+// clients that ran this unit: mean accuracy and loss, and each client's
+// accuracy when the spec records them. `eval_of` projects an element of
+// `runs` onto its fl::EvalResult.
+template <typename Runs, typename Projection>
+void fill_accuracy(const ScenarioSpec& spec, const Runs& runs, Projection eval_of,
+                   ScenarioPoint& point) {
+  if (runs.empty()) return;
+  double acc = 0.0, loss = 0.0;
+  for (const auto& run : runs) {
+    const fl::EvalResult& eval = std::invoke(eval_of, run);
+    acc += eval.accuracy;
+    loss += eval.loss;
+    if (spec.record_client_accuracies) point.client_accuracies.push_back(eval.accuracy);
+  }
+  const auto count = static_cast<double>(runs.size());
+  point.mean_accuracy = acc / count;
+  point.mean_loss = loss / count;
 }
 
 std::vector<std::size_t> cluster_sizes(const data::FederatedDataset& dataset) {
@@ -425,20 +446,11 @@ ScenarioResult run_dag_scenario(const ScenarioSpec& spec, sim::ExperimentPreset 
     ScenarioPoint point;
     point.round = unit + 1;
     point.publishes = run.publishes;
+    fill_accuracy(spec, run.results, &fl::DagRoundResult::trained_eval, point);
     if (!run.results.empty()) {
-      double acc = 0.0, loss = 0.0, walk_evals = 0.0;
-      for (const auto& r : run.results) {
-        acc += r.trained_eval.accuracy;
-        loss += r.trained_eval.loss;
-        walk_evals += static_cast<double>(r.walk_stats.evaluations);
-        if (spec.record_client_accuracies) {
-          point.client_accuracies.push_back(r.trained_eval.accuracy);
-        }
-      }
-      const auto count = static_cast<double>(run.results.size());
-      point.mean_accuracy = acc / count;
-      point.mean_loss = loss / count;
-      point.mean_walk_evaluations = walk_evals / count;
+      double walk_evals = 0.0;
+      for (const auto& r : run.results) walk_evals += static_cast<double>(r.walk_stats.evaluations);
+      point.mean_walk_evaluations = walk_evals / static_cast<double>(run.results.size());
     }
     run_attack_step(unit, attacks, simulator.network(), simulator.dataset(), point);
     point.dag_size = simulator.dag().size();
@@ -477,47 +489,27 @@ ScenarioResult run_baseline_scenario(const ScenarioSpec& spec, sim::ExperimentPr
   const std::size_t num_clients = preset.dataset.clients.size();
   const std::size_t per_round = std::min(spec.clients_per_round, num_clients);
 
-  std::unique_ptr<BaselineBackend> backend;
-  switch (spec.algorithm) {
-    case AlgorithmKind::kFedAvg:
-      backend = std::make_unique<FedAvgBackend>(std::move(preset.dataset), preset.factory,
-                                                spec.client.train, /*proximal_mu=*/0.0,
-                                                per_round, spec.seed);
-      break;
-    case AlgorithmKind::kFedProx:
-      backend = std::make_unique<FedAvgBackend>(std::move(preset.dataset), preset.factory,
-                                                spec.client.train, spec.proximal_mu, per_round,
-                                                spec.seed);
-      break;
-    case AlgorithmKind::kGossip:
-      backend = std::make_unique<GossipBackend>(std::move(preset.dataset), preset.factory,
-                                                spec.client.train, per_round, spec.seed);
-      break;
-    case AlgorithmKind::kDag:
-      throw std::logic_error("run_baseline_scenario: dag is not a baseline");
+  std::unique_ptr<fl::Baseline> baseline;
+  if (spec.algorithm == AlgorithmKind::kGossip) {
+    baseline = std::make_unique<fl::Gossip>(std::move(preset.dataset), preset.factory,
+                                            spec.client.train, per_round, spec.seed);
+  } else {
+    const double mu = spec.algorithm == AlgorithmKind::kFedProx ? spec.proximal_mu : 0.0;
+    baseline = std::make_unique<fl::FedAvg>(std::move(preset.dataset), preset.factory,
+                                            spec.client.train, mu, per_round, spec.seed);
   }
 
   const LabelFlipAttackSpec& flip = spec.attacks.label_flip;
   for (std::size_t round = 0; round < spec.rounds; ++round) {
-    apply_label_flip_at(spec, round, *backend, result);
+    apply_label_flip_at(spec, round, *baseline, result);
 
-    const std::vector<fl::EvalResult> evals = backend->run_round();
     ScenarioPoint point;
     point.round = round + 1;
-    if (!evals.empty()) {
-      double acc = 0.0, loss = 0.0;
-      for (const auto& eval : evals) {
-        acc += eval.accuracy;
-        loss += eval.loss;
-        if (spec.record_client_accuracies) point.client_accuracies.push_back(eval.accuracy);
-      }
-      point.mean_accuracy = acc / static_cast<double>(evals.size());
-      point.mean_loss = loss / static_cast<double>(evals.size());
-    }
+    fill_accuracy(spec, baseline->run_round(), std::identity{}, point);
     point.active_clients = num_clients;
     if (spec.attacks.measure_at(round)) {
       point.has_attack_metrics = true;
-      point.flip_rate = backend->mean_benign_flip_rate(flip.class_a, flip.class_b);
+      point.flip_rate = baseline->mean_benign_flip_rate(flip.class_a, flip.class_b);
     }
     result.series.push_back(std::move(point));
   }
@@ -525,7 +517,7 @@ ScenarioResult run_baseline_scenario(const ScenarioSpec& spec, sim::ExperimentPr
   result.clients = num_clients;
   result.final_accuracy = tail_mean_accuracy(result.series);
   if (spec.evaluate_consensus) {
-    result.consensus_accuracy = backend->mean_inference_accuracy();
+    result.consensus_accuracy = baseline->mean_inference_accuracy();
   }
   return result;
 }
@@ -624,7 +616,7 @@ ScenarioResult run_scenario_impl(const ScenarioSpec& spec, const RunOptions& opt
       }
     } else {
       SPECDAG_LOG(Warn) << "obs.metrics_out requested but no metrics were collected "
-                           "(metrics disabled, compiled out, or baseline algorithm); "
+                           "(metrics disabled or baseline algorithm); "
                            "skipping " << spec.obs.metrics_out;
     }
   }

@@ -122,7 +122,7 @@ struct ScenarioResult {
 
   // Obs metrics attributed to this run: whole-run registry delta plus the
   // per-round samples (DAG algorithm only; empty when spec.obs.metrics is
-  // off or obs is compiled out). Serialized as summary.obs.
+  // off). Serialized as summary.obs.
   bool obs_enabled = false;
   obs::MetricsSnapshot obs_totals;
   std::vector<ObsRoundPoint> obs_series;

@@ -73,7 +73,7 @@ enum class SimKind { kRound, kAsync };
 
 // Which learning algorithm the runner executes. kDag is the paper's
 // contribution; the rest are the comparison baselines of Figures 9-11 and
-// §3.2, run behind the same ScenarioResult surface (see baselines.hpp).
+// §3.2, run behind the same ScenarioResult surface (see fl/baselines.hpp).
 enum class AlgorithmKind { kDag, kFedAvg, kFedProx, kGossip };
 
 enum class DatasetPreset {

@@ -25,9 +25,8 @@
 // wall clock; commit is serialized wall time. utilization() normalizes the
 // mix into one number, background encode excluded so it stays at most 1.
 //
-// With metrics off (`--obs off`) or obs compiled out (SPECDAG_ENABLE_OBS=OFF)
-// the timings read 0; prepares and commits are the simulators' own counters
-// and never depend on obs.
+// With metrics off (`--obs off`) the timings read 0; prepares and commits
+// are the simulators' own counters and never depend on obs.
 #pragma once
 
 #include <cstddef>

@@ -443,13 +443,7 @@ void Access::restore_attacks(Reader& r, scenario::AttackController& attacks,
   if (r.u8() != 0) {
     // Recreate the attacker exactly like its lazy construction on the first
     // attack step, then overwrite its advanced RNG stream.
-    fl::RandomWeightAttackerConfig config;
-    config.transactions_per_round = 1;  // the budget loop controls the rate
-    config.weight_stddev = attacks.spec_.random_weights.weight_stddev;
-    config.num_parents = attacks.spec_.random_weights.num_parents;
-    attacks.attacker_ = std::make_unique<fl::RandomWeightAttacker>(
-        attacks.attacker_id_, dag.weights(dag::kGenesisTx)->size(), config,
-        attacks.attacker_rng_);
+    attacks.create_attacker(dag);
     attacks.attacker_->rng_ = load_rng(r);
   }
 }

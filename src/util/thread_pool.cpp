@@ -15,13 +15,11 @@ ThreadPool::ThreadPool(std::size_t num_threads, const char* name) : name_(name) 
   // exotic platforms, hence the final clamp to at least one worker).
   if (num_threads == 0) num_threads = std::thread::hardware_concurrency();
   num_threads = std::max<std::size_t>(1, num_threads);
-  if (obs::kObsCompiledIn) {
-    const std::string prefix = std::string("pool.") + name_ + ".";
-    busy_nanos_ = &obs::Registry::counter(prefix + "busy_nanos");
-    idle_nanos_ = &obs::Registry::counter(prefix + "idle_nanos");
-    tasks_run_ = &obs::Registry::counter(prefix + "tasks");
-    task_wait_us_ = &obs::Registry::histogram(prefix + "task_wait_us");
-  }
+  const std::string prefix = std::string("pool.") + name_ + ".";
+  busy_nanos_ = &obs::Registry::counter(prefix + "busy_nanos");
+  idle_nanos_ = &obs::Registry::counter(prefix + "idle_nanos");
+  tasks_run_ = &obs::Registry::counter(prefix + "tasks");
+  task_wait_us_ = &obs::Registry::histogram(prefix + "task_wait_us");
   workers_.reserve(num_threads);
   for (std::size_t i = 0; i < num_threads; ++i) {
     workers_.emplace_back([this, i] { worker_loop(i); });
@@ -51,7 +49,7 @@ void ThreadPool::enqueue(std::function<void()> fn, std::optional<std::promise<vo
       obs::metrics_enabled() || obs::tracing_enabled() ? obs::now_ns() : 0;
   // Capture the poster's active context so the worker records this task's
   // metrics/trace events into the run that posted it.
-  obs::Context* ctx = obs::kObsCompiledIn ? &obs::Context::current() : nullptr;
+  obs::Context* ctx = &obs::Context::current();
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (stop_) throw std::runtime_error("ThreadPool: submit after shutdown");
@@ -80,10 +78,9 @@ void ThreadPool::worker_loop(std::size_t worker_index) {
   for (;;) {
     Task task;
     // The idle interval belongs to whichever task ends it, so the clock
-    // must start before that task's context is known — hence the gate on
-    // compiled-in obs rather than any context's runtime flag.
-    std::uint64_t wait_start = 0;
-    if (obs::kObsCompiledIn) wait_start = obs::now_ns();
+    // must start before that task's context is known, whatever any
+    // context's runtime flag says.
+    const std::uint64_t wait_start = obs::now_ns();
     {
       std::unique_lock<std::mutex> lock(mutex_);
       if (ran && --running_ == 0 && tasks_.empty()) idle_cv_.notify_all();
@@ -99,7 +96,7 @@ void ThreadPool::worker_loop(std::size_t worker_index) {
     obs::ContextScope ctx_scope(task.ctx);
     // Metrics and tracing are independent switches: --trace with --obs off
     // must still emit the dequeue instants (and vice versa).
-    const bool metrics = obs::metrics_enabled() && busy_nanos_ != nullptr;
+    const bool metrics = obs::metrics_enabled();
     const bool tracing = obs::tracing_enabled();
     // A submitted task's exception goes to its future; a posted task must
     // not throw.

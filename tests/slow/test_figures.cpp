@@ -214,7 +214,6 @@ TEST(Figures, Fig12AccuracySelectorContainsPoisoningBetterThanRandom) {
 }
 
 TEST(Figures, Fig15WalkCountScalesWithActiveClients) {
-  if (!obs::kObsCompiledIn) GTEST_SKIP() << "obs compiled out";
   // Each active client walks three times per round (two parents and its
   // reference). The walk durations themselves are timing and not asserted.
   for (const SweepRun& run : grid("fig15_scalability")) {

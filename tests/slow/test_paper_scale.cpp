@@ -4,7 +4,6 @@
 
 #include <sstream>
 
-#include "obs/context.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/runner.hpp"
 
@@ -25,9 +24,7 @@ TEST(PaperScale, CnnSeriesIsIdenticalFusedAndScalar) {
   const auto series = [&spec](std::size_t batch) {
     spec.client.train.batch = batch;
     const scenario::ScenarioResult result = scenario::run_scenario(spec);
-    if (obs::kObsCompiledIn) {
-      EXPECT_EQ(result.obs_totals.counter("train.batches") > 0, batch > 0) << batch;
-    }
+    EXPECT_EQ(result.obs_totals.counter("train.batches") > 0, batch > 0) << batch;
     std::ostringstream out;
     scenario::write_series_jsonl(result, out);
     return out.str();

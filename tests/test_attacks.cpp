@@ -1,11 +1,14 @@
 // Adversary & baseline hooks of the scenario engine: spec round trips,
 // attack-window boundaries, bit-exact determinism of poisoned histories,
-// DAG-vs-baseline parity, and the attacker's model-store integration.
+// the baselines' pinned results, and the attacker's model-store integration.
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <sstream>
+#include <string>
 
 #include "data/synthetic_digits.hpp"
 #include "fl/attacker.hpp"
-#include "fl/fed_server.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/runner.hpp"
 #include "sim/experiment.hpp"
@@ -161,36 +164,56 @@ TEST(Attacks, AsyncSimulatorRunsTheSameSchedules) {
   EXPECT_TRUE(measured);
 }
 
-// -------------------------------------------------------- baseline parity ---
+// ------------------------------------------------------- pinned baselines ---
 
-TEST(Baselines, FedAvgBackendMatchesDirectFedServer) {
-  const scenario::ScenarioSpec spec = [] {
-    scenario::ScenarioSpec s = tiny_spec();
-    s.algorithm = scenario::AlgorithmKind::kFedAvg;
-    s.rounds = 4;
-    return s;
-  }();
-  const scenario::ScenarioResult result = scenario::run_scenario(spec);
-  ASSERT_EQ(result.series.size(), 4u);
+// Each baseline's results, pinned to recorded values: a tiny run with
+// per-client accuracies, consensus evaluation and a label flip from unit 2
+// probed every unit. The series JSONL is compared as an FNV-1a digest of its
+// bytes, which carry every double at round-trip precision, so any change to
+// a draw order, a training stream or an evaluation shows here.
+struct PinnedBaseline {
+  scenario::AlgorithmKind algorithm;
+  std::uint64_t series_digest;
+  double final_accuracy;
+  double consensus_accuracy;
+  double mean_flip_rate;
+  std::size_t poisoned_clients;
+};
 
-  // Rebuild the exact dataset/factory the runner derives from the spec and
-  // drive fl::FedServer directly with the same seed.
-  sim::ExperimentPreset preset = sim::fmnist_clustered_preset({spec.seed, false});
-  data::SyntheticDigitsConfig config;
-  config.seed = spec.seed;
-  config.num_clients = spec.num_clients;
-  config.samples_per_client = spec.samples_per_client;
-  preset.dataset = data::make_fmnist_clustered(config);
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001B3ULL;
+  }
+  return h;
+}
 
-  fl::FedServerConfig server_config;
-  server_config.train = spec.client.train;
-  fl::FedServer server(preset.factory, server_config, Rng(spec.seed));
-  for (std::size_t round = 0; round < 4; ++round) {
-    const fl::FedRoundResult direct = server.run_round(preset.dataset, spec.clients_per_round);
-    double mean = 0.0;
-    for (const auto& eval : direct.client_evals) mean += eval.accuracy;
-    mean /= static_cast<double>(direct.client_evals.size());
-    EXPECT_EQ(result.series[round].mean_accuracy, mean) << round;
+TEST(Baselines, ResultsArePinned) {
+  const PinnedBaseline pinned[] = {
+      {scenario::AlgorithmKind::kFedAvg, 0x84FA4A5729BD21EBULL, 0.25, 0.16666666666666666,
+       0.0625, 2},
+      {scenario::AlgorithmKind::kFedProx, 0xA75FED8B6107AF15ULL, 0.25, 0.083333333333333329,
+       0.0625, 2},
+      {scenario::AlgorithmKind::kGossip, 0x3E7E159DAC310252ULL, 0.25, 0.375, 0.125, 2},
+  };
+  for (const PinnedBaseline& expected : pinned) {
+    scenario::ScenarioSpec spec = tiny_spec();
+    spec.rounds = 4;
+    spec.algorithm = expected.algorithm;
+    spec.record_client_accuracies = true;
+    spec.evaluate_consensus = true;
+    spec.attacks.label_flip = {0.34, 7, 9, 2, 0};
+    spec.attacks.metrics_every = 1;
+    const scenario::ScenarioResult result = scenario::run_scenario(spec);
+    std::ostringstream series;
+    scenario::write_series_jsonl(result, series);
+    const std::string algorithm = scenario::to_string(expected.algorithm);
+    EXPECT_EQ(fnv1a(series.str()), expected.series_digest) << algorithm << "\n" << series.str();
+    EXPECT_EQ(result.final_accuracy, expected.final_accuracy) << algorithm;
+    EXPECT_EQ(result.consensus_accuracy, expected.consensus_accuracy) << algorithm;
+    EXPECT_EQ(result.mean_flip_rate, expected.mean_flip_rate) << algorithm;
+    EXPECT_EQ(result.poisoned_clients, expected.poisoned_clients) << algorithm;
   }
 }
 
@@ -253,18 +276,17 @@ TEST(Attacks, AttackerPayloadsAreInternedInTheModelStore) {
   dag::Dag& dag = simulator.network().dag();
   nn::Sequential probe = preset.factory();
   fl::RandomWeightAttacker attacker(/*publisher_id=*/4, probe.num_weights(), {}, Rng(99));
-  const std::vector<dag::TxId> junk = attacker.attack(dag, 3);
-  ASSERT_EQ(junk.size(), 1u);
+  const dag::TxId junk = attacker.attack(dag, 3);
 
   const store::StoreStats before = dag.store().stats();
   EXPECT_EQ(before.payloads, dag.size());  // junk interned like every payload
-  const store::ContentHash junk_hash = dag.payload_hash(junk[0]);
+  const store::ContentHash junk_hash = dag.payload_hash(junk);
   EXPECT_TRUE(junk_hash.hi != 0 || junk_hash.lo != 0);
-  EXPECT_TRUE(dag.transaction(junk[0]).poisoned_publisher);
+  EXPECT_TRUE(dag.transaction(junk).poisoned_publisher);
 
   // A replayed (bit-identical) attack payload dedups against the store.
-  const dag::WeightsPtr payload = dag.weights(junk[0]);
-  const dag::TxId replay = dag.add_transaction({junk[0]}, payload, 4, 4, true);
+  const dag::WeightsPtr payload = dag.weights(junk);
+  const dag::TxId replay = dag.add_transaction({junk}, payload, 4, 4, true);
   const store::StoreStats after = dag.store().stats();
   EXPECT_EQ(after.dedup_hits, before.dedup_hits + 1);
   EXPECT_EQ(after.payloads, before.payloads);

@@ -289,7 +289,7 @@ TEST(BatchExecSim, AsyncTraceInvariantToBatchConfig) {
     const auto [serial, serial_batches] = run(batch, 1);
     EXPECT_EQ(scalar, serial) << "batch " << batch << " serial";
     // One thread means no pool, not a separate step path: the executor runs.
-    if (obs::kObsCompiledIn) EXPECT_GT(serial_batches, 0u) << "batch " << batch << " serial";
+    EXPECT_GT(serial_batches, 0u) << "batch " << batch << " serial";
     EXPECT_EQ(scalar, run(batch, 4).first) << "batch " << batch << " threads 4";
   }
 }

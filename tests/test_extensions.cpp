@@ -66,11 +66,9 @@ TEST(DagExport, JsonlOneObjectPerTransaction) {
 
 TEST(RandomWeightAttacker, PublishesMarkedTransactions) {
   dag::Dag graph(nn::WeightVector(8, 0.0f));
-  fl::RandomWeightAttackerConfig config;
-  config.transactions_per_round = 3;
-  fl::RandomWeightAttacker attacker(99, 8, config, Rng(1));
-  const auto ids = attacker.attack(graph, 1);
-  EXPECT_EQ(ids.size(), 3u);
+  fl::RandomWeightAttacker attacker(99, 8, {}, Rng(1));
+  std::vector<dag::TxId> ids;
+  for (int t = 0; t < 3; ++t) ids.push_back(attacker.attack(graph, 1));
   EXPECT_EQ(graph.size(), 4u);
   for (dag::TxId id : ids) {
     const auto tx = graph.transaction(id);
@@ -83,16 +81,16 @@ TEST(RandomWeightAttacker, PublishesMarkedTransactions) {
 TEST(RandomWeightAttacker, WeightsAreRandomNotZero) {
   dag::Dag graph(nn::WeightVector(64, 0.0f));
   fl::RandomWeightAttacker attacker(7, 64, {}, Rng(2));
-  const auto ids = attacker.attack(graph, 1);
+  const dag::TxId id = attacker.attack(graph, 1);
   double magnitude = 0.0;
-  for (float w : *graph.weights(ids[0])) magnitude += std::abs(w);
+  for (float w : *graph.weights(id)) magnitude += std::abs(w);
   EXPECT_GT(magnitude, 0.0);
 }
 
 TEST(RandomWeightAttacker, RejectsBadConfig) {
-  fl::RandomWeightAttackerConfig zero_rate;
-  zero_rate.transactions_per_round = 0;
-  EXPECT_THROW(fl::RandomWeightAttacker(1, 8, zero_rate, Rng(3)), std::invalid_argument);
+  fl::RandomWeightAttackerConfig zero_parents;
+  zero_parents.num_parents = 0;
+  EXPECT_THROW(fl::RandomWeightAttacker(1, 8, zero_parents, Rng(3)), std::invalid_argument);
   EXPECT_THROW(fl::RandomWeightAttacker(1, 0, {}, Rng(4)), std::invalid_argument);
 }
 
@@ -242,10 +240,7 @@ TEST(AttackerIntegration, AccuracyWalkRoutesAroundRandomWeights) {
   preset.sim.client.reference_walks = 3;
   sim::DagSimulator simulator(std::move(preset.dataset), factory, preset.sim);
 
-  fl::RandomWeightAttackerConfig attack_config;
-  attack_config.transactions_per_round = 1;
-  fl::RandomWeightAttacker attacker(
-      /*publisher_id=*/100, probe.num_weights(), attack_config, Rng(12));
+  fl::RandomWeightAttacker attacker(/*publisher_id=*/100, probe.num_weights(), {}, Rng(12));
 
   // Rate-limited attacker (paper §4.4): one junk transaction every fourth
   // round, ~3% of network traffic.

@@ -1,10 +1,9 @@
 #include <gtest/gtest.h>
 
 #include "data/synthetic_digits.hpp"
+#include "fl/baselines.hpp"
 #include "fl/dag_client.hpp"
 #include "fl/evaluation.hpp"
-#include "fl/fed_server.hpp"
-#include "fl/gossip.hpp"
 #include "fl/trainer.hpp"
 #include "nn/dense.hpp"
 #include "sim/models.hpp"
@@ -163,32 +162,24 @@ TEST(Trainer, DeterministicGivenSeed) {
   EXPECT_EQ(a.get_weights(), b.get_weights());
 }
 
-// -------------------------------------------------------------- FedServer --
+// ----------------------------------------------------------------- FedAvg --
 
-TEST(FedServer, RoundAggregatesUpdates) {
+TEST(FedAvg, RoundAggregatesUpdates) {
   const auto ds = tiny_dataset();
-  FedServerConfig config;
-  config.train = {1, 5, 5, 0.05};
-  FedServer server(tiny_factory(ds), config, Rng(9));
-  const nn::WeightVector before = server.global_weights();
-  const FedRoundResult result = server.run_round(ds, {0, 1, 2});
-  EXPECT_EQ(result.client_ids.size(), 3u);
-  EXPECT_EQ(result.client_evals.size(), 3u);
-  EXPECT_NE(server.global_weights(), before);
+  FedAvg fed(ds, tiny_factory(ds), {1, 5, 5, 0.05}, 0.0, 3, 9);
+  const nn::WeightVector before = fed.inference_weights(0);
+  const std::vector<EvalResult> evals = fed.run_round({0, 1, 2});
+  EXPECT_EQ(evals.size(), 3u);
+  EXPECT_NE(fed.inference_weights(0), before);
 }
 
-TEST(FedServer, AccuracyImprovesOverRounds) {
+TEST(FedAvg, AccuracyImprovesOverRounds) {
   const auto ds = tiny_dataset();
-  FedServerConfig config;
-  config.train = {1, 10, 10, 0.1};
-  FedServer server(tiny_factory(ds), config, Rng(10));
+  FedAvg fed(ds, tiny_factory(ds), {1, 10, 10, 0.1}, 0.0, ds.clients.size(), 10);
   double first_mean = 0.0, best_mean = 0.0;
   for (int round = 0; round < 60; ++round) {
-    server.run_round(ds, ds.clients.size());
-    const auto evals = server.evaluate_all(ds);
-    double mean = 0.0;
-    for (const auto& e : evals) mean += e.accuracy;
-    mean /= static_cast<double>(evals.size());
+    fed.run_round();
+    const double mean = fed.mean_inference_accuracy();
     if (round == 0) first_mean = mean;
     best_mean = std::max(best_mean, mean);
   }
@@ -199,43 +190,38 @@ TEST(FedServer, AccuracyImprovesOverRounds) {
   EXPECT_GT(best_mean, 0.3);
 }
 
-TEST(FedServer, ProximalMuLimitsDrift) {
+TEST(FedAvg, ProximalMuLimitsDrift) {
   const auto ds = tiny_dataset();
-  FedServerConfig plain_config;
-  plain_config.train = {3, 10, 10, 0.1};
-  FedServerConfig prox_config = plain_config;
-  prox_config.proximal_mu = 10.0;  // heavy pull towards the global model
+  const TrainConfig train = {3, 10, 10, 0.1};
+  // The same seed gives both the same initial global model; mu = 10 pulls
+  // the proximal clients hard towards it.
+  FedAvg plain(ds, tiny_factory(ds), train, 0.0, 1, 11);
+  FedAvg prox(ds, tiny_factory(ds), train, 10.0, 1, 11);
+  const nn::WeightVector start = plain.inference_weights(0);
+  ASSERT_EQ(prox.inference_weights(0), start);
 
-  FedServer plain(tiny_factory(ds), plain_config, Rng(11));
-  FedServer prox(tiny_factory(ds), prox_config, Rng(11));
-  const nn::WeightVector start = plain.global_weights();
-  prox.set_global_weights(start);
-
-  plain.run_round(ds, std::vector<std::size_t>{0});
-  prox.run_round(ds, std::vector<std::size_t>{0});
-  const double drift_plain = nn::weight_distance(start, plain.global_weights());
-  const double drift_prox = nn::weight_distance(start, prox.global_weights());
+  plain.run_round(std::vector<std::size_t>{0});
+  prox.run_round(std::vector<std::size_t>{0});
+  const double drift_plain = nn::weight_distance(start, plain.inference_weights(0));
+  const double drift_prox = nn::weight_distance(start, prox.inference_weights(0));
   EXPECT_LT(drift_prox, drift_plain);
 }
 
-TEST(FedServer, RejectsBadArgs) {
+TEST(FedAvg, RejectsBadArgs) {
   const auto ds = tiny_dataset();
-  FedServerConfig config;
-  FedServer server(tiny_factory(ds), config, Rng(12));
-  EXPECT_THROW(server.run_round(ds, std::vector<std::size_t>{}), std::invalid_argument);
-  EXPECT_THROW(server.run_round(ds, std::vector<std::size_t>{99}), std::out_of_range);
-  EXPECT_THROW(server.run_round(ds, 0), std::invalid_argument);
-  EXPECT_THROW(server.run_round(ds, 100), std::invalid_argument);
-  EXPECT_THROW(server.set_global_weights(nn::WeightVector(3)), std::invalid_argument);
-  FedServerConfig bad;
-  bad.proximal_mu = -1.0;
-  EXPECT_THROW(FedServer(tiny_factory(ds), bad, Rng(13)), std::invalid_argument);
+  const TrainConfig train;
+  FedAvg fed(ds, tiny_factory(ds), train, 0.0, 2, 12);
+  EXPECT_THROW(fed.run_round(std::vector<std::size_t>{}), std::invalid_argument);
+  EXPECT_THROW(fed.run_round(std::vector<std::size_t>{99}), std::out_of_range);
+  EXPECT_THROW(FedAvg(ds, tiny_factory(ds), train, 0.0, 0, 12), std::invalid_argument);
+  EXPECT_THROW(FedAvg(ds, tiny_factory(ds), train, 0.0, 100, 12), std::invalid_argument);
+  EXPECT_THROW(FedAvg(ds, tiny_factory(ds), train, -1.0, 2, 13), std::invalid_argument);
 }
 
 // FedAvg weights each client's update by its training-set size: a round's
 // global model is the num_train()-weighted average of the updates, which
 // differs from their plain mean once the clients differ in size.
-TEST(FedServer, AggregationWeightsUpdatesBySampleCount) {
+TEST(FedAvg, AggregationWeightsUpdatesBySampleCount) {
   auto ds = tiny_dataset();
   const auto& donor = ds.clients[1];
   for (int copy = 0; copy < 5; ++copy) {
@@ -246,14 +232,13 @@ TEST(FedServer, AggregationWeightsUpdatesBySampleCount) {
   }
   ASSERT_EQ(ds.clients[0].num_train(), 6 * ds.clients[1].num_train());
 
-  FedServerConfig config;
-  config.train = {1, 5, 5, 0.1};
-  FedServer server(tiny_factory(ds), config, Rng(14));
-  const nn::WeightVector start = server.global_weights();
-  server.run_round(ds, {0, 1});
+  const TrainConfig train = {1, 5, 5, 0.1};
+  FedAvg fed(ds, tiny_factory(ds), train, 0.0, 2, 14);
+  const nn::WeightVector start = fed.inference_weights(0);
+  fed.run_round({0, 1});
 
   // Each client's update, trained as run_round trains it: from the global
-  // model, on the stream the server forks for that client and slot.
+  // model, on the stream the round forks for that client and slot.
   nn::Sequential model = tiny_factory(ds)();
   std::vector<nn::WeightVector> updates;
   for (std::size_t slot = 0; slot < 2; ++slot) {
@@ -261,15 +246,15 @@ TEST(FedServer, AggregationWeightsUpdatesBySampleCount) {
     model.set_weights(start);
     Rng train_rng = Rng(14).fork(0x7E000000ULL +
                                  static_cast<std::uint64_t>(client.client_id) * 1000003ULL + slot);
-    train_local_sgd(model, client, config.train, train_rng);
+    train_local_sgd(model, client, train, train_rng);
     updates.push_back(model.get_weights());
   }
   const std::vector<const nn::WeightVector*> update_ptrs{&updates[0], &updates[1]};
-  EXPECT_EQ(server.global_weights(),
+  EXPECT_EQ(fed.inference_weights(0),
             nn::weighted_average_weights(
                 update_ptrs, {static_cast<double>(ds.clients[0].num_train()),
                               static_cast<double>(ds.clients[1].num_train())}));
-  EXPECT_NE(server.global_weights(), nn::weighted_average_weights(update_ptrs, {1.0, 1.0}));
+  EXPECT_NE(fed.inference_weights(0), nn::weighted_average_weights(update_ptrs, {1.0, 1.0}));
 }
 
 // -------------------------------------------------------------- DagClient --
@@ -405,21 +390,17 @@ TEST(DagClient, RandomSelectorIgnoresAccuracy) {
 
 TEST(Gossip, RoundUpdatesActiveClients) {
   const auto ds = tiny_dataset();
-  GossipConfig config;
-  config.train = {1, 5, 5, 0.1};
-  GossipNetwork net(&ds, tiny_factory(ds), config, Rng(29));
-  const nn::WeightVector before = net.client_weights(0);
+  Gossip net(ds, tiny_factory(ds), {1, 5, 5, 0.1}, 2, 29);
+  const nn::WeightVector before = net.inference_weights(0);
   const auto evals = net.run_round({0, 1});
   EXPECT_EQ(evals.size(), 2u);
-  EXPECT_NE(net.client_weights(0), before);
-  EXPECT_EQ(net.client_weights(2), before);  // inactive client untouched
+  EXPECT_NE(net.inference_weights(0), before);
+  EXPECT_EQ(net.inference_weights(2), before);  // inactive client untouched
 }
 
 TEST(Gossip, LearnsOverRounds) {
   const auto ds = tiny_dataset();
-  GossipConfig config;
-  config.train = {1, 10, 10, 0.1};
-  GossipNetwork net(&ds, tiny_factory(ds), config, Rng(30));
+  Gossip net(ds, tiny_factory(ds), {1, 10, 10, 0.1}, ds.clients.size(), 30);
   std::vector<std::size_t> everyone;
   for (std::size_t i = 0; i < ds.clients.size(); ++i) everyone.push_back(i);
   double first = 0.0, last = 0.0;
@@ -436,13 +417,12 @@ TEST(Gossip, LearnsOverRounds) {
 
 TEST(Gossip, RejectsBadArgs) {
   const auto ds = tiny_dataset();
-  GossipConfig config;
-  EXPECT_THROW(GossipNetwork(nullptr, tiny_factory(ds), config, Rng(31)),
-               std::invalid_argument);
-  GossipNetwork net(&ds, tiny_factory(ds), config, Rng(32));
-  EXPECT_THROW(net.run_round({}), std::invalid_argument);
+  const TrainConfig train;
+  EXPECT_THROW(Gossip(ds, tiny_factory(ds), train, 0, 31), std::invalid_argument);
+  Gossip net(ds, tiny_factory(ds), train, 2, 32);
+  EXPECT_THROW(net.run_round(std::vector<std::size_t>{}), std::invalid_argument);
   EXPECT_THROW(net.run_round({99}), std::out_of_range);
-  EXPECT_THROW(net.client_weights(99), std::out_of_range);
+  EXPECT_THROW(net.inference_weights(99), std::out_of_range);
 }
 
 }  // namespace

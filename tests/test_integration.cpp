@@ -5,7 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "data/synthetic_digits.hpp"
-#include "fl/fed_server.hpp"
+#include "fl/baselines.hpp"
 #include "metrics/client_graph.hpp"
 #include "metrics/community.hpp"
 #include "sim/experiment.hpp"
@@ -193,14 +193,9 @@ TEST(Integration, DagMatchesFedAvgOnIidData) {
   const auto ds = data::make_fmnist_by_author(data_config);
   auto factory = sim::make_mlp_factory(shape_numel(ds.element_shape), 24, 10);
 
-  fl::FedServerConfig fed_config;
-  fed_config.train = {1, 10, 10, 0.05};
-  fl::FedServer server(factory, fed_config, Rng(3));
-  for (int round = 0; round < 25; ++round) server.run_round(ds, 5);
-  const auto fed_evals = server.evaluate_all(ds);
-  double fed_mean = 0.0;
-  for (const auto& e : fed_evals) fed_mean += e.accuracy;
-  fed_mean /= static_cast<double>(fed_evals.size());
+  fl::FedAvg fed(ds, factory, {1, 10, 10, 0.05}, 0.0, 5, 3);
+  for (int round = 0; round < 25; ++round) fed.run_round();
+  const double fed_mean = fed.mean_inference_accuracy();
 
   auto ds_copy = ds;
   sim::SimulatorConfig dag_config;

@@ -16,7 +16,6 @@
 #include "data/synthetic_digits.hpp"
 #include "fl/dag_client.hpp"
 #include "nn/lease_pool.hpp"
-#include "obs/context.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/runner.hpp"
 #include "sim/models.hpp"
@@ -169,7 +168,6 @@ TEST(ReplicaLease, CarriesNoStateLstm) {
 // (train.batch = 0, accuracy-biased walks) leases one per walk step and per
 // training from every prepare worker at once.
 TEST(ReplicaLease, ReplicasBuiltFollowThreadsNotClients) {
-  if (!obs::kObsCompiledIn) GTEST_SKIP() << "obs compiled out";
   auto replicas_built = [](std::size_t clients, std::size_t threads, bool scalar) {
     scenario::ScenarioSpec spec = scenario::get_scenario("scale-2k");
     spec.num_clients = clients;

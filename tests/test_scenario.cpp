@@ -376,32 +376,27 @@ TEST(Runner, PerfBucketsSplitEncodeOutOfCommitAndSumToTotal) {
     const sim::PhaseTimings& perf = result.perf;
     const double encode_seconds = result.store_stats.encode_seconds;
     EXPECT_GT(perf.prepares, 0u);
-    // The buckets and encode_seconds are obs phase span sums: with obs
-    // compiled out there are none, and summary.perf keeps only its counts.
-    if (obs::kObsCompiledIn) {
-      EXPECT_GT(encode_seconds, 0.0) << "async " << async_encode;
-      EXPECT_GT(perf.total_seconds, 0.0);
-      EXPECT_GE(perf.commit_seconds, 0.0);
-      EXPECT_GT(perf.tipsel_seconds, 0.0);
-      EXPECT_GT(perf.train_seconds, 0.0);
-      // Span stamp overhead can push the sum a hair past the outer wall
-      // measurement; 10% + 50ms absorbs that without masking real accounting
-      // bugs (double-counting encode inside commit doubles the sum).
-      const double foreground =
-          perf.phase_sum_seconds() + (async_encode ? 0.0 : encode_seconds);
-      EXPECT_LE(foreground, perf.total_seconds * 1.1 + 0.05) << "async " << async_encode;
-    }
+    // The buckets and encode_seconds are obs phase span sums.
+    EXPECT_GT(encode_seconds, 0.0) << "async " << async_encode;
+    EXPECT_GT(perf.total_seconds, 0.0);
+    EXPECT_GE(perf.commit_seconds, 0.0);
+    EXPECT_GT(perf.tipsel_seconds, 0.0);
+    EXPECT_GT(perf.train_seconds, 0.0);
+    // Span stamp overhead can push the sum a hair past the outer wall
+    // measurement; 10% + 50ms absorbs that without masking real accounting
+    // bugs (double-counting encode inside commit doubles the sum).
+    const double foreground =
+        perf.phase_sum_seconds() + (async_encode ? 0.0 : encode_seconds);
+    EXPECT_LE(foreground, perf.total_seconds * 1.1 + 0.05) << "async " << async_encode;
 
     // The buckets land in summary.perf (the JSONL schema consumed by CI).
     const scenario::Json json = scenario::result_to_json(result, false);
     const scenario::Json* perf_json = json.find("summary")->find("perf");
     ASSERT_NE(perf_json, nullptr);
-    EXPECT_EQ(perf_json->find("encode_seconds") != nullptr, obs::kObsCompiledIn);
-    if (obs::kObsCompiledIn) {
-      EXPECT_EQ(perf_json->find("encode_seconds")->as_number(), encode_seconds);
-    }
-    EXPECT_EQ(perf_json->find("commit_seconds") != nullptr, obs::kObsCompiledIn);
-    EXPECT_EQ(perf_json->find("total_seconds") != nullptr, obs::kObsCompiledIn);
+    ASSERT_NE(perf_json->find("encode_seconds"), nullptr);
+    EXPECT_EQ(perf_json->find("encode_seconds")->as_number(), encode_seconds);
+    EXPECT_NE(perf_json->find("commit_seconds"), nullptr);
+    EXPECT_NE(perf_json->find("total_seconds"), nullptr);
 
     // And the store block reports the (drained) pipeline counters plus the
     // residency-over-time series.
@@ -523,11 +518,9 @@ TEST(Sweep, GridExpansionAndParallelExecution) {
       EXPECT_FALSE(saw_footer);  // footer is the single last line
       saw_footer = true;
       EXPECT_EQ(footer->find("runs")->as_uint(), 4u);
-      if (obs::kObsCompiledIn) {
-        EXPECT_EQ(footer->find("obs_runs")->as_uint(), 4u);
-        EXPECT_NE(footer->find("obs"), nullptr);
-        EXPECT_NE(footer->find("axes")->find("client.alpha"), nullptr);
-      }
+      EXPECT_EQ(footer->find("obs_runs")->as_uint(), 4u);
+      EXPECT_NE(footer->find("obs"), nullptr);
+      EXPECT_NE(footer->find("axes")->find("client.alpha"), nullptr);
       continue;
     }
     EXPECT_FALSE(saw_footer);  // no run line after the footer
@@ -536,7 +529,7 @@ TEST(Sweep, GridExpansionAndParallelExecution) {
     const scenario::Json* summary = doc.find("result")->find("summary");
     ASSERT_NE(summary, nullptr);
     // Per-run contexts: even at threads>1 every line has its own obs rollup.
-    if (obs::kObsCompiledIn) EXPECT_NE(summary->find("obs"), nullptr);
+    EXPECT_NE(summary->find("obs"), nullptr);
     ++run_lines;
   }
   EXPECT_EQ(run_lines, 4u);
@@ -551,7 +544,6 @@ TEST(Sweep, GridExpansionAndParallelExecution) {
 // reports the same deterministic counters, every run gets its own trace
 // file via trace_dir, and the footer aggregate is the exact sum.
 TEST(Sweep, ParallelSweepAttributesObsPerRun) {
-  if (!obs::kObsCompiledIn) GTEST_SKIP() << "obs compiled out";
   namespace fs = std::filesystem;
   const std::string trace_dir = ::testing::TempDir() + "test_sweep_traces";
   scenario::SweepSpec sweep;
