@@ -1,5 +1,7 @@
 // Poisoning-robustness demo (paper §4.4 / §5.3.4).
 //
+// Runs the registry's `fig12-14-poisoning` dataset, model and client config
+// (the demo drives the attack itself, not the spec's attack block).
 // Trains a healthy network, then flips the labels 3 <-> 8 for a fraction of
 // clients (the attacker forged their sensing hardware) and continues
 // training. Prints, per round, how many class-3/8 test samples benign
@@ -12,7 +14,8 @@
 
 #include "fl/evaluation.hpp"
 #include "metrics/dag_metrics.hpp"
-#include "sim/experiment.hpp"
+#include "scenario/registry.hpp"
+#include "scenario/runner.hpp"
 
 int main(int argc, char** argv) {
   using namespace specdag;
@@ -20,9 +23,12 @@ int main(int argc, char** argv) {
   const std::size_t attack_rounds = argc > 2 ? std::strtoul(argv[2], nullptr, 10) : 30;
   const double p = argc > 3 ? std::strtod(argv[3], nullptr) : 0.3;
 
-  sim::ExperimentPreset preset = sim::fmnist_by_author_preset({});
+  const scenario::ScenarioSpec spec = scenario::get_scenario("fig12-14-poisoning");
+  sim::ExperimentPreset preset = scenario::make_preset(spec);
   nn::ModelFactory factory = preset.factory;
-  sim::DagSimulator simulator(std::move(preset.dataset), factory, preset.sim);
+  const std::size_t num_clients = preset.dataset.clients.size();
+  sim::DagSimulator simulator(std::move(preset.dataset), factory,
+                              scenario::simulator_config(spec, num_clients));
 
   std::cout << "Phase 1: " << clean_rounds << " clean training rounds...\n";
   simulator.run_rounds(clean_rounds);

@@ -12,19 +12,22 @@
 
 #include "metrics/client_graph.hpp"
 #include "metrics/community.hpp"
-#include "sim/experiment.hpp"
+#include "scenario/registry.hpp"
+#include "scenario/runner.hpp"
 
 int main(int argc, char** argv) {
   using namespace specdag;
   const std::size_t rounds = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 60;
   const double alpha = argc > 2 ? std::strtod(argv[2], nullptr) : 10.0;
 
-  sim::ExperimentPreset preset = sim::fmnist_clustered_preset({});
-  preset.sim.client.alpha = alpha;
+  scenario::ScenarioSpec spec = scenario::get_scenario("fmnist-clustered");
+  spec.client.alpha = alpha;
+  sim::ExperimentPreset preset = scenario::make_preset(spec);
   const std::vector<int> true_clusters = preset.dataset.true_clusters();
-  sim::DagSimulator simulator(std::move(preset.dataset), preset.factory, preset.sim);
   const std::size_t num_clients = true_clusters.size();
-  Rng louvain_rng = Rng(preset.sim.seed).fork(0x10CA);
+  sim::DagSimulator simulator(std::move(preset.dataset), preset.factory,
+                              scenario::simulator_config(spec, num_clients));
+  Rng louvain_rng = Rng(spec.seed).fork(0x10CA);
 
   std::cout << "Specializing DAG on FMNIST-clustered (alpha = " << alpha << ")\n"
             << "3 ground-truth clusters over digit groups {0-3}, {4-6}, {7-9}\n\n"

@@ -24,15 +24,8 @@
 #include "util/logging.hpp"
 
 namespace specdag::scenario {
-namespace {
 
-// Deterministic fork tags for the dynamics schedules. Distinct from every
-// tag used inside the simulators so dynamics never perturb the training
-// streams.
-constexpr std::uint64_t kChurnTag = 0xC4DA;
-constexpr std::uint64_t kStragglerTag = 0x57A6;
-
-sim::ExperimentPreset build_preset(const ScenarioSpec& spec) {
+sim::ExperimentPreset make_preset(const ScenarioSpec& spec) {
   obs::ScopedSpan span(obs::Phase::kSetup);
   const sim::PresetOptions options{spec.seed, spec.paper_scale, spec.num_clients,
                                    spec.samples_per_client};
@@ -46,6 +39,29 @@ sim::ExperimentPreset build_preset(const ScenarioSpec& spec) {
   }
   throw std::invalid_argument("scenario: unknown dataset preset");
 }
+
+sim::SimulatorConfig simulator_config(const ScenarioSpec& spec, std::size_t num_clients) {
+  sim::SimulatorConfig config;
+  config.client = spec.client;
+  config.clients_per_round = std::min(spec.clients_per_round, num_clients);
+  config.parallel_prepare = spec.parallel_prepare;
+  config.threads = spec.threads;
+  config.visibility_delay_rounds = spec.visibility_delay_rounds;
+  config.seed = spec.seed;
+  config.store = spec.store;
+  // Callers consume run_round()'s return value; keeping every round's
+  // trained payloads alive would defeat the payload store.
+  config.keep_history = false;
+  return config;
+}
+
+namespace {
+
+// Deterministic fork tags for the dynamics schedules. Distinct from every
+// tag used inside the simulators so dynamics never perturb the training
+// streams.
+constexpr std::uint64_t kChurnTag = 0xC4DA;
+constexpr std::uint64_t kStragglerTag = 0x57A6;
 
 // The seed-derived set of clients that churns out of the network.
 std::vector<int> churn_targets(const ScenarioSpec& spec, std::size_t num_clients) {
@@ -362,18 +378,7 @@ Simulator make_simulator(const ScenarioSpec& spec, sim::ExperimentPreset& preset
 template <>
 sim::DagSimulator make_simulator(const ScenarioSpec& spec, sim::ExperimentPreset& preset) {
   obs::ScopedSpan span(obs::Phase::kSetup);
-  sim::SimulatorConfig config;
-  config.client = spec.client;
-  config.rounds = spec.rounds;
-  config.clients_per_round = std::min(spec.clients_per_round, preset.dataset.clients.size());
-  config.parallel_prepare = spec.parallel_prepare;
-  config.threads = spec.threads;
-  config.visibility_delay_rounds = spec.visibility_delay_rounds;
-  config.seed = spec.seed;
-  config.store = spec.store;
-  // The runner only consumes run_round()'s return value; keeping every
-  // round's trained payloads alive would defeat the payload store.
-  config.keep_history = false;
+  const sim::SimulatorConfig config = simulator_config(spec, preset.dataset.clients.size());
   return sim::DagSimulator(std::move(preset.dataset), preset.factory, config);
 }
 
@@ -571,7 +576,7 @@ ScenarioResult run_scenario_impl(const ScenarioSpec& spec, const RunOptions& opt
   spec.validate();
   const std::uint64_t start_ns = obs::now_ns();
   ObsSession obs_session(spec.obs);
-  sim::ExperimentPreset preset = build_preset(spec);
+  sim::ExperimentPreset preset = make_preset(spec);
 
   ScenarioResult result;
   if (spec.algorithm != AlgorithmKind::kDag) {

@@ -10,10 +10,21 @@
 
 #include "obs/metrics.hpp"
 #include "scenario/spec.hpp"
+#include "sim/experiment.hpp"
 #include "sim/perf.hpp"
+#include "sim/simulator.hpp"
 #include "store/eval_cache.hpp"
 
 namespace specdag::scenario {
+
+// The spec's dataset and model: its dataset preset at the spec's seed, data
+// scale and size overrides.
+sim::ExperimentPreset make_preset(const ScenarioSpec& spec);
+
+// The round simulator's config for a spec whose dataset has `num_clients`
+// clients: the spec's client config, seed, threads, store and visibility
+// delay, `clients_per_round` capped at `num_clients`, and no round history.
+sim::SimulatorConfig simulator_config(const ScenarioSpec& spec, std::size_t num_clients);
 
 // One series point: a round (round simulator) or one unit of virtual time
 // (async simulator).

@@ -1,18 +1,10 @@
-// Experiment presets: dataset + model + hyperparameters per paper experiment.
+// Experiment presets: the dataset and model of each paper experiment.
 //
-// Table 1 (paper §5.2) fixes, per dataset:
-//            FMNIST-clustered   Poets   CIFAR-100
-//   rounds         100           100       100
-//   clients/round   10            10        10
-//   local epochs     1             1         5
-//   local batches   10            35        45
-//   batch size      10            10        10
-//   optimizer   SGD(0.05)     SGD(0.8)  SGD(0.01)
-//
-// The presets keep every Table 1 hyperparameter verbatim and reduce only
-// the data scale (image size, sequence length, client count) so the full
-// bench suite completes on CPU. Each preset has a `paper_scale()` variant
-// with the full sizes for users with more compute budget.
+// A preset generates a federated dataset and the model factory that fits
+// it, at a CPU-sized data scale by default (image size, sequence length,
+// client count) or at the paper's sizes with `paper_scale`. It carries no
+// training hyperparameters: those come only from the scenario spec or grid
+// (Table 1's values live in src/scenario/registry.cpp).
 #pragma once
 
 #include "data/cifar_like.hpp"
@@ -20,15 +12,12 @@
 #include "data/poets.hpp"
 #include "data/synthetic_digits.hpp"
 #include "sim/models.hpp"
-#include "sim/simulator.hpp"
 
 namespace specdag::sim {
 
 struct ExperimentPreset {
-  std::string name;
   data::FederatedDataset dataset;
   nn::ModelFactory factory;
-  SimulatorConfig sim;
 };
 
 struct PresetOptions {

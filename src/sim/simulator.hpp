@@ -17,6 +17,8 @@ namespace specdag::sim {
 
 struct SimulatorConfig {
   fl::DagClientConfig client;
+  // Read by no simulator: callers choose how many rounds to run. Kept only
+  // because the benchmark harness (perfbench/harness.cpp) assigns it.
   std::size_t rounds = 100;
   std::size_t clients_per_round = 10;
   bool parallel_prepare = true;

@@ -7,11 +7,9 @@
 #include <sstream>
 #include <string>
 
-#include "data/synthetic_digits.hpp"
 #include "fl/attacker.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/runner.hpp"
-#include "sim/experiment.hpp"
 
 namespace specdag {
 namespace {
@@ -262,15 +260,14 @@ TEST(Attacks, AttackerPayloadsAreInternedInTheModelStore) {
   // Every attacker transaction must flow through the DAG's ModelStore:
   // payload_hash is defined, store stats count the junk, and identical junk
   // payloads dedup like any replayed model.
-  sim::ExperimentPreset preset = sim::fmnist_clustered_preset({7, false});
-  data::SyntheticDigitsConfig config;
-  config.seed = 7;
-  config.num_clients = 4;
-  config.samples_per_client = 30;
-  preset.dataset = data::make_fmnist_clustered(config);
-  preset.sim.clients_per_round = 2;
-  preset.sim.rounds = 3;
-  sim::DagSimulator simulator(std::move(preset.dataset), preset.factory, preset.sim);
+  scenario::ScenarioSpec spec = scenario::get_scenario("fmnist-clustered");
+  spec.seed = 7;
+  spec.num_clients = 4;
+  spec.samples_per_client = 30;
+  spec.clients_per_round = 2;
+  sim::ExperimentPreset preset = scenario::make_preset(spec);
+  sim::DagSimulator simulator(std::move(preset.dataset), preset.factory,
+                              scenario::simulator_config(spec, spec.num_clients));
   simulator.run_rounds(3);
 
   dag::Dag& dag = simulator.network().dag();

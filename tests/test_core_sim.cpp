@@ -6,6 +6,8 @@
 #include "data/synthetic_digits.hpp"
 #include "metrics/client_graph.hpp"
 #include "metrics/community.hpp"
+#include "scenario/registry.hpp"
+#include "scenario/sweep.hpp"
 #include "sim/async_simulator.hpp"
 #include "sim/experiment.hpp"
 #include "sim/models.hpp"
@@ -273,7 +275,6 @@ TEST(Presets, AllConstructAndValidate) {
                     sim::fmnist_by_author_preset, sim::poets_preset, sim::cifar_preset,
                     sim::fedprox_synthetic_preset}) {
     const sim::ExperimentPreset preset = make({});
-    EXPECT_FALSE(preset.name.empty());
     EXPECT_NO_THROW(preset.dataset.validate());
     // Model accepts the dataset's element shape.
     nn::Sequential model = preset.factory();
@@ -287,25 +288,31 @@ TEST(Presets, AllConstructAndValidate) {
   }
 }
 
-TEST(Presets, Table1HyperparametersEncoded) {
-  const auto fmnist = sim::fmnist_clustered_preset({});
-  EXPECT_EQ(fmnist.sim.client.train.local_epochs, 1u);
-  EXPECT_EQ(fmnist.sim.client.train.local_batches, 10u);
-  EXPECT_EQ(fmnist.sim.client.train.batch_size, 10u);
-  EXPECT_DOUBLE_EQ(fmnist.sim.client.train.learning_rate, 0.05);
+// Table 1's training columns, in the copy runs read: the registry specs
+// (FMNIST, Poets) and the CIFAR figure grids expanded through the sweep
+// loader.
+void expect_train(const fl::TrainConfig& train, const fl::TrainConfig& expected) {
+  EXPECT_EQ(train.local_epochs, expected.local_epochs);
+  EXPECT_EQ(train.local_batches, expected.local_batches);
+  EXPECT_EQ(train.batch_size, expected.batch_size);
+  EXPECT_DOUBLE_EQ(train.learning_rate, expected.learning_rate);
+}
 
-  const auto poets = sim::poets_preset({});
-  EXPECT_EQ(poets.sim.client.train.local_batches, 35u);
-  EXPECT_DOUBLE_EQ(poets.sim.client.train.learning_rate, 0.8);
+TEST(Presets, Table1HyperparametersLiveInTheSpecs) {
+  expect_train(scenario::get_scenario("fmnist-clustered").client.train, {1, 10, 10, 0.05});
+  expect_train(scenario::get_scenario("poets").client.train, {1, 35, 10, 0.8});
 
-  const auto cifar = sim::cifar_preset({});
-  EXPECT_EQ(cifar.sim.client.train.local_epochs, 5u);
-  EXPECT_EQ(cifar.sim.client.train.local_batches, 45u);
-  EXPECT_DOUBLE_EQ(cifar.sim.client.train.learning_rate, 0.01);
-
-  for (const auto& preset : {fmnist, poets, cifar}) {
-    EXPECT_EQ(preset.sim.rounds, 100u);
-    EXPECT_EQ(preset.sim.clients_per_round, 10u);
+  for (const char* grid : {"figures/fig9_cifar.json", "figures/table2_cifar.json"}) {
+    SCOPED_TRACE(grid);
+    const scenario::SweepSpec sweep = scenario::sweep_from_json(
+        scenario::Json::parse_file(std::string(SPECDAG_EXAMPLES_DIR) + "/" + grid));
+    for (const auto& [params, seed] : scenario::expand_grid(sweep)) {
+      scenario::Json spec_json = sweep.base;
+      for (const auto& [path, value] : params.as_object()) spec_json.set_path(path, value);
+      const scenario::ScenarioSpec spec = scenario::spec_from_json(spec_json);
+      EXPECT_EQ(spec.dataset, scenario::DatasetPreset::kCifar);
+      expect_train(spec.client.train, {5, 45, 10, 0.01});
+    }
   }
 }
 
@@ -323,7 +330,6 @@ TEST(Presets, SizeOverridesKeepThePaperScaleShape) {
   for (const auto& make : {sim::fmnist_clustered_preset, sim::fmnist_relaxed_preset,
                            sim::fmnist_by_author_preset}) {
     const auto preset = make({42, true, 6, 0});
-    SCOPED_TRACE(preset.name);
     EXPECT_EQ(preset.dataset.element_shape, (Shape{1, 28, 28}));
     ASSERT_EQ(preset.dataset.clients.size(), 6u);
     const auto& client = preset.dataset.clients[0];

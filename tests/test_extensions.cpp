@@ -9,7 +9,8 @@
 #include "fl/attacker.hpp"
 #include "fl/trainer.hpp"
 #include "nn/dense.hpp"
-#include "sim/experiment.hpp"
+#include "scenario/registry.hpp"
+#include "scenario/runner.hpp"
 #include "sim/models.hpp"
 #include "sim/simulator.hpp"
 
@@ -232,13 +233,16 @@ TEST(AttackerIntegration, AccuracyWalkRoutesAroundRandomWeights) {
   // §4.4's "limited rate" argument is about. (At toy scale a single junk
   // transaction shades most tips and the attack does real damage; see
   // examples/figures/ablation_random_weights.json for the rate sweep.)
-  sim::ExperimentPreset preset = sim::fmnist_clustered_preset({});
-  nn::ModelFactory factory = preset.factory;
-  nn::Sequential probe = factory();
+  scenario::ScenarioSpec spec = scenario::get_scenario("fmnist-clustered");
   // Hardened gate: the reference is the best of 3 walks, so a single walk
   // forced through a junk tip cannot wave wrecked updates through.
-  preset.sim.client.reference_walks = 3;
-  sim::DagSimulator simulator(std::move(preset.dataset), factory, preset.sim);
+  spec.client.reference_walks = 3;
+  sim::ExperimentPreset preset = scenario::make_preset(spec);
+  nn::ModelFactory factory = preset.factory;
+  nn::Sequential probe = factory();
+  const std::size_t num_clients = preset.dataset.clients.size();
+  sim::DagSimulator simulator(std::move(preset.dataset), factory,
+                              scenario::simulator_config(spec, num_clients));
 
   fl::RandomWeightAttacker attacker(/*publisher_id=*/100, probe.num_weights(), {}, Rng(12));
 
