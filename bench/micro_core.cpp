@@ -81,6 +81,20 @@ void BM_LstmForwardBackward(benchmark::State& state) {
 }
 BENCHMARK(BM_LstmForwardBackward);
 
+// The paper's Poets LSTM layer: embedding 8 -> 256 units, sequences of 80,
+// batch 10.
+void BM_LstmPaperForwardBackward(benchmark::State& state) {
+  Rng rng(4);
+  nn::LSTM lstm(8, 256);
+  lstm.init_params(rng);
+  const Tensor input = random_tensor({10, 80, 8}, rng);
+  for (auto _ : state) {
+    Tensor out = lstm.forward(input, true);
+    benchmark::DoNotOptimize(lstm.backward(out));
+  }
+}
+BENCHMARK(BM_LstmPaperForwardBackward)->Unit(benchmark::kMillisecond);
+
 void BM_AverageWeights(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   Rng rng(5);

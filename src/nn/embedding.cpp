@@ -14,30 +14,41 @@ Embedding::Embedding(std::size_t vocab_size, std::size_t dim)
   if (vocab_ == 0 || dim_ == 0) throw std::invalid_argument("Embedding: zero-sized table");
 }
 
-Tensor Embedding::forward(const Tensor& input, bool train) {
+void Embedding::lookup(const float* table, const Tensor& input, Tensor& out,
+                       std::vector<std::size_t>* tokens) const {
   if (input.rank() != 2) {
     throw std::invalid_argument("Embedding::forward: expected [batch, seq], got " +
                                 shape_to_string(input.shape()));
   }
   const std::size_t batch = input.dim(0), seq = input.dim(1);
-  Tensor out({batch, seq, dim_});
-  std::vector<std::size_t> tokens(batch * seq);
+  out.resize({batch, seq, dim_});
+  if (tokens != nullptr) tokens->resize(batch * seq);
   for (std::size_t i = 0; i < batch * seq; ++i) {
     const float raw = input[i];
     if (raw < 0.0f || std::floor(raw) != raw || static_cast<std::size_t>(raw) >= vocab_) {
       throw std::invalid_argument("Embedding::forward: token id out of range");
     }
     const auto tok = static_cast<std::size_t>(raw);
-    tokens[i] = tok;
-    const float* src = table_.raw() + tok * dim_;
-    float* dst = out.raw() + i * dim_;
-    std::copy(src, src + dim_, dst);
+    if (tokens != nullptr) (*tokens)[i] = tok;
+    const float* src = table + tok * dim_;
+    std::copy(src, src + dim_, out.raw() + i * dim_);
   }
+}
+
+Tensor Embedding::forward(const Tensor& input, bool train) {
+  Tensor out;
+  std::vector<std::size_t> tokens;
+  lookup(table_.raw(), input, out, &tokens);
   if (train) {
     cached_tokens_ = std::move(tokens);
     cached_input_shape_ = input.shape();
   }
   return out;
+}
+
+// forward on the table slice, read in place.
+void Embedding::infer(const float* weights, const Tensor& input, Tensor& out) {
+  lookup(weights, input, out, nullptr);
 }
 
 Tensor Embedding::backward(const Tensor& grad_output) {

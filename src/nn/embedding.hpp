@@ -14,6 +14,7 @@ class Embedding : public Layer {
 
   Tensor forward(const Tensor& input, bool train) override;
   Tensor backward(const Tensor& grad_output) override;
+  void infer(const float* weights, const Tensor& input, Tensor& out) override;
   std::vector<Param> params() override;
   void init_params(Rng& rng) override;
   std::string name() const override { return "Embedding"; }
@@ -22,6 +23,11 @@ class Embedding : public Layer {
   std::size_t dim() const { return dim_; }
 
  private:
+  // Copies the rows of `table` that `input`'s token ids name into `out`
+  // [batch, seq, dim]; stores the ids into `tokens` when it is non-null.
+  void lookup(const float* table, const Tensor& input, Tensor& out,
+              std::vector<std::size_t>* tokens) const;
+
   std::size_t vocab_;
   std::size_t dim_;
   Tensor table_;       // [vocab, dim]

@@ -41,8 +41,8 @@ class Layer {
   // flat weight vector, in params() order — instead of the layer's own:
   // writes forward(input, false) into `out`, reusing its storage where the
   // layer can. The default loads the slice into the layer first; Dense,
-  // ReLU and Flatten override it to read the slice in place and allocate
-  // nothing once `out` has grown to size.
+  // ReLU, Flatten, Embedding and LSTM override it to read the slice in place
+  // and allocate nothing once `out` (and the layer's scratch) has grown.
   virtual void infer(const float* weights, const Tensor& input, Tensor& out) {
     for (const Param& p : params()) {
       std::copy(weights, weights + p.value->numel(), p.value->raw());

@@ -25,27 +25,31 @@ void matmul_into(const float* a, const float* b, float* c, std::size_t m, std::s
                .n = n});
 }
 
+void transpose_into(const float* src, float* dst, std::size_t rows, std::size_t cols) {
+  // Tile by tile: a 16 x 16 tile reads 16 rows of src and writes 16 rows of
+  // dst, one cache line each, where a whole-row scatter would touch a new
+  // line of dst (rows floats apart) on every store.
+  constexpr std::size_t kTile = 16;
+  for (std::size_t r0 = 0; r0 < rows; r0 += kTile) {
+    const std::size_t r1 = std::min(r0 + kTile, rows);
+    for (std::size_t c0 = 0; c0 < cols; c0 += kTile) {
+      const std::size_t c1 = std::min(c0 + kTile, cols);
+      for (std::size_t c = c0; c < c1; ++c) {
+        float* drow = dst + c * rows;
+        for (std::size_t r = r0; r < r1; ++r) drow[r] = src[r * cols + c];
+      }
+    }
+  }
+}
+
 void matmul_transposed_b_into(const float* a, const float* b, float* c, std::size_t m,
                               std::size_t k, std::size_t n) {
   // Transposing b (n x k -> k x n) makes the columns of C contiguous for the
   // SIMD kernel while each c[i,j] still receives its kk-terms one at a time
-  // in kk order, exactly as a scalar running-sum dot would. The transpose
-  // goes tile by tile: a 16 x 16 tile reads 16 rows of b and writes 16 rows
-  // of bt, one cache line each, where a whole-row scatter would touch a new
-  // line of bt (n floats apart) on every store.
-  constexpr std::size_t kTile = 16;
+  // in kk order, exactly as a scalar running-sum dot would.
   thread_local std::vector<float> bt;
   bt.resize(k * n);
-  for (std::size_t j0 = 0; j0 < n; j0 += kTile) {
-    const std::size_t j1 = std::min(j0 + kTile, n);
-    for (std::size_t k0 = 0; k0 < k; k0 += kTile) {
-      const std::size_t k1 = std::min(k0 + kTile, k);
-      for (std::size_t kk = k0; kk < k1; ++kk) {
-        float* btrow = bt.data() + kk * n;
-        for (std::size_t j = j0; j < j1; ++j) btrow[j] = b[j * k + kk];
-      }
-    }
-  }
+  transpose_into(b, bt.data(), n, k);
   matmul_into(a, bt.data(), c, m, k, n);
 }
 

@@ -79,6 +79,9 @@ Tensor maxpool2d_backward(const Tensor& grad_output, const Shape& input_shape,
 void matmul_into(const float* a, const float* b, float* c, std::size_t m, std::size_t k,
                  std::size_t n);
 
+// dst(cols,rows) = src(rows,cols)^T.
+void transpose_into(const float* src, float* dst, std::size_t rows, std::size_t cols);
+
 // C(m,n) = A(m,k) * B(n,k)^T. Overwrites C.
 void matmul_transposed_b_into(const float* a, const float* b, float* c, std::size_t m,
                               std::size_t k, std::size_t n);

@@ -1,9 +1,11 @@
 // The paper-scale models end to end (the slow ctest tier: a paper-scale
-// round costs seconds where the 16x16 presets cost milliseconds).
+// round costs seconds where the 16x16 presets cost milliseconds), and the
+// paper-scale LSTM layer against its oracle.
 #include <gtest/gtest.h>
 
 #include <sstream>
 
+#include "../lstm_oracle.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/runner.hpp"
 
@@ -32,6 +34,13 @@ TEST(PaperScale, CnnSeriesIsIdenticalFusedAndScalar) {
   const std::string fused = series(16);
   EXPECT_FALSE(fused.empty());
   EXPECT_EQ(fused, series(0));
+}
+
+// The paper's Poets LSTM layer (embedding 8 -> 256 units, sequences of 80,
+// batch 10), which only `paper_scale` builds: one forward/backward,
+// bit-identical to the per-timestep oracle.
+TEST(PaperScale, LstmLayerMatchesPerTimestepOracle) {
+  testing::expect_lstm_matches_oracle(8, 256, 10, 80, 27, SIZE_MAX, /*steps=*/1);
 }
 
 }  // namespace

@@ -346,5 +346,28 @@ TEST(Determinism, AsyncScenarioWithDynamicsIsReproducible) {
   EXPECT_EQ(fingerprint(), fingerprint());
 }
 
+// The Poets LSTM path (Embedding -> LSTM -> Dense, trained and evaluated on
+// every client) pinned bit for bit: an FNV-1a digest of three rounds of the
+// registry `poets` series JSONL, at one thread and at four, recorded before
+// the LSTM layer computed its input projection in one batched GEMM.
+TEST(Determinism, PoetsSeriesIsPinned) {
+  const auto fnv1a = [](const std::string& bytes) {
+    std::uint64_t h = 0xCBF29CE484222325ULL;
+    for (const unsigned char c : bytes) {
+      h ^= c;
+      h *= 0x100000001B3ULL;
+    }
+    return h;
+  };
+  for (const std::size_t threads : {1, 4}) {
+    scenario::ScenarioSpec spec = scenario::get_scenario("poets");
+    spec.rounds = 3;
+    spec.threads = threads;
+    std::ostringstream series;
+    scenario::write_series_jsonl(scenario::run_scenario(spec), series);
+    EXPECT_EQ(fnv1a(series.str()), 0xB7F23398BD3F9DFAULL) << threads << "\n" << series.str();
+  }
+}
+
 }  // namespace
 }  // namespace specdag

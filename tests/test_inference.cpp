@@ -274,5 +274,37 @@ TEST(Inference, WarmWalkStepEvaluationAllocatesNothing) {
   EXPECT_GT(accuracy, 0.0);
 }
 
+// The same on the poets shape (vocab 24, embedding 8, 24 LSTM units,
+// sequences of 10, 15 test samples per client): Embedding and LSTM read
+// their weight slices in place too, so a warm walk step allocates nothing.
+TEST(Inference, WarmPoetsWalkStepEvaluationAllocatesNothing) {
+  data::PoetsConfig config;
+  config.num_clients = 2;
+  const data::FederatedDataset ds = data::make_poets(config);
+  const nn::ModelFactory factory =
+      sim::make_lstm_factory(config.vocab_size, 8, 24, config.vocab_size);
+  nn::ReplicaPool replicas = nn::make_replica_pool(factory);
+  const nn::WeightVector a = initial_weights(factory, 43);
+  const nn::WeightVector b = initial_weights(factory, 44);
+  const data::ClientData& client = ds.clients[0];
+  ASSERT_EQ(client.num_test(), 15u);
+  double accuracy = 0.0;
+  const auto walk_step = [&](const nn::WeightVector& w) {
+    const nn::ReplicaPool::Lease model = replicas.acquire();
+    accuracy += fl::accuracy_on_test(*model, w, client);
+  };
+
+  ASSERT_EQ(allocations_in([] { ::operator delete(::operator new(16)); }), 1u)
+      << "the counter is not armed";
+  walk_step(a);  // warm-up: builds the replica and grows the scratch
+  EXPECT_EQ(allocations_in([&] {
+              walk_step(a);
+              walk_step(b);
+              walk_step(a);
+            }),
+            0u);
+  EXPECT_GT(accuracy, 0.0);
+}
+
 }  // namespace
 }  // namespace specdag

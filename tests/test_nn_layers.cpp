@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "gradcheck.hpp"
+#include "lstm_oracle.hpp"
 #include "nn/activations.hpp"
 #include "nn/conv.hpp"
 #include "nn/dense.hpp"
@@ -222,6 +223,49 @@ TEST(LSTM, RejectsBadShapes) {
   EXPECT_THROW(lstm.forward(bad_rank, false), std::invalid_argument);
   Tensor bad_dim({1, 2, 4});
   EXPECT_THROW(lstm.forward(bad_dim, false), std::invalid_argument);
+}
+
+// The layer against its per-timestep formulation (tests/lstm_oracle.hpp),
+// memcmp-exact over three train steps whose gradients accumulate.
+TEST(LSTM, MatchesPerTimestepOracleOnThePoetsShape) {
+  testing::expect_lstm_matches_oracle(8, 24, 10, 10, 21);
+}
+
+TEST(LSTM, MatchesPerTimestepOracleAtBatchOneAndSeqOne) {
+  testing::expect_lstm_matches_oracle(8, 24, 1, 10, 22);
+  testing::expect_lstm_matches_oracle(8, 24, 10, 1, 23);
+}
+
+// H = 5 and H = 33 leave partial column blocks in every GEMM: 4H = 20 and
+// 132, and the hidden-gradient GEMM's n = H.
+TEST(LSTM, MatchesPerTimestepOracleOnMaskedTails) {
+  testing::expect_lstm_matches_oracle(8, 5, 3, 7, 24);
+  testing::expect_lstm_matches_oracle(3, 33, 4, 6, 25);
+}
+
+// An all-zero timestep: the GEMMs skip every term of a zero A element.
+TEST(LSTM, MatchesPerTimestepOracleWithAZeroTimestep) {
+  testing::expect_lstm_matches_oracle(8, 24, 10, 10, 26, /*zero_step=*/3);
+}
+
+TEST(LSTM, BackwardNeedsATrainModeForward) {
+  Rng rng(15);
+  LSTM lstm(3, 4);
+  lstm.init_params(rng);
+  const Tensor input = random_tensor({2, 3, 3}, rng);
+  const Tensor grad({2, 4});
+  EXPECT_THROW(lstm.backward(grad), std::logic_error);
+  lstm.forward(input, true);
+  lstm.forward(input, false);
+  EXPECT_THROW(lstm.backward(grad), std::logic_error);
+  lstm.forward(input, true);
+  std::vector<float> weights;
+  for (const Param& p : lstm.params()) {
+    weights.insert(weights.end(), p.value->data().begin(), p.value->data().end());
+  }
+  Tensor out;
+  lstm.infer(weights.data(), input, out);
+  EXPECT_THROW(lstm.backward(grad), std::logic_error);
 }
 
 TEST(LSTM, LongerSequenceChangesOutput) {
