@@ -19,6 +19,7 @@
 #include "obs/trace.hpp"
 #include "store/delta_codec.hpp"
 #include "sim/models.hpp"
+#include "tensor/lanes.hpp"
 #include "tensor/ops.hpp"
 #include "tipsel/tip_selector.hpp"
 
@@ -80,6 +81,26 @@ void BM_LstmForwardBackward(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LstmForwardBackward);
+
+// The LSTM's gate nonlinearities at the forward's call width (hidden 24):
+// one dispatched call over range(0) gate values in [-4, 4].
+template <void (*Kernel)(const float*, float*, std::size_t)>
+void BM_GateNonlinearity(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  Rng rng(4);
+  std::vector<float> x(n), y(n);
+  for (float& v : x) v = static_cast<float>(rng.uniform(-4.0, 4.0));
+  for (auto _ : state) {
+    Kernel(x.data(), y.data(), n);
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * n));
+}
+void BM_Sigmoid(benchmark::State& state) { BM_GateNonlinearity<lanes::sigmoid>(state); }
+void BM_Tanh(benchmark::State& state) { BM_GateNonlinearity<lanes::tanh>(state); }
+BENCHMARK(BM_Sigmoid)->Arg(24);
+BENCHMARK(BM_Tanh)->Arg(24);
 
 // The paper's Poets LSTM layer: embedding 8 -> 256 units, sequences of 80,
 // batch 10.

@@ -477,16 +477,15 @@ void BatchExecutor::forward(const std::vector<const Tensor*>& inputs) {
 namespace {
 
 // Row-wise softmax replicating nn::softmax exactly: first-max subtraction,
-// exp/sum interleaved in class order, then one divide pass.
+// one lanes::exp pass, the sum in class order, then one divide pass.
 void softmax_rows(float* rows, std::size_t batch, std::size_t classes) {
   for (std::size_t r = 0; r < batch; ++r) {
     float* row = rows + r * classes;
     const float mx = *std::max_element(row, row + classes);
+    for (std::size_t c = 0; c < classes; ++c) row[c] = row[c] - mx;
+    lanes::exp(row, row, classes);
     float sum = 0.0f;
-    for (std::size_t c = 0; c < classes; ++c) {
-      row[c] = std::exp(row[c] - mx);
-      sum += row[c];
-    }
+    for (std::size_t c = 0; c < classes; ++c) sum += row[c];
     for (std::size_t c = 0; c < classes; ++c) row[c] /= sum;
   }
 }

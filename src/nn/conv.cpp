@@ -61,6 +61,22 @@ Tensor Conv2D::forward(const Tensor& input, bool train) {
 }
 
 Tensor Conv2D::backward(const Tensor& grad_output) {
+  backward_params(grad_output);
+  // dInput = col2im(grad_cols @ filters), grad_cols as backward_params left it.
+  const std::size_t n = cached_input_shape_[0];
+  const std::size_t positions =
+      spec_.out_dim(cached_input_shape_[2]) * spec_.out_dim(cached_input_shape_[3]);
+  const std::size_t ckk = spec_.in_channels * spec_.kernel * spec_.kernel;
+  dcols_scratch_.resize(n * positions * ckk);
+  matmul_into(grad_cols_scratch_.data(), filters_.raw(), dcols_scratch_.data(), n * positions,
+              spec_.out_channels, ckk);
+  Tensor grad_input(cached_input_shape_);
+  col2im_into(dcols_scratch_.data(), n, cached_input_shape_[2], cached_input_shape_[3], spec_,
+              grad_input.raw());
+  return grad_input;
+}
+
+void Conv2D::backward_params(const Tensor& grad_output) {
   if (cached_cols_.numel() == 0) {
     throw std::logic_error("Conv2D::backward: no cached forward activation");
   }
@@ -91,14 +107,6 @@ Tensor Conv2D::backward(const Tensor& grad_output) {
       grad_bias_[oc] += pc[r * spec_.out_channels + oc];
     }
   }
-  // dInput = col2im(grad_cols @ filters)
-  dcols_scratch_.resize(n * positions * ckk);
-  matmul_into(pc, filters_.raw(), dcols_scratch_.data(), n * positions, spec_.out_channels,
-              ckk);
-  Tensor grad_input(cached_input_shape_);
-  col2im_into(dcols_scratch_.data(), n, cached_input_shape_[2], cached_input_shape_[3], spec_,
-              grad_input.raw());
-  return grad_input;
 }
 
 std::vector<Param> Conv2D::params() {

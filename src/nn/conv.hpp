@@ -17,6 +17,7 @@ class Conv2D : public Layer {
 
   Tensor forward(const Tensor& input, bool train) override;
   Tensor backward(const Tensor& grad_output) override;
+  void backward_params(const Tensor& grad_output) override;
   std::vector<Param> params() override;
   void init_params(Rng& rng) override;
   std::string name() const override { return "Conv2D"; }

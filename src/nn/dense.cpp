@@ -40,10 +40,15 @@ void Dense::infer(const float* weights, const Tensor& input, Tensor& out) {
 }
 
 Tensor Dense::backward(const Tensor& grad_output) {
+  backward_params(grad_output);
+  return matmul_transposed_b(grad_output, weight_);  // dx = g W^T
+}
+
+void Dense::backward_params(const Tensor& grad_output) {
   if (cached_input_.numel() == 0) {
     throw std::logic_error("Dense::backward: no cached forward activation");
   }
-  // dW += x^T g ; db += colsum(g) ; dx = g W^T
+  // dW += x^T g ; db += colsum(g)
   // The dW product lands in a persistent scratch buffer (zeroed, accumulated
   // into, then added onto grad_weight_ — same arithmetic as the old
   // tmp-Tensor path without the per-batch allocation).
@@ -57,7 +62,6 @@ Tensor Dense::backward(const Tensor& grad_output) {
   for (std::size_t r = 0; r < batch; ++r) {
     for (std::size_t c = 0; c < out_; ++c) grad_bias_[c] += grad_output.at(r, c);
   }
-  return matmul_transposed_b(grad_output, weight_);
 }
 
 std::vector<Param> Dense::params() {

@@ -11,6 +11,7 @@ class Dense : public Layer {
 
   Tensor forward(const Tensor& input, bool train) override;
   Tensor backward(const Tensor& grad_output) override;
+  void backward_params(const Tensor& grad_output) override;
   void infer(const float* weights, const Tensor& input, Tensor& out) override;
   std::vector<Param> params() override;
   void init_params(Rng& rng) override;

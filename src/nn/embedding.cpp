@@ -52,6 +52,12 @@ void Embedding::infer(const float* weights, const Tensor& input, Tensor& out) {
 }
 
 Tensor Embedding::backward(const Tensor& grad_output) {
+  backward_params(grad_output);
+  // Token ids are not differentiable; return a zero gradient of input shape.
+  return Tensor(cached_input_shape_);
+}
+
+void Embedding::backward_params(const Tensor& grad_output) {
   if (cached_tokens_.empty()) {
     throw std::logic_error("Embedding::backward: no cached forward activation");
   }
@@ -63,8 +69,6 @@ Tensor Embedding::backward(const Tensor& grad_output) {
     float* dst = grad_table_.raw() + cached_tokens_[i] * dim_;
     for (std::size_t d = 0; d < dim_; ++d) dst[d] += src[d];
   }
-  // Token ids are not differentiable; return a zero gradient of input shape.
-  return Tensor(cached_input_shape_);
 }
 
 std::vector<Param> Embedding::params() {

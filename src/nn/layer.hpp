@@ -37,6 +37,13 @@ class Layer {
   // dL/d(input). Must be called after a forward() with train == true.
   virtual Tensor backward(const Tensor& grad_output) = 0;
 
+  // backward() without dL/d(input): accumulates the same parameter
+  // gradients, bit for bit, and nothing else. Sequential calls it on its
+  // first trainable layer, whose input gradient has no reader. The default
+  // runs backward() and drops the result; Dense, Conv2D and Embedding skip
+  // the input gradient.
+  virtual void backward_params(const Tensor& grad_output) { backward(grad_output); }
+
   // Inference with the parameters at `weights` — this layer's slice of a
   // flat weight vector, in params() order — instead of the layer's own:
   // writes forward(input, false) into `out`, reusing its storage where the

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "tensor/lanes.hpp"
+
 namespace specdag::nn {
 namespace {
 
@@ -27,11 +29,10 @@ Tensor softmax(const Tensor& logits) {
   for (std::size_t r = 0; r < batch; ++r) {
     float* row = probs.raw() + r * classes;
     const float mx = *std::max_element(row, row + classes);
+    for (std::size_t c = 0; c < classes; ++c) row[c] = row[c] - mx;
+    lanes::exp(row, row, classes);
     float sum = 0.0f;
-    for (std::size_t c = 0; c < classes; ++c) {
-      row[c] = std::exp(row[c] - mx);
-      sum += row[c];
-    }
+    for (std::size_t c = 0; c < classes; ++c) sum += row[c];
     for (std::size_t c = 0; c < classes; ++c) row[c] /= sum;
   }
   return probs;

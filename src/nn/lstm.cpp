@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "nn/activations.hpp"
 #include "nn/init.hpp"
 #include "tensor/lanes.hpp"
 #include "tensor/ops.hpp"
@@ -44,22 +43,26 @@ void LSTM::run(const float* wx, const float* wh, const float* b, const Tensor& i
   for (std::size_t t = 0; t < seq; ++t) {
     lanes::gemm({.a = h_.data() + t * batch * H, .a_row_stride = H, .a_k_stride = 1, .b = wh,
                  .c = hw_.data(), .m = batch, .k = H, .n = G});
+    const std::size_t row = t * batch * H, next = row + batch * H;
     for (std::size_t bidx = 0; bidx < batch; ++bidx) {
       float* gate = gates_.data() + (bidx * seq + t) * G;
       const float* hw = hw_.data() + bidx * G;
       for (std::size_t j = 0; j < G; ++j) gate[j] = gate[j] + hw[j] + b[j];
-      // Gate nonlinearities in place: sigmoid for i/f/o, tanh for g. One loop
-      // per gate keeps the libm calls independent; fused with the cell
-      // update below, the forward measured slower than per-timestep matmuls.
-      for (std::size_t j = 0; j < 2 * H; ++j) gate[j] = sigmoidf(gate[j]);
-      for (std::size_t j = 2 * H; j < 3 * H; ++j) gate[j] = tanhf_(gate[j]);
-      for (std::size_t j = 3 * H; j < G; ++j) gate[j] = sigmoidf(gate[j]);
-      const std::size_t row = (t * batch + bidx) * H, next = row + batch * H;
-      for (std::size_t j = 0; j < H; ++j) {  // c_t = f·c_{t-1} + i·g, h_t = o·tanh(c_t)
-        c_[next + j] = gate[H + j] * c_[row + j] + gate[j] * gate[2 * H + j];
-        tanh_c_[row + j] = tanhf_(c_[next + j]);
-        h_[next + j] = gate[3 * H + j] * tanh_c_[row + j];
+      // Gate nonlinearities in place: sigmoid for i/f, tanh for g, sigmoid for o.
+      lanes::sigmoid(gate, gate, 2 * H);
+      lanes::tanh(gate + 2 * H, gate + 2 * H, H);
+      lanes::sigmoid(gate + 3 * H, gate + 3 * H, H);
+      const std::size_t off = bidx * H;
+      for (std::size_t j = 0; j < H; ++j) {  // c_t = f·c_{t-1} + i·g
+        c_[next + off + j] = gate[H + j] * c_[row + off + j] + gate[j] * gate[2 * H + j];
       }
+    }
+    // h_t = o·tanh(c_t), with tanh over the whole [batch, H] step at once.
+    lanes::tanh(c_.data() + next, tanh_c_.data() + row, batch * H);
+    for (std::size_t bidx = 0; bidx < batch; ++bidx) {
+      const float* o = gates_.data() + (bidx * seq + t) * G + 3 * H;
+      const std::size_t off = bidx * H;
+      for (std::size_t j = 0; j < H; ++j) h_[next + off + j] = o[j] * tanh_c_[row + off + j];
     }
   }
   out.resize({batch, H});

@@ -1,5 +1,6 @@
 #include "nn/model.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <iterator>
 #include <stdexcept>
@@ -17,8 +18,14 @@ Tensor Sequential::forward(const Tensor& input, bool train) {
 
 void Sequential::backward(const Tensor& grad_output) {
   if (layers_.empty()) throw std::logic_error("Sequential::backward: no layers");
+  // Backpropagation stops at the first trainable layer: nothing reads its
+  // input gradient, and the stateless layers before it have nothing to update.
+  const auto first = std::find_if(layers_.begin(), layers_.end(),
+                                  [](const LayerPtr& layer) { return !layer->params().empty(); });
+  if (first == layers_.end()) return;
   Tensor g = grad_output;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) g = (*it)->backward(g);
+  for (auto it = std::prev(layers_.end()); it != first; --it) g = (*it)->backward(g);
+  (*first)->backward_params(g);
 }
 
 std::vector<Param> Sequential::params() {

@@ -183,18 +183,6 @@ Tensor matmul_transposed_b(const Tensor& a, const Tensor& b) {
   return c;
 }
 
-Tensor matmul_transposed_a(const Tensor& a, const Tensor& b) {
-  require_matrix(a, "matmul_transposed_a: a");
-  require_matrix(b, "matmul_transposed_a: b");
-  const std::size_t k = a.dim(0), m = a.dim(1), n = b.dim(1);
-  if (b.dim(0) != k) {
-    throw std::invalid_argument("matmul_transposed_a: inner dims mismatch");
-  }
-  Tensor c({m, n});
-  matmul_transposed_a_acc(a.raw(), b.raw(), c.raw(), k, m, n);
-  return c;
-}
-
 void add_row_bias(Tensor& m, const Tensor& bias) {
   require_matrix(m, "add_row_bias: m");
   const std::size_t rows = m.dim(0), cols = m.dim(1);

@@ -17,9 +17,6 @@ Tensor matmul(const Tensor& a, const Tensor& b);
 // transposes.
 Tensor matmul_transposed_b(const Tensor& a, const Tensor& b);
 
-// C = A(k,m)^T * B(k,n).
-Tensor matmul_transposed_a(const Tensor& a, const Tensor& b);
-
 // Adds a row vector `bias` [1, n] (or [n]) to every row of `m` [rows, n].
 void add_row_bias(Tensor& m, const Tensor& bias);
 

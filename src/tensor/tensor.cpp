@@ -72,15 +72,6 @@ void Tensor::resize_batch(std::size_t batch, const Shape& element_shape) {
   data_.resize(shape_numel(shape_));
 }
 
-Tensor& Tensor::operator+=(const Tensor& other) {
-  if (shape_ != other.shape_) {
-    throw std::invalid_argument("Tensor::operator+=: shape mismatch " + shape_to_string(shape_) +
-                                " vs " + shape_to_string(other.shape_));
-  }
-  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += other.data_[i];
-  return *this;
-}
-
 void Tensor::fill(float value) { std::fill(data_.begin(), data_.end(), value); }
 
 }  // namespace specdag

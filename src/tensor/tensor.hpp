@@ -63,9 +63,6 @@ class Tensor {
   // The same, to [batch, element_shape...].
   void resize_batch(std::size_t batch, const Shape& element_shape);
 
-  // In-place elementwise sum.
-  Tensor& operator+=(const Tensor& other);
-
   void fill(float value);
 
   bool same_shape(const Tensor& other) const { return shape_ == other.shape_; }

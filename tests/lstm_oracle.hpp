@@ -24,6 +24,19 @@
 
 namespace specdag::testing {
 
+// into[i] += x[i] for every element; the shapes must match.
+inline void add_into(Tensor& into, const Tensor& x) {
+  ASSERT_EQ(into.shape(), x.shape());
+  for (std::size_t i = 0; i < into.numel(); ++i) into[i] += x[i];
+}
+
+// a(k,m)^T · b(k,n), into a fresh zero tensor.
+inline Tensor transposed_a_product(const Tensor& a, const Tensor& b) {
+  Tensor c({a.dim(1), b.dim(1)});
+  matmul_transposed_a_acc(a.raw(), b.raw(), c.raw(), a.dim(0), a.dim(1), b.dim(1));
+  return c;
+}
+
 class LstmOracle {
  public:
   // Starts from `layer`'s current parameters.
@@ -58,7 +71,7 @@ class LstmOracle {
         std::copy(src, src + in_dim_, x.raw() + bidx * in_dim_);
       }
       Tensor pre = matmul(x, wx_);
-      pre += matmul(h, wh_);
+      add_into(pre, matmul(h, wh_));
       add_row_bias(pre, b_);
       Tensor gates = pre;
       for (std::size_t bidx = 0; bidx < batch; ++bidx) {
@@ -123,8 +136,8 @@ class LstmOracle {
           dcrow[j] = dc_total * f;
         }
       }
-      grad_wx_ += matmul_transposed_a(st.x, dgates);
-      grad_wh_ += matmul_transposed_a(st.h_prev, dgates);
+      add_into(grad_wx_, transposed_a_product(st.x, dgates));
+      add_into(grad_wh_, transposed_a_product(st.h_prev, dgates));
       for (std::size_t bidx = 0; bidx < batch; ++bidx) {
         const float* dgrow = dgates.raw() + bidx * 4 * hidden_;
         for (std::size_t j = 0; j < 4 * hidden_; ++j) grad_b_[j] += dgrow[j];

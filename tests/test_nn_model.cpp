@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "nn/activations.hpp"
 #include "nn/dense.hpp"
 #include "nn/loss.hpp"
 #include "nn/model.hpp"
 #include "nn/optimizer.hpp"
+#include "sim/models.hpp"
 #include "util/rng.hpp"
 
 namespace specdag::nn {
@@ -103,6 +106,49 @@ TEST(Sequential, EmptyModelThrows) {
   Tensor input({1, 1});
   EXPECT_THROW(model.forward(input, false), std::logic_error);
   EXPECT_THROW(model.backward(input), std::logic_error);
+}
+
+// Sequential::backward stops at the first trainable layer (Dense after a
+// Flatten, Conv2D, Embedding) and asks it for parameter gradients only; a
+// full backward through every layer must leave the same gradient bits.
+TEST(Sequential, BackwardStopsAtFirstTrainableLayerWithSameGradients) {
+  struct Case {
+    const char* name;
+    ModelFactory factory;
+    Shape input;
+  };
+  const Case cases[] = {
+      {"mlp", sim::make_mlp_factory(12, 6, 3), {4, 3, 4}},
+      {"cnn", sim::make_cnn_factory(1, 8, 2, 3, 5, 3), {2, 1, 8, 8}},
+      {"lstm", sim::make_lstm_factory(7, 4, 5, 7), {3, 6}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    Rng rng(31);
+    Tensor input(c.input);
+    for (auto& v : input.data()) {
+      v = c.input.size() == 2 ? static_cast<float>(rng.index(7))
+                              : static_cast<float>(rng.uniform(-1.0, 1.0));
+    }
+    Sequential stopped = c.factory(), full = c.factory();
+    Rng init_a(5), init_b(5);
+    stopped.init_params(init_a);
+    full.init_params(init_b);
+    const Tensor out = stopped.forward(input, true);
+    full.forward(input, true);
+    Tensor grad(out.shape());
+    for (auto& v : grad.data()) v = static_cast<float>(rng.uniform(-1.0, 1.0));
+    stopped.backward(grad);
+    Tensor g = grad;
+    for (std::size_t i = full.num_layers(); i-- > 0;) g = full.layer(i).backward(g);
+    const std::vector<Param> a = stopped.params(), b = full.params();
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      ASSERT_EQ(a[i].grad->numel(), b[i].grad->numel());
+      EXPECT_EQ(std::memcmp(a[i].grad->raw(), b[i].grad->raw(), a[i].grad->numel() * 4), 0)
+          << a[i].name;
+    }
+  }
 }
 
 TEST(Sequential, NumWeightsMatchesLayers) {

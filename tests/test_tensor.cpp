@@ -51,12 +51,6 @@ TEST(Tensor, Reshape) {
   EXPECT_THROW(t.reshaped({5, 5}), std::invalid_argument);
 }
 
-TEST(Tensor, ShapeMismatchThrows) {
-  Tensor a({2});
-  Tensor b({3});
-  EXPECT_THROW(a += b, std::invalid_argument);
-}
-
 TEST(Tensor, FillOverwrites) {
   Tensor t({3}, {1.0f, 2.0f, 3.0f});
   t.fill(7.0f);

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
+#include <string>
 
 #include "tensor/lanes.hpp"
 #include "util/rng.hpp"
@@ -60,17 +63,6 @@ TEST(Matmul, TransposedVariantsAgree) {
   ASSERT_EQ(via_bt.shape(), reference.shape());
   for (std::size_t i = 0; i < reference.numel(); ++i) {
     EXPECT_NEAR(via_bt[i], reference[i], 1e-5);
-  }
-
-  // matmul_transposed_a(a_t, b) where a_t = a^T stored as [5, 4].
-  Tensor a_t({5, 4});
-  for (std::size_t i = 0; i < 4; ++i) {
-    for (std::size_t j = 0; j < 5; ++j) a_t.at(j, i) = a.at(i, j);
-  }
-  const Tensor via_at = matmul_transposed_a(a_t, b);
-  ASSERT_EQ(via_at.shape(), reference.shape());
-  for (std::size_t i = 0; i < reference.numel(); ++i) {
-    EXPECT_NEAR(via_at[i], reference[i], 1e-5);
   }
 }
 
@@ -395,6 +387,134 @@ TEST(Lanes, EveryBackendElementKernelMatchesScalarBitForBit) {
       EXPECT_TRUE(same_bits(mask, want_mask)) << "relu_backward_mask";
       EXPECT_TRUE(same_bits(w, want_w)) << "sgd_step weights";
       EXPECT_TRUE(same_bits(gw, want_g)) << "sgd_step grads";
+    }
+  }
+}
+
+// ------------------------------------------------ exp, sigmoid, tanh ---
+//
+// Each host backend against the scalar references of lanes.hpp, bit for bit,
+// out of place and in place. The slow tier runs all 2^32 inputs.
+
+using ElementKernel = void (*)(const float*, float*, std::size_t);
+
+struct ElementFunction {
+  const char* name;
+  ElementKernel lanes::Backend::*kernel;
+  float (*reference)(float);
+};
+
+const ElementFunction kElementFunctions[] = {
+    {"exp", &lanes::Backend::exp, lanes::exp_ref},
+    {"sigmoid", &lanes::Backend::sigmoid, lanes::sigmoid_ref},
+    {"tanh", &lanes::Backend::tanh, lanes::tanh_ref},
+};
+
+std::uint32_t bits_of(float x) { return std::bit_cast<std::uint32_t>(x); }
+
+// "" when got[0, n) has want's bits, else the first input that differs.
+std::string first_mismatch(const std::vector<float>& x, const std::vector<float>& want,
+                           const float* got) {
+  for (std::size_t j = 0; j < x.size(); ++j) {
+    if (bits_of(got[j]) != bits_of(want[j])) {
+      return (testing::Message() << "x[" << j << "] = 0x" << std::hex << bits_of(x[j])
+                                 << ": want 0x" << bits_of(want[j]) << ", got 0x"
+                                 << bits_of(got[j]))
+          .GetString();
+    }
+  }
+  return "";
+}
+
+void expect_every_backend_matches_reference(const std::vector<float>& x) {
+  for (const ElementFunction& f : kElementFunctions) {
+    std::vector<float> want(x.size());
+    for (std::size_t j = 0; j < x.size(); ++j) want[j] = f.reference(x[j]);
+    for (const lanes::Backend& backend : lanes::host_backends()) {
+      SCOPED_TRACE(testing::Message() << backend.name << " " << f.name);
+      std::vector<float> got(x.size(), kNaN), in_place = x;
+      (backend.*f.kernel)(x.data(), got.data(), x.size());
+      (backend.*f.kernel)(in_place.data(), in_place.data(), x.size());
+      EXPECT_EQ(first_mismatch(x, want, got.data()), "");
+      EXPECT_EQ(first_mismatch(x, want, in_place.data()), "") << "in place";
+    }
+  }
+}
+
+TEST(Lanes, ElementFunctionsMatchReferenceOnAStridedSweep) {
+  // Every 4093rd bit pattern (an odd stride, so every exponent and both
+  // signs come up): about a million inputs per function.
+  std::vector<float> x;
+  for (std::uint64_t b = 0; b < (std::uint64_t{1} << 32); b += 4093) {
+    x.push_back(std::bit_cast<float>(static_cast<std::uint32_t>(b)));
+  }
+  expect_every_backend_matches_reference(x);
+}
+
+// The bit patterns where a reference changes branch, for both signs, with
+// 8 neighbours on each side. tanh's expm1 sees 2|x|, so its cutoffs appear
+// halved (one less in the exponent field) as well.
+TEST(Lanes, ElementFunctionsMatchReferenceAtBranchBoundaries) {
+  const std::uint32_t tanh_cutoffs[] = {0x24000000, 0x3f800000, 0x41b00000};
+  const std::uint32_t expm1_cutoffs[] = {0x33000000, 0x3eb17218, 0x3f851592, 0x4195b844};
+  std::vector<std::uint32_t> edges = {
+      0x00000000, 0x00000001, 0x00400000, 0x007fffff, 0x00800000,  // zero, subnormals
+      0x7f800000, 0x7fc00000, 0x7f800001, 0x7fffffff,              // inf, NaNs
+      bits_of(88.0f), bits_of(0x1.62e42ep6f), bits_of(0x1.9d1d9ep6f), bits_of(0x1.9fe368p6f)};
+  for (const std::uint32_t c : tanh_cutoffs) edges.push_back(c);
+  for (const std::uint32_t c : expm1_cutoffs) {
+    edges.push_back(c);
+    edges.push_back(c - 0x00800000);
+  }
+  std::vector<float> x;
+  for (const std::uint32_t edge : edges) {
+    for (std::uint32_t d = 0; d <= 16; ++d) {
+      for (const std::uint32_t sign : {0u, 0x80000000u}) {
+        x.push_back(std::bit_cast<float>(((edge + d - 8) & 0x7fffffff) | sign));
+      }
+    }
+  }
+  x.push_back(kInf);
+  x.push_back(-kInf);
+  x.push_back(kNaN);
+  expect_every_backend_matches_reference(x);
+}
+
+// glibc's expf computes in double with five FMAs; the same steps without
+// them round these two inputs one ulp lower.
+TEST(Lanes, ExpKeepsItsFusedMultiplyAdds) {
+  const std::uint32_t inputs[] = {0x4202422f, 0xc27c65d9};
+  const std::uint32_t want[] = {0x56fc9f1c, 0x11fa2993};
+  for (std::size_t i = 0; i < 2; ++i) {
+    const float x = std::bit_cast<float>(inputs[i]);
+    EXPECT_EQ(bits_of(lanes::exp_ref(x)), want[i]) << std::hex << inputs[i];
+    for (const lanes::Backend& backend : lanes::host_backends()) {
+      float y = 0.0f;
+      backend.exp(&x, &y, 1);
+      EXPECT_EQ(bits_of(y), want[i]) << backend.name << " " << std::hex << inputs[i];
+    }
+  }
+}
+
+// Lengths 0-33 from an odd offset: every masked tail of the 8- and 16-lane
+// backends, and no store past the end.
+TEST(Lanes, ElementFunctionsMaskTheirTails) {
+  Rng rng(25);
+  constexpr float kCanary = -12345.0f;
+  for (std::size_t n = 0; n <= 33; ++n) {
+    std::vector<float> x(n + 1);
+    for (float& v : x) v = static_cast<float>(rng.uniform(-30.0, 30.0));
+    for (const ElementFunction& f : kElementFunctions) {
+      for (const lanes::Backend& backend : lanes::host_backends()) {
+        SCOPED_TRACE(testing::Message() << backend.name << " " << f.name << " n=" << n);
+        std::vector<float> y(n + 2, kCanary);
+        (backend.*f.kernel)(x.data() + 1, y.data() + 1, n);
+        EXPECT_EQ(bits_of(y[0]), bits_of(kCanary));
+        EXPECT_EQ(bits_of(y[n + 1]), bits_of(kCanary));
+        for (std::size_t j = 0; j < n; ++j) {
+          EXPECT_EQ(bits_of(y[j + 1]), bits_of(f.reference(x[j + 1]))) << "j=" << j;
+        }
+      }
     }
   }
 }
