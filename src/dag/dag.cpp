@@ -388,4 +388,15 @@ std::vector<TxId> Dag::all_ids() const {
   return ids;
 }
 
+std::vector<std::pair<int, int>> Dag::approval_publishers() const {
+  std::shared_lock lock(mutex_);
+  std::vector<std::pair<int, int>> edges;
+  for (const Transaction& tx : transactions_) {
+    for (TxId parent : tx.parents) {
+      edges.emplace_back(tx.publisher, transactions_[parent].publisher);
+    }
+  }
+  return edges;
+}
+
 }  // namespace specdag::dag

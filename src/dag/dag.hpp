@@ -26,6 +26,7 @@
 
 #include <mutex>
 #include <shared_mutex>
+#include <utility>
 
 #include "dag/transaction.hpp"
 #include "util/rng.hpp"
@@ -142,6 +143,12 @@ class Dag {
 
   // All transaction ids in insertion order (genesis first).
   std::vector<TxId> all_ids() const;
+
+  // The (approver, approved) publisher pair of every approval edge:
+  // transactions in id order, each one's parents in approval order. Read
+  // under one lock and without copying a record; the metrics' view of the
+  // DAG (client graph, approval pureness).
+  std::vector<std::pair<int, int>> approval_publishers() const;
 
  private:
   friend struct snapshot::Access;  // checkpoint serialization (src/snapshot)

@@ -55,16 +55,15 @@ struct DagClientConfig {
   bool persistent_accuracy_cache = true;
 };
 
-struct DagRoundResult {
+// What a round tells its caller: the approvals, the gate's two evaluations
+// and the walk statistics, and no model payload. The simulators' step and
+// round records keep this part only, so they never keep a payload alive
+// past its commit; read a published model from the DAG.
+struct RoundOutcome {
   int client_id = -1;
   dag::TxId published = dag::kInvalidTx;   // kInvalidTx if the gate rejected
   std::vector<dag::TxId> parents;          // the approved tips
   dag::TxId reference = dag::kInvalidTx;   // consensus transaction used by the gate
-  dag::WeightsPtr trained_weights;         // payload of the prepared transaction
-  // Average of the parents' payloads — the training start point. Kept so a
-  // commit can hand the payload store its delta-encode base instead of the
-  // store re-materializing and re-averaging the parents.
-  dag::WeightsPtr averaged_base;
   EvalResult trained_eval;                 // trained model on local test data
   EvalResult reference_eval;               // reference model on local test data
   double train_loss = 0.0;
@@ -78,6 +77,15 @@ struct DagRoundResult {
     return publish_if_equal ? trained_eval.accuracy >= reference_eval.accuracy
                             : trained_eval.accuracy > reference_eval.accuracy;
   }
+};
+
+// A prepared round: its outcome plus the payloads its commit needs.
+struct DagRoundResult : RoundOutcome {
+  dag::WeightsPtr trained_weights;  // payload of the prepared transaction
+  // Average of the parents' payloads — the training start point. Kept so a
+  // commit can hand the payload store its delta-encode base instead of the
+  // store re-materializing and re-averaging the parents.
+  dag::WeightsPtr averaged_base;
 };
 
 // Intermediate state of a round after the walk phases but before training.

@@ -14,18 +14,22 @@ double modularity(const ClientGraph& graph, const Partition& partition) {
   }
   const double m = graph.total_weight();
   if (m <= 0.0) return 0.0;
-  // Hoist the O(n) weighted-degree sums out of the pair loop — the naive
-  // form re-sums a full adjacency row per pair, which is O(n^3) and
-  // dominates finalize on 2k-client graphs. Same pair order, same adds:
-  // the result is bit-identical.
   std::vector<double> degree(graph.size());
   for (std::size_t a = 0; a < graph.size(); ++a) degree[a] = graph.degree(a);
+  // Every same-community pair (a, b) contributes weight - expected, the
+  // zero-weight ones included, in a-major ascending order: each community's
+  // members are listed ascending and merged with a's sorted edge row.
+  std::map<int, std::vector<std::size_t>> members;
+  for (std::size_t a = 0; a < graph.size(); ++a) members[partition[a]].push_back(a);
   double q = 0.0;
   for (std::size_t a = 0; a < graph.size(); ++a) {
-    for (std::size_t b = 0; b < graph.size(); ++b) {
-      if (partition[a] != partition[b]) continue;
+    const std::vector<ClientGraph::Edge>& row = graph.edges(a);
+    auto edge = row.begin();
+    for (std::size_t b : members[partition[a]]) {
+      while (edge != row.end() && edge->to < b) ++edge;
+      const double w = edge != row.end() && edge->to == b ? edge->weight : 0.0;
       const double expected = degree[a] * degree[b] / (2.0 * m);
-      q += graph.weight(a, b) - expected;
+      q += w - expected;
     }
   }
   return q / (2.0 * m);
@@ -59,8 +63,12 @@ LouvainGraph to_louvain_graph(const ClientGraph& graph) {
   LouvainGraph g;
   g.adj.resize(graph.size());
   g.self_loop.assign(graph.size(), 0.0);
+  // Ascending neighbour order: the maps' insertion order, and with it their
+  // iteration order and Louvain's tie-breaking, depend on it.
   for (std::size_t a = 0; a < graph.size(); ++a) {
-    for (std::size_t b : graph.neighbors(a)) g.adj[a][b] = graph.weight(a, b);
+    for (const ClientGraph::Edge& e : graph.edges(a)) {
+      if (e.weight > 0.0) g.adj[a][e.to] = e.weight;
+    }
   }
   return g;
 }

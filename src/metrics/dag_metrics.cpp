@@ -7,21 +7,17 @@ namespace specdag::metrics {
 
 PurenessResult approval_pureness(const dag::Dag& dag, const std::vector<int>& client_clusters) {
   PurenessResult result;
-  for (dag::TxId id : dag.all_ids()) {
-    const dag::Transaction tx = dag.transaction(id);
-    if (tx.publisher < 0) continue;
-    // Publishers without a known cluster (external attackers) contribute no
-    // pureness information.
-    if (static_cast<std::size_t>(tx.publisher) >= client_clusters.size()) continue;
-    const int own_cluster = client_clusters[static_cast<std::size_t>(tx.publisher)];
-    for (dag::TxId parent : tx.parents) {
-      const dag::Transaction ptx = dag.transaction(parent);
-      if (ptx.publisher < 0) continue;
-      if (static_cast<std::size_t>(ptx.publisher) >= client_clusters.size()) continue;
-      ++result.total_edges;
-      if (client_clusters[static_cast<std::size_t>(ptx.publisher)] == own_cluster) {
-        ++result.pure_edges;
-      }
+  const auto known = [&](int publisher) {
+    return publisher >= 0 && static_cast<std::size_t>(publisher) < client_clusters.size();
+  };
+  for (const auto& [approver, approved] : dag.approval_publishers()) {
+    // Genesis and publishers without a known cluster (external attackers)
+    // contribute no pureness information.
+    if (!known(approver) || !known(approved)) continue;
+    ++result.total_edges;
+    if (client_clusters[static_cast<std::size_t>(approved)] ==
+        client_clusters[static_cast<std::size_t>(approver)]) {
+      ++result.pure_edges;
     }
   }
   result.pureness = result.total_edges == 0

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <iterator>
 #include <stdexcept>
+#include <utility>
 
 namespace specdag::nn {
 
@@ -132,18 +133,31 @@ WeightVector weighted_average_weights(const std::vector<const WeightVector*>& we
     total += c;
   }
   if (total <= 0.0) throw std::invalid_argument("weighted_average_weights: zero total weight");
-  std::vector<double> acc(n, 0.0);
+  // The inputs with a non-zero share, in input order.
+  std::vector<std::pair<const float*, double>> terms;
   for (std::size_t w = 0; w < weights.size(); ++w) {
     if (weights[w]->size() != n) {
       throw std::invalid_argument("weighted_average_weights: length mismatch");
     }
     const double coeff = coefficients[w] / total;
-    if (coeff == 0.0) continue;
-    const auto& vec = *weights[w];
-    for (std::size_t i = 0; i < n; ++i) acc[i] += coeff * static_cast<double>(vec[i]);
+    if (coeff != 0.0) terms.emplace_back(weights[w]->data(), coeff);
   }
+  // One pass in cache-sized blocks, no n-element scratch. Each element's
+  // double accumulator starts at 0 and takes the terms in input order: that
+  // order fixes the result bit for bit (the library builds without FP
+  // contraction).
+  constexpr std::size_t kBlock = 256;
+  double acc[kBlock];
   WeightVector out(n);
-  for (std::size_t i = 0; i < n; ++i) out[i] = static_cast<float>(acc[i]);
+  for (std::size_t begin = 0; begin < n; begin += kBlock) {
+    const std::size_t len = std::min(kBlock, n - begin);
+    std::fill_n(acc, len, 0.0);
+    for (const auto& [vec, coeff] : terms) {
+      const float* x = vec + begin;
+      for (std::size_t i = 0; i < len; ++i) acc[i] += coeff * static_cast<double>(x[i]);
+    }
+    for (std::size_t i = 0; i < len; ++i) out[begin + i] = static_cast<float>(acc[i]);
+  }
   return out;
 }
 

@@ -399,7 +399,7 @@ sim::AsyncDagSimulator make_simulator(const ScenarioSpec& spec, sim::ExperimentP
 // The client results of one unit, and how many honest transactions it
 // published (the attacker's junk is counted separately).
 struct UnitRun {
-  std::vector<fl::DagRoundResult> results;
+  std::vector<fl::RoundOutcome> results;
   std::size_t publishes = 0;
 };
 
@@ -451,7 +451,7 @@ ScenarioResult run_dag_scenario(const ScenarioSpec& spec, sim::ExperimentPreset 
     ScenarioPoint point;
     point.round = unit + 1;
     point.publishes = run.publishes;
-    fill_accuracy(spec, run.results, &fl::DagRoundResult::trained_eval, point);
+    fill_accuracy(spec, run.results, &fl::RoundOutcome::trained_eval, point);
     if (!run.results.empty()) {
       double walk_evals = 0.0;
       for (const auto& r : run.results) walk_evals += static_cast<double>(r.walk_stats.evaluations);

@@ -133,8 +133,9 @@ void AsyncDagSimulator::process_step_batch(std::vector<AsyncStepRecord>& records
   std::vector<std::vector<fl::DagRoundResult>> prepared;
   net_.prepare_batch(chains, prepared, pool_ ? &*pool_ : nullptr);
 
-  // Publish the results into the record slots and the parked broadcasts,
-  // then release the broadcasts into the queue.
+  // Publish the outcomes into the record slots and the results (with their
+  // payloads) into the parked broadcasts, then release the broadcasts into
+  // the queue.
   for (std::size_t i = 0; i < broadcasts.size(); ++i) {
     fl::DagRoundResult& result = prepared[slots[i].first][slots[i].second];
     records[first + i].result = result;

@@ -62,10 +62,12 @@ struct AsyncSimulatorConfig {
 struct AsyncStepRecord {
   double time = 0.0;
   int client_id = -1;
-  // The prepared step. `result.published` is never filled: the commit
-  // happens later, at the step's broadcast event (at the same virtual time
-  // under zero latency), and may not publish at all. Read the DAG instead.
-  fl::DagRoundResult result;
+  // The prepared step's outcome, without its payloads: those travel with
+  // the broadcast event and are released once the commit has stored them.
+  // `result.published` is never filled: the commit happens later, at the
+  // step's broadcast event (at the same virtual time under zero latency),
+  // and may not publish at all. Read the DAG instead.
+  fl::RoundOutcome result;
 };
 
 class AsyncDagSimulator : public ClientPopulation {

@@ -87,9 +87,7 @@ const RoundRecord& DagSimulator::run_round() {
   for (std::size_t i = 0; i < active.size(); ++i) chains[i] = {static_cast<int>(active[i])};
   std::vector<std::vector<fl::DagRoundResult>> prepared;
   net_.prepare_batch(chains, prepared, pool_ ? &*pool_ : nullptr);
-  for (std::size_t i = 0; i < active.size(); ++i) {
-    record.results[i] = std::move(prepared[i][0]);
-  }
+  for (std::size_t i = 0; i < active.size(); ++i) record.results[i] = prepared[i][0];
 
   prepares_ += record.results.size();
 
@@ -103,9 +101,9 @@ const RoundRecord& DagSimulator::run_round() {
             [&](std::size_t a, std::size_t b) { return active[a] < active[b]; });
   for (std::size_t i : order) {
     if (config_.visibility_delay_rounds == 0) {
-      record.results[i].published = commit(static_cast<int>(active[i]), record.results[i], round_);
+      record.results[i].published = commit(static_cast<int>(active[i]), prepared[i][0], round_);
     } else {
-      pending_.push_back({static_cast<int>(active[i]), record.results[i], round_,
+      pending_.push_back({static_cast<int>(active[i]), std::move(prepared[i][0]), round_,
                           round_ + config_.visibility_delay_rounds});
     }
   }

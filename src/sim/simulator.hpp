@@ -46,7 +46,9 @@ struct RoundRecord {
   // returned by run_round() is only valid until the next run_round() call
   // (only the latest record is retained).
   std::size_t round = 0;
-  std::vector<fl::DagRoundResult> results;  // one per active client
+  // One per active client; payloads stay with the DAG (or the pending
+  // queue under a visibility delay), never in the history.
+  std::vector<fl::RoundOutcome> results;
 
   double mean_trained_accuracy() const;
   std::size_t publish_count() const;

@@ -41,7 +41,7 @@ nn::ModelFactory mlp_factory(const data::FederatedDataset& ds) {
   return sim::make_mlp_factory(shape_numel(ds.element_shape), 16, ds.num_classes);
 }
 
-void serialize_result(std::ostream& out, const fl::DagRoundResult& result) {
+void serialize_result(std::ostream& out, const fl::RoundOutcome& result) {
   out << result.client_id << '|' << result.published << '|' << result.reference << '|';
   for (dag::TxId parent : result.parents) out << parent << ',';
   out << '|' << std::hexfloat << result.trained_eval.accuracy << '|'

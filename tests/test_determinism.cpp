@@ -4,10 +4,13 @@
 // below use hexfloat so the comparison is exact at the bit level.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "data/synthetic_digits.hpp"
@@ -37,7 +40,7 @@ nn::ModelFactory tiny_factory(const data::FederatedDataset& ds) {
 // `published` is left out of async traces: AsyncStepRecord never carries it
 // (the commit happens at the broadcast event), so those traces pin commits
 // through the DAG size instead.
-void serialize_result(std::ostream& out, const fl::DagRoundResult& result,
+void serialize_result(std::ostream& out, const fl::RoundOutcome& result,
                       bool with_published = true) {
   out << result.client_id << '|';
   if (with_published) out << result.published << '|';
@@ -326,6 +329,69 @@ TEST(Determinism, ScaleSummaryDiffersOnlyInScheduleDependentFields) {
   for (std::size_t threads : {1, 4}) EXPECT_EQ(summary(threads), summary(threads)) << threads;
 }
 
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001B3ULL;
+  }
+  return h;
+}
+
+// Step and round records hold a round's outcome and no payload, so a unit's
+// records cannot keep its trained and averaged models alive after their
+// commits; the payloads travel only with the broadcast events.
+static_assert(std::is_same_v<decltype(sim::AsyncStepRecord::result), fl::RoundOutcome>);
+static_assert(std::is_same_v<decltype(sim::RoundRecord::results), std::vector<fl::RoundOutcome>>);
+
+// The shrunken scale-2k driven through run_until unit by unit, and through
+// the scenario runner: the step trace, the series JSONL and the summary
+// (less its schedule-dependent fields) are pinned to digests recorded
+// while step records still carried both payloads.
+TEST(Determinism, PayloadFreeStepRecordsKeepTheScaleRun) {
+  scenario::ScenarioSpec spec = scenario::get_scenario("scale-2k");
+  spec.num_clients = 200;
+  spec.threads = 1;
+  {
+    sim::ExperimentPreset preset = scenario::make_preset(spec);
+    sim::AsyncSimulatorConfig config;
+    config.client = spec.client;
+    config.broadcast_latency = spec.broadcast_latency;
+    config.seed = spec.seed;
+    config.threads = 1;
+    config.store = spec.store;
+    sim::AsyncDagSimulator simulator(std::move(preset.dataset), preset.factory, config);
+    std::string trace;
+    for (std::size_t unit = 1; unit <= spec.rounds; ++unit) {
+      trace += serialize_trace(simulator.run_until(static_cast<double>(unit)));
+      trace += "dag " + std::to_string(simulator.dag().size()) + '\n';
+    }
+    EXPECT_EQ(fnv1a(trace), 0x67B448DBF49D1C9DULL) << trace;
+  }
+  // The summary records the thread count, so each count has its digest.
+  for (const auto [threads, summary_digest] :
+       {std::pair{1, 0x8FD7A6EF9890A028ULL}, std::pair{4, 0xEDDA6C40597FE42EULL}}) {
+    spec.threads = threads;
+    const scenario::ScenarioResult result = scenario::run_scenario(spec);
+    std::ostringstream series;
+    scenario::write_series_jsonl(result, series);
+    EXPECT_EQ(fnv1a(series.str()), 0xA7919DA88823C955ULL) << threads << "\n" << series.str();
+    scenario::Json summary = *scenario::result_to_json(result).find("summary");
+    for (const auto& path : kScheduleDependentSummaryFields) erase_member(summary, path);
+    // summary.obs lists every counter the process has registered, so the
+    // ones earlier tests registered read 0 here; only the run's own count.
+    for (auto& [key, section] : summary.as_object()) {
+      if (key != "obs") continue;
+      for (auto& [name, counters] : section.as_object()) {
+        if (name != "counters") continue;
+        std::erase_if(counters.as_object(),
+                      [](const auto& counter) { return counter.second.as_number() == 0.0; });
+      }
+    }
+    EXPECT_EQ(fnv1a(summary.dump(2)), summary_digest) << threads << "\n" << summary.dump(2);
+  }
+}
+
 TEST(Determinism, AsyncScenarioWithDynamicsIsReproducible) {
   scenario::ScenarioSpec spec = scenario::get_scenario("stragglers");
   spec.num_clients = 6;
@@ -351,14 +417,6 @@ TEST(Determinism, AsyncScenarioWithDynamicsIsReproducible) {
 // registry `poets` series JSONL, at one thread and at four, recorded before
 // the LSTM layer computed its input projection in one batched GEMM.
 TEST(Determinism, PoetsSeriesIsPinned) {
-  const auto fnv1a = [](const std::string& bytes) {
-    std::uint64_t h = 0xCBF29CE484222325ULL;
-    for (const unsigned char c : bytes) {
-      h ^= c;
-      h *= 0x100000001B3ULL;
-    }
-    return h;
-  };
   for (const std::size_t threads : {1, 4}) {
     scenario::ScenarioSpec spec = scenario::get_scenario("poets");
     spec.rounds = 3;

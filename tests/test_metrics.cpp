@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
+#include "client_graph_oracle.hpp"
 #include "metrics/client_graph.hpp"
 #include "metrics/community.hpp"
 #include "metrics/dag_metrics.hpp"
@@ -77,6 +80,124 @@ TEST(BuildClientGraph, SkipsUnknownPublishers) {
   dag.add_transaction({evil}, payload(), 1, 2);
   const ClientGraph g = build_client_graph(dag, 2);
   EXPECT_DOUBLE_EQ(g.total_weight(), 0.0);  // only edges through the attacker
+}
+
+// ------------------------------------------- sparse graph vs dense oracle ---
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+// The same add_weight sequence applied to the sparse graph and the dense
+// oracle: `edges` random pairs with planted communities (most edges stay
+// inside one of `blocks` blocks), integer, fractional and zero deltas, and
+// a run of repeated adds on one pair. Nodes at index >= n - n / 8 get no
+// edge: they stay isolated.
+struct GraphPair {
+  ClientGraph sparse;
+  testing::DenseClientGraph dense;
+  Partition planted;
+};
+
+GraphPair random_graph_pair(std::size_t n, std::size_t blocks, std::size_t edges,
+                            std::uint64_t seed) {
+  GraphPair g{ClientGraph(n), testing::DenseClientGraph(n), Partition(n)};
+  for (std::size_t v = 0; v < n; ++v) g.planted[v] = static_cast<int>(v % blocks);
+  const std::size_t connected = n - n / 8;
+  if (connected < 2) return g;
+  Rng rng(seed);
+  const auto add = [&](std::size_t a, std::size_t b, double delta) {
+    g.sparse.add_weight(a, b, delta);
+    g.dense.add_weight(a, b, delta);
+  };
+  for (std::size_t e = 0; e < edges; ++e) {
+    const std::size_t a = rng.index(connected);
+    std::size_t b = rng.index(connected);
+    if (rng.uniform() < 0.8) {  // pull b into a's block
+      b = b - b % blocks + a % blocks;
+      if (b >= connected) b = a % blocks;
+    }
+    if (a == b) continue;
+    const double kind = rng.uniform();
+    const double delta = kind < 0.6 ? 1.0 : kind < 0.9 ? rng.uniform(0.0, 3.0) : 0.0;
+    add(a, b, delta);
+  }
+  for (int rep = 0; rep < 7; ++rep) add(0, 1, rep % 2 == 0 ? 1.0 : 0.1);
+  return g;
+}
+
+void expect_graphs_agree(const GraphPair& g) {
+  const std::size_t n = g.dense.size();
+  ASSERT_EQ(g.sparse.size(), n);
+  EXPECT_EQ(bits(g.sparse.total_weight()), bits(g.dense.total_weight()));
+  for (std::size_t a = 0; a < n; ++a) {
+    EXPECT_EQ(bits(g.sparse.degree(a)), bits(g.dense.degree(a))) << "node " << a;
+    EXPECT_EQ(g.sparse.neighbors(a), g.dense.neighbors(a)) << "node " << a;
+    for (std::size_t b = 0; b < n; ++b) {
+      ASSERT_EQ(bits(g.sparse.weight(a, b)), bits(g.dense.weight(a, b))) << a << "," << b;
+    }
+  }
+}
+
+void expect_modularity_agrees(const GraphPair& g, const Partition& partition) {
+  EXPECT_EQ(bits(modularity(g.sparse, partition)),
+            bits(testing::dense_modularity(g.dense, partition)));
+}
+
+void expect_louvain_agrees(const GraphPair& g, std::uint64_t seed) {
+  Rng sparse_rng(seed), dense_rng(seed);
+  const LouvainResult sparse = louvain(g.sparse, sparse_rng);
+  const LouvainResult dense = testing::dense_louvain(g.dense, dense_rng);
+  EXPECT_EQ(sparse.partition, dense.partition);
+  EXPECT_EQ(sparse.levels, dense.levels);
+  EXPECT_EQ(sparse.num_communities, dense.num_communities);
+  EXPECT_EQ(bits(sparse.modularity), bits(dense.modularity));
+}
+
+TEST(ClientGraphOracle, RandomGraphsMatchTheDenseGraphBitForBit) {
+  struct Case {
+    std::size_t n, blocks, edges;
+  };
+  for (const Case c : {Case{1, 1, 0}, Case{2, 1, 3}, Case{9, 3, 20}, Case{40, 4, 150},
+                       Case{150, 5, 700}, Case{300, 6, 1500}, Case{300, 3, 12000}}) {
+    SCOPED_TRACE(::testing::Message() << "n=" << c.n << " edges=" << c.edges);
+    const GraphPair g = random_graph_pair(c.n, c.blocks, c.edges, 1000 + c.n + c.edges);
+    expect_graphs_agree(g);
+
+    // Partitions with non-compact, negative and shuffled community ids.
+    Rng rng(c.n);
+    Partition scattered(c.n), singletons(c.n), planted_ids(c.n);
+    for (std::size_t v = 0; v < c.n; ++v) {
+      scattered[v] = static_cast<int>(rng.index(5)) * 7 - 9;
+      singletons[v] = static_cast<int>(c.n - v);
+      planted_ids[v] = g.planted[v] * 3 - 1;
+    }
+    for (const Partition& p :
+         {g.planted, planted_ids, scattered, singletons, Partition(c.n, 4)}) {
+      expect_modularity_agrees(g, p);
+    }
+    for (std::uint64_t seed : {1u, 42u}) expect_louvain_agrees(g, seed);
+  }
+}
+
+TEST(ClientGraphOracle, BuiltGraphsMatchTheDenseGraphOnLouvainPartitions) {
+  // The metrics path: unit weights from approvals, then modularity of the
+  // Louvain partition.
+  const GraphPair g = random_graph_pair(250, 5, 5000, 7);
+  Rng rng(3);
+  const LouvainResult result = louvain(g.sparse, rng);
+  expect_modularity_agrees(g, result.partition);
+  expect_louvain_agrees(g, 3);
+}
+
+TEST(ClientGraph, ZeroDeltaKeepsTheNodeIsolated) {
+  ClientGraph g(3);
+  g.add_weight(0, 2, 0.0);
+  EXPECT_TRUE(g.neighbors(0).empty());
+  EXPECT_EQ(g.edges(0).size(), 1u);
+  EXPECT_EQ(bits(g.degree(0)), bits(0.0));
+  g.add_weight(2, 0, 1.5);
+  g.add_weight(0, 2, 1.5);
+  EXPECT_EQ(g.neighbors(0), (std::vector<std::size_t>{2}));
+  EXPECT_DOUBLE_EQ(g.weight(2, 0), 3.0);
 }
 
 // ------------------------------------------------------------ modularity ---

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <utility>
+#include <vector>
 
 #include "nn/activations.hpp"
 #include "nn/dense.hpp"
@@ -226,6 +228,56 @@ TEST(WeightedAverage, RejectsBadCoefficients) {
   EXPECT_THROW(weighted_average_weights({&a}, {-1.0}), std::invalid_argument);
   EXPECT_THROW(weighted_average_weights({&a}, {0.0}), std::invalid_argument);
   EXPECT_THROW(weighted_average_weights({&a}, {1.0, 2.0}), std::invalid_argument);
+}
+
+// The original formula: an n-element double accumulator, zeroed, swept once
+// per input with a non-zero share, then narrowed to float.
+WeightVector three_pass_average(const std::vector<const WeightVector*>& weights,
+                                const std::vector<double>& coefficients) {
+  double total = 0.0;
+  for (double c : coefficients) total += c;
+  const std::size_t n = weights.front()->size();
+  std::vector<double> acc(n, 0.0);
+  for (std::size_t w = 0; w < weights.size(); ++w) {
+    const double coeff = coefficients[w] / total;
+    if (coeff == 0.0) continue;
+    for (std::size_t i = 0; i < n; ++i) acc[i] += coeff * static_cast<double>((*weights[w])[i]);
+  }
+  WeightVector out(n);
+  for (std::size_t i = 0; i < n; ++i) out[i] = static_cast<float>(acc[i]);
+  return out;
+}
+
+TEST(WeightedAverage, MatchesTheThreePassFormulaBitForBit) {
+  Rng rng(11);
+  const auto random_vector = [&](std::size_t n) {
+    WeightVector v(n);
+    for (float& x : v) x = static_cast<float>(rng.normal(0.0, 3.0));
+    return v;
+  };
+  // Odd lengths: around the implementation's 256-element blocks, and one
+  // past the 8,554 weights of the scale-2k MLP.
+  for (std::size_t n : {std::size_t{1}, std::size_t{255}, std::size_t{257}, std::size_t{8555}}) {
+    SCOPED_TRACE(n);
+    const WeightVector a = random_vector(n), b = random_vector(n), c = random_vector(n);
+    const std::vector<std::pair<std::vector<const WeightVector*>, std::vector<double>>> cases = {
+        {{&a, &b}, {1.0, 1.0}},
+        {{&a, &b}, {0.3, 1.9}},
+        {{&a, &b, &c}, {1.0, 1.0, 1.0}},
+        {{&a, &b, &c}, {2.5, 0.0, 0.7}},  // a zero share skips b
+        {{&a, &b, &c}, {0.0, 0.0, 4.0}},
+    };
+    for (const auto& [inputs, coefficients] : cases) {
+      const WeightVector got = weighted_average_weights(inputs, coefficients);
+      const WeightVector want = three_pass_average(inputs, coefficients);
+      ASSERT_EQ(got.size(), want.size());
+      EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)), 0);
+    }
+  }
+  const WeightVector x = random_vector(301), y = random_vector(301);
+  const WeightVector pair = average_weights(x, y);
+  const WeightVector want = three_pass_average({&x, &y}, {1.0, 1.0});
+  EXPECT_EQ(std::memcmp(pair.data(), want.data(), pair.size() * sizeof(float)), 0);
 }
 
 TEST(WeightDistance, EuclideanAndMismatch) {
